@@ -15,8 +15,12 @@ symbolic infinities:
   solves each induced chain system, and keeps solutions that actually solve
   the original equations; the pointwise least survivor is the least fixpoint.
 * ``solve_policy_iteration`` ascends through selections of the max nodes
-  only, solving each induced min-system by Kleene iteration with a jump to
-  +oo past the largest value any finite fixpoint component can take.
+  only and solves each induced min-system exactly: a counting pass finds the
+  variables that must leave -oo, and a Bellman-Ford pass from +oo computes
+  the greatest solution on them (+oo where no constant is reachable).
+  Strict-improvement switching keeps the current valuation feasible, which
+  makes that greatest solution the least one above it.  No step's cost
+  depends on the sizes of the constants.
 
 Both must agree with each other and, on bounded programs, with the
 explicit-state enumeration ``bounded_concrete_oracle``.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -557,143 +562,190 @@ def _sort_key(v: Value):
 # ---------------------------------------------------------------------------
 
 
-def _max_nodes(system: BoundSystem) -> list[tuple[str, tuple[int, ...], BMax]]:
-    out: list[tuple[str, tuple[int, ...], BMax]] = []
+def _compile(system: BoundSystem) -> tuple[list[tuple], list[int]]:
+    """Right-hand sides as nested tuples over variable indices.
 
-    def walk(e: BoundExpr, name: str, path: tuple[int, ...]) -> None:
-        if isinstance(e, BMax):
-            out.append((name, path, e))
-            walk(e.left, name, path + (0,))
-            walk(e.right, name, path + (1,))
-        elif isinstance(e, BMin):
-            walk(e.left, name, path + (0,))
-            walk(e.right, name, path + (1,))
-        elif isinstance(e, BAdd):
-            walk(e.expr, name, path + (0,))
-
-    for name, rhs in system.equations:
-        walk(rhs, name, ())
-    return out
-
-
-def _eval_with_policy(
-    e: BoundExpr,
-    valuation: Mapping[str, Value],
-    policy: Mapping[tuple[str, tuple[int, ...]], int],
-    name: str,
-    path: tuple[int, ...],
-) -> Value:
-    if isinstance(e, BConst):
-        return e.value
-    if isinstance(e, BRef):
-        return valuation[e.name]
-    if isinstance(e, BAdd):
-        return vadd(_eval_with_policy(e.expr, valuation, policy, name, path + (0,)), e.offset)
-    if isinstance(e, BMin):
-        return min(
-            _eval_with_policy(e.left, valuation, policy, name, path + (0,)),
-            _eval_with_policy(e.right, valuation, policy, name, path + (1,)),
-        )
-    chosen = policy[(name, path)]
-    child = e.left if chosen == 0 else e.right
-    return _eval_with_policy(child, valuation, policy, name, path + (chosen,))
-
-
-def _finite_bound(system: BoundSystem) -> int:
-    """Values beyond this are jumped to +oo during the inner Kleene solves.
-
-    A finite least-fixpoint component is derivable through constant-grounded
-    chains, so max |const| plus the total |offset| mass bounds it; the extra
-    per-variable factor is slack for values pinned across improvement rounds.
-    An undershoot cannot corrupt results silently: the final valuation is
-    checked to be a fixpoint of the original system.
+    Nodes are ("const", value), ("ref", index), ("add", child, offset),
+    ("min", left, right) and ("max", node, left, right), where `node` is the
+    max node's position in the policy list.  Returns the compiled right-hand
+    sides and, per max node, the index of the equation that holds it.
     """
-    max_const = 0
-    total_off = 0
+    index = {name: i for i, name in enumerate(system.names())}
+    owner: list[int] = []
 
-    def walk(e: BoundExpr) -> None:
-        nonlocal max_const, total_off
-        if isinstance(e, BConst) and not isinstance(e.value, _Inf):
-            max_const = max(max_const, abs(e.value))
-        elif isinstance(e, BAdd):
-            total_off += abs(e.offset)
-            walk(e.expr)
-        elif isinstance(e, (BMin, BMax)):
-            walk(e.left)
-            walk(e.right)
+    def walk(e: BoundExpr, i: int) -> tuple:
+        if isinstance(e, BConst):
+            return ("const", e.value)
+        if isinstance(e, BRef):
+            return ("ref", index[e.name])
+        if isinstance(e, BAdd):
+            return ("add", walk(e.expr, i), e.offset)
+        if isinstance(e, BMin):
+            return ("min", walk(e.left, i), walk(e.right, i))
+        owner.append(i)
+        return ("max", len(owner) - 1, walk(e.left, i), walk(e.right, i))
 
-    for _, rhs in system.equations:
-        walk(rhs)
-    return max_const + (len(system.equations) + 2) * (total_off + 1)
+    return [walk(rhs, i) for i, (_, rhs) in enumerate(system.equations)], owner
+
+
+def _evaluate_and_switch(e: tuple, rho: list[Value], policy: list[int]) -> Value:
+    """Value of `e` at `rho`; every max node below `e` whose unselected
+    argument is strictly larger there switches to it."""
+    tag = e[0]
+    if tag == "const":
+        return e[1]
+    if tag == "ref":
+        return rho[e[1]]
+    if tag == "add":
+        return vadd(_evaluate_and_switch(e[1], rho, policy), e[2])
+    left = _evaluate_and_switch(e[-2], rho, policy)
+    right = _evaluate_and_switch(e[-1], rho, policy)
+    if tag == "min":
+        return min(left, right)
+    node = e[1]
+    if policy[node] == 0 and right > left:
+        policy[node] = 1
+    elif policy[node] == 1 and left > right:
+        policy[node] = 0
+    return max(left, right)
+
+
+def _flatten(e: tuple, policy: list[int]) -> tuple[Value, list[tuple[int, int]]]:
+    """`e` under `policy` as a min over terms: the least constant term (+oo
+    if there is none) and the (variable index, offset) references."""
+    least: Value = POS_INF
+    refs: list[tuple[int, int]] = []
+    stack = [(e, 0)]
+    while stack:
+        sub, off = stack.pop()
+        tag = sub[0]
+        if tag == "const":
+            least = min(least, vadd(sub[1], off))
+        elif tag == "ref":
+            refs.append((sub[1], off))
+        elif tag == "add":
+            stack.append((sub[1], off + sub[2]))
+        elif tag == "min":
+            stack.append((sub[1], off))
+            stack.append((sub[2], off))
+        else:
+            stack.append((sub[2 + policy[sub[1]]], off))
+    return least, refs
+
+
+def _solve_min_system(
+    flat: list[tuple[Value, list[tuple[int, int]]]], rho: list[Value]
+) -> list[Value]:
+    """Least solution above `rho` of ``x_i = min(k, x_j + c for (j, c) in
+    refs)`` with ``(k, refs) = flat[i]``, given that `rho` is feasible (see
+    solve_policy_iteration).
+
+    A variable leaves -oo iff it is above -oo in `rho` or all of its terms
+    are (a counting worklist).  On those live variables the greatest
+    solution is computed by Bellman-Ford from +oo: a variable's value is the
+    least constant it reaches along term references plus the offsets on the
+    way, and +oo when it reaches none.
+    """
+    n = len(flat)
+    consts = [k for k, _ in flat]
+    users: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (_, refs) in enumerate(flat):
+        for j, c in refs:
+            users[j].append((i, c))
+
+    live = [v is not NEG_INF for v in rho]
+    pending = [len(refs) for _, refs in flat]
+    order = [i for i in range(n) if live[i] or (pending[i] == 0 and consts[i] is not NEG_INF)]
+    for i in order:
+        live[i] = True
+    for j in order:  # grows while it is walked
+        for i, _ in users[j]:
+            if not live[i]:
+                pending[i] -= 1
+                if pending[i] == 0 and consts[i] is not NEG_INF:
+                    live[i] = True
+                    order.append(i)
+    # Only a variable above -oo in `rho` can be live with a -oo term; its
+    # least solution would drop below `rho`.
+    for j in range(n):
+        if (consts[j] is NEG_INF and live[j]) or (
+            not live[j] and any(live[i] for i, _ in users[j])
+        ):
+            raise RuntimeError("policy iteration fell below the current valuation")
+
+    # None stands for +oo
+    dist = [k if alive and not isinstance(k, _Inf) else None for k, alive in zip(consts, live)]
+    queued = [d is not None for d in dist]
+    queue = deque(i for i in range(n) if queued[i])
+    limit = (n + 1) ** 2
+    pops = 0
+    while queue:
+        j = queue.popleft()
+        queued[j] = False
+        pops += 1
+        if pops > limit:
+            raise RuntimeError("negative cycle in a policy's min-system")
+        reach = dist[j]
+        for i, c in users[j]:
+            if live[i] and (dist[i] is None or reach + c < dist[i]):
+                dist[i] = reach + c
+                if not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
+
+    out: list[Value] = []
+    for i in range(n):
+        value = NEG_INF if not live[i] else POS_INF if dist[i] is None else dist[i]
+        if value < rho[i]:
+            raise RuntimeError("policy iteration fell below the current valuation")
+        out.append(value)
+    return out
 
 
 def solve_policy_iteration(system: BoundSystem) -> dict[str, Value]:
     """Ascending policy iteration over the max nodes.
 
-    Starting from the all--oo valuation and a policy attaining each max
-    there, repeatedly solve the induced min-only system for its least
-    solution above the current valuation (Kleene iteration; values exceeding
-    the finite-fixpoint bound jump to +oo), then switch any max node whose
-    other argument is strictly larger.  Values only ascend and each policy
-    strictly improves, so this terminates at the least fixpoint.
+    Starts from the all--oo valuation and the policy that selects, at each
+    max node, an argument attaining the maximum there (the left one on
+    ties).  Each round solves the min-system the policy induces exactly
+    (``_solve_min_system``), then switches every max node whose other
+    argument is strictly larger at the new valuation; it stops when no node
+    switches, and the valuation is then a fixpoint of the original system.
+
+    A valuation is feasible for a policy when no cycle of the policy's
+    references among its finite variables is tight there (every reference on
+    the cycle attains the value of the variable that holds it).  The all--oo
+    start is feasible, and switching keeps it feasible, because a reference
+    through a switched max node lies strictly above its variable's value.
+    Above a feasible valuation, any solution of the min-system lower than the
+    greatest one on the live variables would contain a tight cycle, so the
+    greatest solution is the least one above the valuation and never passes
+    the least fixpoint (Gawlitza and Seidl, ESOP 2007).  It is feasible in
+    turn: a cycle tight there has weight zero, so it was tight at the
+    previous valuation.  Strict improvement bounds the rounds, and no
+    round's cost depends on the sizes of the constants.
     """
-    names = system.names()
-    rhs_map = system.as_dict()
-    maxnodes = _max_nodes(system)
-    rho: dict[str, Value] = {n: NEG_INF for n in names}
-    policy: dict[tuple[str, tuple[int, ...]], int] = {}
-    for name, path, node in maxnodes:
-        lval = eval_bexpr(node.left, rho)
-        rval = eval_bexpr(node.right, rho)
-        policy[(name, path)] = 0 if lval >= rval else 1
-
-    deps: dict[str, set[str]] = {n: set() for n in names}
-
-    def refs(e: BoundExpr, acc: set[str]) -> None:
-        if isinstance(e, BRef):
-            acc.add(e.name)
-        elif isinstance(e, BAdd):
-            refs(e.expr, acc)
-        elif isinstance(e, (BMin, BMax)):
-            refs(e.left, acc)
-            refs(e.right, acc)
-
-    for name, rhs in system.equations:
-        acc: set[str] = set()
-        refs(rhs, acc)
-        for r in acc:
-            deps[r].add(name)
-
-    bound = _finite_bound(system)
+    rhs, owner = _compile(system)
+    switching = sorted(set(owner))  # the equations that hold a max node
+    rho: list[Value] = [NEG_INF] * len(rhs)
+    policy = [0] * len(owner)
+    for i in switching:
+        _evaluate_and_switch(rhs[i], rho, policy)
+    flat = [_flatten(e, policy) for e in rhs]
     while True:
-        # Least solution of the induced min-system above rho.
-        work = list(names)
-        while work:
-            v = work.pop(0)
-            nv = _eval_with_policy(rhs_map[v], rho, policy, v, ())
-            if not isinstance(nv, _Inf) and nv > bound:
-                nv = POS_INF
-            if nv > rho[v]:
-                rho[v] = nv
-                for d in sorted(deps[v]):
-                    if d not in work:
-                        work.append(d)
-        improved = False
-        for name, path, node in maxnodes:
-            sel = policy[(name, path)]
-            lval = eval_bexpr(node.left, rho)
-            rval = eval_bexpr(node.right, rho)
-            if sel == 0 and rval > lval:
-                policy[(name, path)] = 1
-                improved = True
-            elif sel == 1 and lval > rval:
-                policy[(name, path)] = 0
-                improved = True
-        if not improved:
+        rho = _solve_min_system(flat, rho)
+        before = policy[:]
+        for i in switching:
+            _evaluate_and_switch(rhs[i], rho, policy)
+        changed = {owner[k] for k, (a, b) in enumerate(zip(before, policy)) if a != b}
+        if not changed:
             break
-    if not is_fixpoint(system, rho):
+        for i in changed:
+            flat[i] = _flatten(rhs[i], policy)
+    solution = dict(zip(system.names(), rho))
+    if not is_fixpoint(system, solution):
         raise RuntimeError("policy iteration did not land on a fixpoint")
-    return rho
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -795,21 +847,16 @@ def solve_intervals_exact(
 ) -> dict[str, Interval]:
     """Exact least-invariant intervals for `var` from the two bound systems."""
     upper = solver(extract_upper_bounds(cfg, var, entry.hi))
-    neg_entry_hi = bneg_value(entry.lo)
-    lower_neg = solver(extract_upper_bounds(cfg, var, neg_entry_hi, negate=True))
+    lower_neg = solver(extract_upper_bounds(cfg, var, -entry.lo, negate=True))
     out: dict[str, Interval] = {}
     for loc in cfg.locations:
         hi = upper[loc]
-        lo = bneg_value(lower_neg[loc])
+        lo = -lower_neg[loc]
         if hi is NEG_INF or lo is POS_INF:
             out[loc] = Interval(POS_INF, NEG_INF)
         else:
             out[loc] = Interval.make(lo, hi)
     return out
-
-
-def bneg_value(v: Value) -> Value:
-    return -v
 
 
 def inline_equation(system: BoundSystem, target: str) -> BoundExpr:

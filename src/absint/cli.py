@@ -10,8 +10,8 @@ byte-reproducible for identical inputs and flags; wall-clock timings are
 only emitted with ``--timings`` (into the report's ``timings`` object, which
 is otherwise empty).
 
-Exit codes: 0 success, 1 input or usage error, 2 oracle budget or value
-range exceeded, 3 (intervals, single-method runs) at least one assertion
+Exit codes: 0 success, 1 input or usage error (or a failed internal
+consistency check), 2 oracle budget or value range exceeded, 3 (intervals, single-method runs) at least one assertion
 unproved.
 """
 
@@ -51,6 +51,11 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
         super().__init__(message)
         self.code = code
+
+
+class _InternalError(_CliError):
+    """A consistency check inside an analysis failed: a defect of the tool,
+    reported even where an inapplicable method would be skipped."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,6 +225,8 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
             raise _CliError(f"program outside the solvable fragment: {exc}")
         except boundsolve.CapExceededError as exc:
             raise _CliError(str(exc))
+        except RuntimeError as exc:
+            raise _InternalError(f"internal solver error: {exc}")
     envs = {}
     for loc in cfg.locations:
         mapping = {v: per_var[v][loc] for v in per_var}
@@ -298,8 +305,8 @@ def run_intervals(args) -> int:
                 outcomes[m] = _oracle_result(cfg, program, value_range)
             else:
                 raise _CliError(f"unknown intervals method {m!r}")
-        except _CliError:
-            if args.method != "compare":
+        except _CliError as exc:
+            if args.method != "compare" or isinstance(exc, _InternalError):
                 raise
             # comparison runs simply omit methods the input does not support
             skipped[m] = "not applicable to this input"

@@ -10,10 +10,12 @@ from absint.boundsolve import (
     BMax,
     BMin,
     BRef,
+    BoundExpr,
     BoundSystem,
     CapExceededError,
     RangeExceededError,
     UnsupportedConstructError,
+    badd_expr,
     bounded_concrete_oracle,
     dump_system,
     eval_bexpr,
@@ -24,6 +26,7 @@ from absint.boundsolve import (
     solve_exhaustive,
     solve_intervals_exact,
     solve_policy_iteration,
+    _selector_nodes,
 )
 from absint.cfg import back_edge_targets, build_cfg
 from absint.intervals import NEG_INF, POS_INF, Interval, analyze, entry_environment
@@ -150,6 +153,21 @@ def test_divergent_counter_goes_to_infinity():
     assert solve_policy_iteration(system)["h"] is POS_INF
 
 
+@pytest.mark.parametrize("k", [10**9, 10**18])
+def test_policy_iteration_cost_does_not_depend_on_constants(k):
+    # A Kleene climb would need about k/2 steps; the exact min-system solve
+    # needs a handful of rounds whatever k is.
+    program = parse_program(
+        f"int i = 0; while (i < {k}) {{ if (*) {{ i = i + 1; }} else {{ i = i + 2; }} }}"
+        f" assert (i <= {k + 1});"
+    )
+    cfg = build_cfg(program)
+    exact = solve_intervals_exact(cfg, "i", Interval.const(0))
+    assert exact[cfg.asserts[0].loc] == Interval(k, k + 1)
+    head = back_edge_targets(cfg).pop()
+    assert exact[head] == Interval(0, k + 1)
+
+
 def test_cap_exceeded():
     eqs = " ".join(f"max(x + {i}," for i in range(21)) + " x" + ")" * 21
     system = parse_system(f"x = {eqs}")
@@ -195,6 +213,43 @@ def test_solver_agreement_on_random_systems():
         assert is_fixpoint(system, ex)
 
 
+def corner_system(rng: random.Random, n_vars: int) -> BoundSystem:
+    """Depth-3 systems weighted toward the corners of the min-system solve:
+    offset-0 and self references (``x = min(x, 10)``), infinite constants
+    inside min/max, and equations without constants, whose variables may
+    reach no constant at all."""
+    names = [f"x{i}" for i in range(n_vars)]
+
+    def expr(name: str, depth: int, refs_only: bool) -> BoundExpr:
+        if depth >= 3 or rng.random() < 0.3:
+            if refs_only or rng.random() < 0.5:
+                target = name if rng.random() < 0.3 else rng.choice(names)
+                offset = 0 if rng.random() < 0.5 else rng.randint(-3, 4)
+                return badd_expr(BRef(target), offset)
+            roll = rng.random()
+            if roll < 0.15:
+                return BConst(POS_INF)
+            if roll < 0.3:
+                return BConst(NEG_INF)
+            return BConst(rng.randint(-8, 12))
+        ctor = BMin if rng.random() < 0.5 else BMax
+        return ctor(expr(name, depth + 1, refs_only), expr(name, depth + 1, refs_only))
+
+    return BoundSystem(tuple((name, expr(name, 0, rng.random() < 0.25)) for name in names))
+
+
+def test_solver_agreement_on_corner_case_systems():
+    rng = random.Random(2007)
+    checked = 0
+    while checked < 1000:
+        system = corner_system(rng, rng.randint(1, 6))
+        if len(_selector_nodes(system)) > 10:
+            continue
+        checked += 1
+        ex = solve_exhaustive(system, cap=10)
+        assert solve_policy_iteration(system) == ex, dump_system(system)
+
+
 def test_solver_agreement_on_random_fragments():
     rng = random.Random(979)
     tried = 0
@@ -205,8 +260,6 @@ def test_solver_agreement_on_random_fragments():
         program = parse_program(text)
         cfg = build_cfg(program)
         system = extract_upper_bounds(cfg, FRAGMENT_VAR, init)
-        from absint.boundsolve import _selector_nodes
-
         if len(_selector_nodes(system)) > 10:
             continue
         solved += 1

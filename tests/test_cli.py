@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from absint import boundsolve
 from absint.cli import main
 
 PY = [sys.executable, "-m", "absint.cli"]
@@ -172,6 +173,21 @@ def test_fragment_violation_is_exit_1(tmp_path):
     code, _, err = run_cli("intervals", "--input", str(multi), "--method", "policy")
     assert code == 1
     assert "fragment" in err
+
+
+@pytest.mark.parametrize("method", ["policy", "compare"])
+def test_internal_solver_error_is_one_line_exit_1(demo_dir, monkeypatch, capsys, method):
+    def broken(system):
+        raise RuntimeError("policy iteration did not land on a fixpoint")
+
+    monkeypatch.setattr(boundsolve, "solve_policy_iteration", broken)
+    code = main(["intervals", "--input", str(demo_dir / "ring_index.imp"), "--method", method])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal solver error: policy iteration did not land on a fixpoint\n"
+    )
 
 
 def test_rewrites_flag_rejected_for_solver_methods(demo_dir):
