@@ -14,6 +14,7 @@ analysis is for.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -85,9 +86,11 @@ def analyze_approx(
     """Fixpoint of the must/may transfer; None marks unreached locations."""
     bounds: dict[str, AgeBounds | None] = {loc: None for loc in cfg.locations}
     bounds[cfg.entry] = initial_bounds(cfg, init)
-    work = [cfg.entry]
+    work = deque([cfg.entry])
+    queued = {cfg.entry}
     while work:
-        loc = work.pop(0)
+        loc = work.popleft()
+        queued.remove(loc)
         cur = bounds[loc]
         assert cur is not None
         for edge in cfg.out(loc):
@@ -99,7 +102,8 @@ def analyze_approx(
             new = out if old is None else old.join(out)
             if new != old:
                 bounds[edge.dst] = new
-                if edge.dst not in work:
+                if edge.dst not in queued:
+                    queued.add(edge.dst)
                     work.append(edge.dst)
     return bounds
 

@@ -3,8 +3,15 @@
 An antichain stores finitely many pairwise ⊆-incomparable sets.  The
 orientation says which extreme matters: a KEEP_MAX antichain retains maximal
 sets (a superset subsumes its subsets), a KEEP_MIN antichain retains minimal
-ones.  Elements are bitmasks over block indices interned at graph-load time,
-kept in sorted order so that structurally equal antichains compare equal.
+ones.  Elements are bitmasks over block indices interned at graph-load time.
+
+``Antichain`` is the immutable value: its elements are kept in sorted order so
+that structurally equal antichains compare equal.  ``AntichainStore`` is the
+mutable form a fixpoint updates in place.  It groups its masks by popcount:
+two distinct masks of equal size are never comparable, so a mask meets its
+own bucket only through a membership test, and only the buckets on the side
+that can subsume it (larger for KEEP_MAX, smaller for KEEP_MIN) are scanned.
+Both forms insert through ``AntichainStore.add``.
 """
 
 from __future__ import annotations
@@ -64,27 +71,19 @@ class Antichain:
 
     def insert(self, mask: int) -> "Antichain":
         """Add a set unless subsumed; drop the elements it subsumes."""
-        if self.orientation is Orientation.KEEP_MAX:
-            for e in self.elements:
-                if mask & e == mask:  # mask ⊆ e: already covered
-                    return self
-            kept = tuple(e for e in self.elements if e & mask != e)
-        else:
-            for e in self.elements:
-                if mask & e == e:  # e ⊆ mask: already covered
-                    return self
-            kept = tuple(e for e in self.elements if mask & e != mask)
-        return Antichain(self.orientation, tuple(sorted(kept + (mask,))))
+        store = AntichainStore(self.orientation, self.elements)
+        return store.freeze() if store.add(mask) else self
 
     def union(self, other: "Antichain") -> "Antichain":
         """Least antichain subsuming both operands."""
         if self.orientation is not other.orientation:
             raise ValueError("cannot union antichains of different orientations")
         big, small = (self, other) if len(self) >= len(other) else (other, self)
-        out = big
+        store = AntichainStore(big.orientation, big.elements)
+        changed = False
         for m in small.elements:
-            out = out.insert(m)
-        return out
+            changed |= store.add(m)
+        return store.freeze() if changed else big
 
     def covers(self, mask: int) -> bool:
         if self.orientation is Orientation.KEEP_MAX:
@@ -96,3 +95,66 @@ class Antichain:
         if self.orientation is not other.orientation:
             raise ValueError("cannot compare antichains of different orientations")
         return all(self.covers(m) for m in other.elements)
+
+
+class AntichainStore:
+    """A mutable antichain whose masks are bucketed by popcount."""
+
+    __slots__ = ("orientation", "keep_max", "buckets")
+
+    def __init__(self, orientation: Orientation, antichain: Iterable[int] = (), width: int = 0):
+        """`antichain` must already be pairwise incomparable; buckets for sets
+        of up to `width` elements are made up front."""
+        self.orientation = orientation
+        self.keep_max = orientation is Orientation.KEEP_MAX
+        self.buckets: list[set[int]] = [set() for _ in range(width + 1)]
+        for mask in antichain:
+            size = mask.bit_count()
+            self._grow(size)
+            self.buckets[size].add(mask)
+
+    def _grow(self, size: int) -> None:
+        self.buckets += [set() for _ in range(size + 1 - len(self.buckets))]
+
+    def __contains__(self, mask: int) -> bool:
+        size = mask.bit_count()
+        return size < len(self.buckets) and mask in self.buckets[size]
+
+    def __iter__(self) -> Iterator[int]:
+        return (mask for bucket in self.buckets for mask in bucket)
+
+    def add(self, mask: int) -> bool:
+        """Add a set unless subsumed, dropping the elements it subsumes;
+        True when the store changed."""
+        size = mask.bit_count()
+        buckets = self.buckets
+        if size >= len(buckets):
+            self._grow(size)
+        own = buckets[size]
+        if mask in own:
+            return False
+        if self.keep_max:
+            for bucket in buckets[size + 1:]:
+                for e in bucket:
+                    if mask & e == mask:
+                        return False
+            for bucket in buckets[:size]:
+                if bucket:
+                    bucket.difference_update([e for e in bucket if e & mask == e])
+        else:
+            for bucket in buckets[:size]:
+                for e in bucket:
+                    if mask & e == e:
+                        return False
+            for bucket in buckets[size + 1:]:
+                if bucket:
+                    bucket.difference_update([e for e in bucket if mask & e == mask])
+        own.add(mask)
+        return True
+
+    def discard(self, mask: int) -> None:
+        if mask in self:
+            self.buckets[mask.bit_count()].remove(mask)
+
+    def freeze(self) -> Antichain:
+        return Antichain(self.orientation, tuple(sorted(set().union(*self.buckets))))

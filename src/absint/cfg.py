@@ -16,6 +16,7 @@ with ``#`` comments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .lang import (
     Assert,
@@ -102,6 +103,37 @@ class Cfg:
 
     def has_access(self) -> bool:
         return any(isinstance(e.label, AccessLabel) for e in self.edges)
+
+    @cached_property
+    def access_index(self) -> "AccessIndex":
+        """The graph with locations and blocks interned to integers, built
+        once per graph for the analyses that run over it many times."""
+        order = _depth_first(self)[0][::-1]
+        reached = set(order)
+        order += [loc for loc in self.locations if loc not in reached]
+        where = {loc: i for i, loc in enumerate(order)}
+        blocks = {b: i for i, b in enumerate(self.blocks())}
+        succ = tuple(
+            tuple(
+                (where[e.dst], 1 << blocks[e.label.block] if isinstance(e.label, AccessLabel) else 0)
+                for e in self._out[loc]
+            )
+            for loc in order
+        )
+        return AccessIndex(tuple(order), blocks, succ)
+
+
+@dataclass(frozen=True)
+class AccessIndex:
+    """Locations are numbered in reverse postorder of a depth-first search
+    from the entry (so the entry is 0), followed by the unreachable ones,
+    and blocks in sorted order.  ``succ[loc]`` lists ``(dst, bit)`` per
+    out-edge in edge order, where bit is ``1 << block`` for an access and 0
+    on an edge that accesses nothing."""
+
+    locations: tuple[str, ...]
+    blocks: dict[str, int]
+    succ: tuple[tuple[tuple[int, int], ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +306,11 @@ def erase_guards(cfg: Cfg) -> Cfg:
     return Cfg(cfg.locations, cfg.entry, edges, (), cfg.variables)
 
 
-def back_edge_targets(cfg: Cfg) -> set[str]:
-    """Targets of depth-first back edges; used as widening points.
-
-    The DFS follows edges in creation order from the entry, so the result is
-    deterministic.  Every cycle contains at least one back edge, hence
-    widening at these locations cuts all cycles.
-    """
+def _depth_first(cfg: Cfg) -> tuple[list[str], set[str]]:
+    """Depth-first search from the entry, following edges in creation order:
+    the locations it reaches in postorder, and the targets of its back
+    edges."""
+    postorder: list[str] = []
     targets: set[str] = set()
     color: dict[str, int] = {}  # 0 unvisited / missing, 1 on stack, 2 done
     stack: list[tuple[str, int]] = [(cfg.entry, 0)]
@@ -299,5 +329,16 @@ def back_edge_targets(cfg: Cfg) -> set[str]:
                 stack.append((nxt, 0))
         else:
             color[loc] = 2
+            postorder.append(loc)
             stack.pop()
-    return targets
+    return postorder, targets
+
+
+def back_edge_targets(cfg: Cfg) -> set[str]:
+    """Targets of depth-first back edges; used as widening points.
+
+    The DFS follows edges in creation order from the entry, so the result is
+    deterministic.  Every cycle contains at least one back edge, hence
+    widening at these locations cuts all cycles.
+    """
+    return _depth_first(cfg)[1]

@@ -67,6 +67,38 @@ def cache_corpus(seed: int, count: int) -> list[Cfg]:
     return [random_cache_cfg(rng) for _ in range(count)]
 
 
+def region_cache_cfg(rng: random.Random, n_locs: int, n_blocks: int, extra: float = 0.5) -> Cfg:
+    """A connected graph of chained 10-location regions: each location hangs
+    off one of the few created just before it, `extra` random edges per
+    location close loops inside a region, and three quarters of the edges
+    access one of `n_blocks` blocks."""
+    locs = tuple(f"n{i}" for i in range(n_locs))
+    blocks = [f"m{i:02d}" for i in range(n_blocks)]
+    pairs = []
+    for start in range(1, n_locs, 10):
+        end = min(n_locs, start + 10)
+        pairs.append((start - 1, start))
+        pairs += [(rng.randrange(max(start, i - 4), i), i) for i in range(start + 1, end)]
+        pairs += [(rng.randrange(start, end), rng.randrange(start, end))
+                  for _ in range(round(extra * (end - start)))]
+    edges = []
+    for site, (src, dst) in enumerate(pairs):
+        label = AccessLabel(rng.choice(blocks), site) if rng.random() < 0.75 else Nop()
+        edges.append(Edge(locs[src], label, locs[dst]))
+    return Cfg(locs, locs[0], tuple(edges))
+
+
+def shuffled_cfg(rng: random.Random, cfg: Cfg) -> Cfg:
+    """The same graph with its locations and its edges listed in a random
+    order (the entry stays the entry), so every location's out-edges come
+    in a new order too."""
+    locations = list(cfg.locations)
+    edges = list(cfg.edges)
+    rng.shuffle(locations)
+    rng.shuffle(edges)
+    return Cfg(tuple(locations), cfg.entry, tuple(edges))
+
+
 # ---------------------------------------------------------------------------
 # Naive antichain oracle
 # ---------------------------------------------------------------------------

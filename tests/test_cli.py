@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -78,6 +79,41 @@ def test_cache_compare_lists_no_disagreements(demo_dir):
     for row in report["results"]:
         # the exact rows never claim strictly more than the oracle row
         assert row["exact"] == row["oracle"]
+
+
+def wide_access_graph(seed: int, n_locs: int = 48, n_blocks: int = 32) -> str:
+    """A chain that accesses every block once, then random loops over them."""
+    rng = random.Random(seed)
+    lines = [f"loc n{i}" for i in range(n_locs)] + ["entry n0"]
+    for i in range(1, n_locs):
+        block = i - 1 if i <= n_blocks else rng.randrange(n_blocks)
+        lines.append(f"edge n{rng.randrange(max(0, i - 3), i)} n{i} access b{block:02d}")
+    for _ in range(n_locs // 2):
+        src, dst = rng.randrange(1, n_locs), rng.randrange(1, n_locs)
+        access = f" access b{rng.randrange(n_blocks):02d}" if rng.random() < 0.7 else ""
+        lines.append(f"edge n{src} n{dst}{access}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cache_unknown_init_wide_graph_finishes(tmp_path):
+    """32 blocks at associativity 16: the unknown-contents seed stands for
+    C(32, 15) younger-sets, which must never be listed one by one."""
+    graph = tmp_path / "wide.ag"
+    graph.write_text(wide_access_graph(seed=5))
+    verdicts = {}
+    for method in ("approx", "exact", "pipeline"):
+        proc = subprocess.run(
+            PY + ["cache", "--input", str(graph), "--assoc", "16", "--init", "unknown",
+                  "--method", method, "--format", "json"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdicts[method] = {r["site"]: r["verdict"] for r in json.loads(proc.stdout)["results"]}
+    decided = {s: v for s, v in verdicts["approx"].items() if v != "unknown"}
+    assert decided and len(decided) < len(verdicts["approx"])
+    assert verdicts["pipeline"] == verdicts["exact"]
+    for site, verdict in decided.items():
+        assert verdicts["exact"][site] == verdict, site
 
 
 def test_missing_input_is_exit_1(demo_dir):

@@ -12,6 +12,7 @@ from absint.focused import (
     transfer,
 )
 from absint.lru import Classification, InitPolicy, classify_oracle
+from helpers import random_cache_cfg, region_cache_cfg, shuffled_cfg
 from test_lru import chain
 
 A, B, C, D, E = range(5)
@@ -62,6 +63,21 @@ def test_transfer_size_bound():
         accessed = rng.choice([A, B, C, D, E])
         out = transfer(v, accessed, A, n)
         assert all(m.bit_count() <= n - 1 for m in out.younger)
+
+
+def test_transfer_on_a_symbolic_family():
+    """The core {B} stands for every full 3-set containing B."""
+    family = BlockView(False, Antichain.empty(Orientation.KEEP_MAX), (1 << B,))
+    assert transfer(family, B, A, 4) == family
+    grown = transfer(family, C, A, 4)  # evicts the members without C
+    assert grown == BlockView(True, Antichain.empty(Orientation.KEEP_MAX), (1 << B | 1 << C,))
+    full = transfer(grown, D, A, 4)
+    assert full == view(Orientation.KEEP_MAX, True, {B, C, D})
+    # a concrete set is dropped once a member of the family covers it
+    mixed = BlockView(True, Antichain.of(Orientation.KEEP_MAX, [{C}, {C, D, E}]), (1 << B,))
+    out = transfer(mixed, D, A, 4)
+    assert out.younger.sets() == [frozenset({C, D, E})]
+    assert out.cores == (1 << B | 1 << D,)
 
 
 def test_join_is_least_upper_bound_on_views():
@@ -134,6 +150,18 @@ def test_analyze_block_single_access():
     cfg = chain(["a"])
     views = analyze_block(cfg, "a", 4, Orientation.KEEP_MAX)
     assert views["p1"] == BlockView(False, Antichain(Orientation.KEEP_MAX, (0,)))
+
+
+def test_unknown_init_seed_is_symbolic_only_with_full_sets():
+    """Blocks a, b plus the fresh block: at N <= 3 full (N-1)-sets of the
+    other blocks exist and the KEEP_MAX seed is the core of the empty set;
+    at N = 4 there is none and the seed is the set of all other blocks."""
+    cfg = chain(["a", "b"])
+    for n in (2, 3):
+        seed = analyze_block(cfg, "a", n, Orientation.KEEP_MAX, InitPolicy.UNKNOWN)["p0"]
+        assert seed == BlockView(True, Antichain.empty(Orientation.KEEP_MAX), (0,))
+    seed = analyze_block(cfg, "a", 4, Orientation.KEEP_MAX, InitPolicy.UNKNOWN)["p0"]
+    assert seed == view(Orientation.KEEP_MAX, True, {1, 2})
 
 
 def test_analyze_block_no_accesses_keeps_init():
@@ -225,3 +253,50 @@ def test_pipeline_agrees_with_exact(cache_corpus_small):
             exact = classify_exact(cfg, n)
             for site, (verdict, _tag) in classify_pipeline(cfg, n).items():
                 assert verdict == exact[site]
+
+
+def test_mid_size_exact_matches_oracle():
+    """40 to 120 locations over 12 blocks at N=8, empty contents: the
+    oracle stays within its budget (up to about 175k states) and agrees with
+    the exact analysis at every site."""
+    rng = random.Random(2019)
+    kinds = set()
+    for n_locs in (40, 60, 80, 100, 120):
+        cfg = region_cache_cfg(rng, n_locs, 12, extra=0.8)
+        oracle = classify_oracle(cfg, 8)
+        assert classify_exact(cfg, 8) == oracle, n_locs
+        kinds.update(oracle.values())
+    assert {Classification.ALWAYS_HIT, Classification.ALWAYS_MISS, Classification.VARIABLE} <= kinds
+
+
+def test_unknown_init_around_the_symbolic_seed_boundary():
+    """The KEEP_MAX seed is symbolic only when the universe (blocks plus the
+    fresh block) has at least N indices; check graphs just below, at and
+    above that size against the oracle."""
+    rng = random.Random(4242)
+    for n in range(2, 6):
+        for n_blocks in range(max(1, n - 2), n + 2):
+            checked = 0
+            while checked < 20:
+                cfg = random_cache_cfg(rng, max_locs=10, max_blocks=n_blocks)
+                if len(cfg.blocks()) != n_blocks:
+                    continue
+                assert classify_exact(cfg, n, InitPolicy.UNKNOWN) == classify_oracle(
+                    cfg, n, InitPolicy.UNKNOWN
+                ), (cfg, n)
+                checked += 1
+
+
+def test_verdicts_do_not_depend_on_visit_order(cache_corpus_small):
+    """The stores a run ends with depend on the order in which locations and
+    out-edges are visited; the verdicts must not.  Small associativities over
+    few blocks make the order-sensitive evictions common (trusting the
+    KEEP_MIN absent flag fails here)."""
+    rng = random.Random(77)
+    cases = [(cfg, n) for cfg in cache_corpus_small[:100] for n in (2, 4)]
+    cases += [(region_cache_cfg(rng, 20, 3), n) for _ in range(30) for n in (2, 3)]
+    for cfg, n in cases:
+        for init in InitPolicy:
+            expected = classify_exact(cfg, n, init)
+            for _ in range(2):
+                assert classify_exact(shuffled_cfg(rng, cfg), n, init) == expected, (cfg, n, init)
