@@ -44,7 +44,7 @@ from typing import Mapping
 
 from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg, Nop
 from .intervals import NEG_INF, POS_INF, _Inf, Interval
-from .lang import BinOp, Cmp, CondNondet, Const, Expr, Var, pretty_cond
+from .lang import FLIPPED_OP, BinOp, Cmp, CondNondet, Const, Expr, Var, pretty_cond
 from .lru import OracleBudgetError
 
 Value = int | _Inf
@@ -219,8 +219,7 @@ def _guard_atom(cond: Cmp, var: str) -> tuple[str, int] | None:
     if isinstance(left, Const) and isinstance(right, Var):
         if right.name != var:
             raise UnsupportedConstructError(f"guard on foreign variable: {pretty_cond(cond)!r}")
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-        return (flip[op], left.value)
+        return (FLIPPED_OP[op], left.value)
     raise UnsupportedConstructError(f"guard outside the fragment: {pretty_cond(cond)!r}")
 
 
@@ -269,7 +268,7 @@ def extract_upper_bounds(
                             f"(dis)equality guard outside the fragment: {pretty_cond(cond)!r}"
                         )
                     if negate:
-                        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
+                        op = FLIPPED_OP[op]
                         c = -c
                     if op == "<":
                         expr = bmin(base, BConst(c - 1))

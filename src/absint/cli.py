@@ -18,6 +18,7 @@ unproved.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,13 +29,12 @@ from .cfg import Cfg, build_cfg, parse_access_graph
 from .intervals import (
     AbstractEnv,
     AnalysisResult,
-    AssertVerdict,
     Interval,
     analyze,
+    assert_verdicts,
     entry_environment,
-    filter_cond,
 )
-from .lang import ParseError, negate_cond, parse_program
+from .lang import ParseError, parse_program
 from .lru import InitPolicy, OracleBudgetError, classify_oracle
 
 SCHEMA_VERSION = 1
@@ -227,15 +227,8 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
             raise _CliError(str(exc))
         except RuntimeError as exc:
             raise _InternalError(f"internal solver error: {exc}")
-    envs = {}
-    for loc in cfg.locations:
-        mapping = {v: per_var[v][loc] for v in per_var}
-        envs[loc] = AbstractEnv.of(mapping) if mapping else AbstractEnv.of({})
-    verdicts = []
-    for site in cfg.asserts:
-        refuted = filter_cond(negate_cond(site.cond), envs[site.loc])
-        verdicts.append(AssertVerdict(site.sid, site.loc, refuted.bottom))
-    return AnalysisResult(envs, tuple(verdicts))
+    envs = {loc: AbstractEnv.of({v: per_var[v][loc] for v in per_var}) for loc in cfg.locations}
+    return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 
 def _oracle_result(cfg, program, value_range) -> AnalysisResult:
@@ -264,11 +257,7 @@ def _oracle_result(cfg, program, value_range) -> AnalysisResult:
                 break
             mapping[v] = Interval(hull[0], hull[1])
         envs[loc] = AbstractEnv.unreachable() if dead else AbstractEnv.of(mapping)
-    verdicts = []
-    for site in cfg.asserts:
-        refuted = filter_cond(negate_cond(site.cond), envs[site.loc])
-        verdicts.append(AssertVerdict(site.sid, site.loc, refuted.bottom))
-    return AnalysisResult(envs, tuple(verdicts))
+    return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 
 def run_intervals(args) -> int:
@@ -384,6 +373,10 @@ def _parse_range(value: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+# One parser serves every call of main in a process: parse_args leaves it
+# unchanged, and building it took about 7% of an in-process run on small
+# cache inputs.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="absint", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -411,9 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "cache" and args.assoc < 1:
             raise _CliError("--assoc must be at least 1")
         return args.func(args)
@@ -423,6 +415,11 @@ def main(argv=None) -> int:
     except OracleBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
+    except RecursionError:
+        # The parser and the expression walkers recurse once per nesting
+        # level or operand.
+        sys.stderr.write("error: input nested too deeply\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

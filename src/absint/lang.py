@@ -130,6 +130,8 @@ class Program:
 
 
 _NEGATED_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
+# `a op b` holds iff `b FLIPPED_OP[op] a` does.
+FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
 def negate_cond(c: Cond) -> Cond:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import AssignLabel, AssumeLabel, Cfg, back_edge_targets
+from .cfg import AssignLabel, AssumeLabel, Cfg
 from .intervals import (
     BOTTOM_ENV,
     AbstractEnv,
     AnalysisResult,
-    AssertVerdict,
+    assert_verdicts,
+    chaotic_iteration,
     check_cache_free,
     eval_expr,
     filter_cond,
@@ -40,7 +41,6 @@ from .lang import (
     Var,
     expr_has_nondet,
     expr_vars,
-    negate_cond,
 )
 
 
@@ -137,31 +137,21 @@ def rewrite_and_simplify(m: RewriteMap, e: Expr, max_chain: int | None = None) -
     return simplify(_substitute(e, m, max_chain))
 
 
-def record(m: RewriteMap, var: str, e: Expr) -> RewriteMap:
+def record(m: RewriteMap, var: str, e: Expr, flatten: bool = True) -> RewriteMap:
     """Chronological recording of an assignment.
 
     The old value of `var` is dead: rules mentioning it on either side are
     dropped.  A deterministic right-hand side is stored fully rewritten
     through the pre-assignment map (so it refers to current values only);
-    a nondeterministic one merely invalidates.  A self-referential residue
-    (e.g. ``x = x + 1`` with no rule for x) cannot be expressed as a rule
-    about current values and also just invalidates.
+    with ``flatten=False`` (truncated mode) it is stored only simplified,
+    and chains are capped at evaluation time instead.  A nondeterministic
+    right-hand side merely invalidates, and so does a self-referential
+    residue (e.g. ``x = x + 1`` with no rule for x), which cannot be
+    expressed as a rule about current values.
     """
     if expr_has_nondet(e):
         return m.drop_mentioning(var)
-    flat = rewrite_and_simplify(m, e)
-    out = m.drop_mentioning(var)
-    if var in expr_vars(flat):
-        return out
-    return RewriteMap(out.rules + ((var, flat),))
-
-
-def _record_raw(m: RewriteMap, var: str, e: Expr) -> RewriteMap:
-    # Truncated mode stores right-hand sides unrewritten; chains are capped
-    # at evaluation time instead.
-    if expr_has_nondet(e):
-        return m.drop_mentioning(var)
-    flat = simplify(e)
+    flat = rewrite_and_simplify(m, e) if flatten else simplify(e)
     out = m.drop_mentioning(var)
     if var in expr_vars(flat):
         return out
@@ -180,11 +170,23 @@ def _rewritten_cond(c: Cond, m: RewriteMap, max_chain: int | None) -> Cond:
 
 @dataclass(frozen=True)
 class _State:
+    """The product value of the combined analysis: an environment and the
+    rewrite map that holds along with it."""
+
     env: AbstractEnv
     rules: RewriteMap
 
-    def is_bottom(self) -> bool:
-        return self.env.bottom
+    def join(self, other: "_State") -> "_State":
+        if self.env.bottom:
+            return other
+        if other.env.bottom:
+            return self
+        return _State(self.env.join(other.env), self.rules.join(other.rules))
+
+    def widen(self, other: "_State") -> "_State":
+        # The engine widens `old` with `old.join(new)`, whose rules are already
+        # a subset of old's: maps only lose rules, so they need no widening.
+        return _State(self.env.widen(other.env), other.rules)
 
 
 _BOTTOM_STATE = _State(BOTTOM_ENV, RewriteMap())
@@ -199,19 +201,23 @@ def analyze_combined(
 ) -> AnalysisResult:
     """Interval analysis with the rewrite map carried along.
 
+    This is ``intervals.chaotic_iteration`` (the engine of
+    ``intervals.analyze``, with the same order, widening and narrowing) over
+    the product of environments and rewrite maps: a join keeps the rules
+    both maps share, and widening acts on the environment only.
     Assignments and guards are evaluated on the original expression and on
     its rewritten, simplified form; the meet of the two interval results is
     used.  With ``truncate_depth=d``, stored rules keep their raw right-hand
     sides and evaluation follows at most ``d`` rule applications along any
     chain; the default follows chains exhaustively with rules stored
-    pre-flattened.
+    pre-flattened.  Truncation is not monotone: a shallower depth can give
+    strictly more precise intervals (see the module docstring).
     """
     check_cache_free(cfg)
-    widen_points = back_edge_targets(cfg)
     depth = truncate_depth
 
     def transfer(label, state: _State) -> _State:
-        if state.is_bottom():
+        if state.env.bottom:
             return _BOTTOM_STATE
         env, rules = state.env, state.rules
         if isinstance(label, AssignLabel):
@@ -220,57 +226,15 @@ def analyze_combined(
             new_env = env.set(label.var, plain.meet(symbolic))
             if new_env.bottom:
                 return _BOTTOM_STATE
-            recorder = record if depth is None else _record_raw
-            return _State(new_env, recorder(rules, label.var, label.expr))
+            return _State(new_env, record(rules, label.var, label.expr, depth is None))
         if isinstance(label, AssumeLabel):
             env = filter_cond(label.cond, env)
             env = filter_cond(_rewritten_cond(label.cond, rules, depth), env)
             return _State(env, rules) if not env.bottom else _BOTTOM_STATE
         return state
 
-    def join(a: _State, b: _State) -> _State:
-        if a.is_bottom():
-            return b
-        if b.is_bottom():
-            return a
-        return _State(a.env.join(b.env), a.rules.join(b.rules))
-
-    incoming: dict[str, list] = {loc: [] for loc in cfg.locations}
-    for e in cfg.edges:
-        incoming[e.dst].append(e)
-    entry_state = _State(entry_env, RewriteMap())
-
-    def candidate(loc: str, states: dict[str, _State]) -> _State:
-        acc = entry_state if loc == cfg.entry else _BOTTOM_STATE
-        for e in incoming[loc]:
-            acc = join(acc, transfer(e.label, states[e.src]))
-        return acc
-
-    states: dict[str, _State] = {loc: _BOTTOM_STATE for loc in cfg.locations}
-    joins_done = {loc: 0 for loc in cfg.locations}
-    work = list(cfg.locations)
-    while work:
-        loc = work.pop(0)
-        cand = candidate(loc, states)
-        old = states[loc]
-        merged = join(old, cand)
-        if loc in widen_points and joins_done[loc] > widen_delay:
-            new = _State(old.env.widen(merged.env), merged.rules)
-        else:
-            new = merged
-        if new != old:
-            joins_done[loc] += 1
-            states[loc] = new
-            for e in cfg.out(loc):
-                if e.dst not in work:
-                    work.append(e.dst)
-
-    for _ in range(narrow_passes):
-        states = {loc: candidate(loc, states) for loc in cfg.locations}
-
+    states = chaotic_iteration(
+        cfg, _State(entry_env, RewriteMap()), _BOTTOM_STATE, transfer, widen_delay, narrow_passes
+    )
     envs = {loc: s.env for loc, s in states.items()}
-    verdicts = []
-    for site in cfg.asserts:
-        refuted = filter_cond(negate_cond(site.cond), envs[site.loc])
-        verdicts.append(AssertVerdict(site.sid, site.loc, refuted.bottom))
-    return AnalysisResult(envs, tuple(verdicts))
+    return AnalysisResult(envs, assert_verdicts(cfg, envs))

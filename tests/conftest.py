@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 
@@ -10,6 +11,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import helpers  # noqa: E402
 
 DEMO = pathlib.Path(__file__).parent.parent / "demo"
+
+# The CLI tests run `python -m absint.cli` in child processes; they import
+# the package from this checkout, as the test process does.
+SRC = pathlib.Path(__file__).parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -310,3 +310,39 @@ def test_in_process_main_matches_subprocess(demo_dir, capsys):
     )
     assert code == sub_code == 0
     assert captured.out == sub_out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("intervals", "--input", "{ring}", "--method", "bogus"),
+        ("cache", "--input", "{ring}", "--assoc", "x"),
+        ("intervals",),
+        ("nosuch",),
+    ],
+)
+def test_in_process_usage_errors_match_subprocess(demo_dir, capsys, args):
+    # main reuses one parser per process; a second in-process call must
+    # report the same error as a fresh process.
+    full = [a.format(ring=demo_dir / "ring_index.imp") for a in args]
+    sub = run_cli(*full)
+    for _ in range(2):
+        code = main(full)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == sub
+    assert sub[0] == 1 and sub[2].startswith("error: ") and sub[2].count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int x = 0;\n" + "if (*) {\n" * 2000 + "x = 1;\n" + "}\n" * 2000,
+        "int x = 0;\nx = " + " + ".join(["1"] * 3000) + ";\n",
+    ],
+    ids=["nested-if-2000", "sum-3000-terms"],
+)
+def test_deeply_nested_input_is_one_line_exit_1(tmp_path, source):
+    path = tmp_path / "deep.imp"
+    path.write_text(source)
+    code, out, err = run_cli("intervals", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: input nested too deeply\n")
