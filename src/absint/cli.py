@@ -27,6 +27,7 @@ from . import boundsolve, focused, rewrite
 from .agebounds import classify_all_approx
 from .cfg import Cfg, build_cfg, parse_access_graph
 from .intervals import (
+    TOP,
     AbstractEnv,
     AnalysisResult,
     Interval,
@@ -91,11 +92,12 @@ def _interval_json(iv: Interval):
     return [b if isinstance(b, int) else repr(b) for b in (iv.lo, iv.hi)]
 
 
-def _emit(report: dict, rows: list[str], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(rows) + ("\n" if rows else ""))
+def _write_json(report: dict) -> None:
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _write_rows(rows: list[str]) -> None:
+    sys.stdout.write("\n".join(rows) + ("\n" if rows else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,10 @@ def run_cache(args) -> int:
     }
     if args.method == "compare":
         report["disagreements"] = disagreements
-    _emit(report, rows, args.format)
+    if args.format == "json":
+        _write_json(report)
+    else:
+        _write_rows(rows)
     return EXIT_OK
 
 
@@ -303,58 +308,81 @@ def run_intervals(args) -> int:
             timings[m] = round(time.perf_counter() - t0, 6)
     methods = tuple(m for m in methods if m in outcomes)
 
-    variables = list(program.variables)
+    if args.timings:
+        timings["total"] = round(sum(timings.values()), 6)
+    verdicts = {m: {v.sid: v.proved for v in outcomes[m].asserts} for m in methods}
+    if args.format == "json":
+        report = {
+            "schema": SCHEMA_VERSION,
+            "tool": TOOL,
+            "version": VERSION,
+            "method": args.method,
+            "rewrites": args.rewrites,
+            "input": args.input,
+            "results": _interval_results(cfg, program, outcomes, methods, args.method == "compare"),
+            "asserts": _assert_results(cfg, verdicts, methods, args.method == "compare"),
+            "timings": timings,
+        }
+        if args.method == "compare":
+            report["skipped"] = skipped
+        _write_json(report)
+    else:
+        _write_rows(_interval_rows(cfg, program, outcomes, methods, verdicts))
+    if args.method != "compare":
+        unproved = not all(verdicts[args.method].values())
+        return EXIT_UNPROVED if unproved else EXIT_OK
+    return EXIT_OK
+
+
+def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[dict]:
+    variables = program.variables
     results = []
-    rows = [f"{'location':<12} " + " ".join(f"{m:<{18 * max(1, len(variables))}}" for m in methods)]
     for loc in cfg.locations:
         entry = {"location": loc}
+        for m in methods:
+            envm = outcomes[m].envs[loc]
+            if envm.bottom:
+                entry[m if compare else "env"] = None
+            else:
+                ivs = envm.as_dict()
+                entry[m if compare else "env"] = {v: _interval_json(ivs.get(v, TOP)) for v in variables}
+        results.append(entry)
+    return results
+
+
+def _assert_results(cfg, verdicts, methods, compare: bool) -> list[dict]:
+    entries = []
+    for site in cfg.asserts:
+        entry = {"assert": site.sid, "location": site.loc}
+        for m in methods:
+            entry[m if compare else "verdict"] = "proved" if verdicts[m][site.sid] else "unproved"
+        entries.append(entry)
+    return entries
+
+
+def _interval_rows(cfg, program, outcomes, methods, verdicts) -> list[str]:
+    variables = program.variables
+    width = 18 * max(1, len(variables))
+    rows = [f"{'location':<12} " + " ".join(f"{m:<{width}}" for m in methods)]
+    for loc in cfg.locations:
         cells = []
         for m in methods:
             envm = outcomes[m].envs[loc]
             if envm.bottom:
-                entry[m if args.method == "compare" else "env"] = None
-                cells.append(f"{'unreachable':<{18 * max(1, len(variables))}}")
+                shown = "unreachable"
             else:
-                envdict = {v: _interval_json(envm.get(v)) for v in variables}
-                entry[m if args.method == "compare" else "env"] = envdict
-                shown = " ".join(f"{v}={envm.get(v)!r:<14}" for v in variables)
-                cells.append(f"{shown:<{18 * max(1, len(variables))}}")
-        results.append(entry)
+                ivs = envm.as_dict()
+                shown = " ".join(f"{v}={ivs.get(v, TOP)!r:<14}" for v in variables)
+            cells.append(f"{shown:<{width}}")
         rows.append(f"{loc:<12} " + " ".join(cells))
-
-    assert_rows = []
-    assert_entries = []
+    if cfg.asserts:
+        rows.append("")
     for site in cfg.asserts:
-        entry = {"assert": site.sid, "location": site.loc}
-        states = []
-        for m in methods:
-            verdict = next(v for v in outcomes[m].asserts if v.sid == site.sid)
-            key = m if args.method == "compare" else "verdict"
-            entry[key] = "proved" if verdict.proved else "unproved"
-            states.append(f"{m}={'proved' if verdict.proved else 'unproved'}")
-        assert_entries.append(entry)
-        assert_rows.append(f"assert {site.sid} at {site.loc}: " + " ".join(states))
-    if args.timings:
-        timings["total"] = round(sum(timings.values()), 6)
-
-    report = {
-        "schema": SCHEMA_VERSION,
-        "tool": TOOL,
-        "version": VERSION,
-        "method": args.method,
-        "rewrites": args.rewrites,
-        "input": args.input,
-        "results": results,
-        "asserts": assert_entries,
-        "timings": timings,
-    }
-    if args.method == "compare":
-        report["skipped"] = skipped
-    _emit(report, rows + ([""] + assert_rows if assert_rows else []), args.format)
-    if args.method != "compare":
-        unproved = any(e["verdict"] == "unproved" for e in assert_entries)
-        return EXIT_UNPROVED if unproved else EXIT_OK
-    return EXIT_OK
+        states = " ".join(
+            f"{m}={'proved' if verdicts[m][site.sid] else 'unproved'}" for m in methods
+        )
+        rows.append(f"assert {site.sid} at {site.loc}: {states}")
+    return rows
 
 
 def _parse_range(value: str) -> tuple[int, int]:

@@ -14,9 +14,13 @@ worklist (seeded in ``cfg.locations`` order, each queued at most once) and
 widen at back-edge targets after a configurable number of plain updates.
 Simultaneous decreasing passes follow ("narrowing" in its simplest form:
 re-run the transfer from the stabilized state and add the entry
-contribution).  ``assert_verdicts`` reads verdicts off a final state: an
-assertion is proved when refining with its negation yields the
-unreachable environment.
+contribution).  Each edge keeps its last transfer and reuses it while its
+source holds the same value object; joins and widenings reuse every
+interval that does not change and return the left operand itself when
+nothing grows, so a location whose value stays put keeps its object and
+its out-edges are not transferred again.  ``assert_verdicts`` reads
+verdicts off a final state: an assertion is proved when refining with its
+negation yields the unreachable environment.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class Interval:
             return other
         if other.is_empty:
             return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _hull(self, other)
 
     def meet(self, other: "Interval") -> "Interval":
         if self.is_empty or other.is_empty:
@@ -132,14 +136,29 @@ EMPTY = Interval(POS_INF, NEG_INF)
 TOP = Interval(NEG_INF, POS_INF)
 
 
+def _hull(a: Interval, b: Interval) -> Interval:
+    """Join of two non-empty intervals; returns `a` itself (or `b`) when it
+    already contains the other."""
+    lo = a.lo if a.lo <= b.lo else b.lo
+    hi = a.hi if a.hi >= b.hi else b.hi
+    if lo is a.lo and hi is a.hi:
+        return a
+    if lo is b.lo and hi is b.hi:
+        return b
+    return Interval(lo, hi)
+
+
 def widen(old: Interval, new: Interval) -> Interval:
-    """Unstable bounds escape to infinity; always an upper bound of both."""
+    """Unstable bounds escape to infinity; always an upper bound of both.
+    Returns `old` itself when no bound escapes."""
     if old.is_empty:
         return new
     if new.is_empty:
         return old
     lo = old.lo if old.lo <= new.lo else NEG_INF
     hi = old.hi if old.hi >= new.hi else POS_INF
+    if lo is old.lo and hi is old.hi:
+        return old
     return Interval(lo, hi)
 
 
@@ -187,18 +206,38 @@ class AbstractEnv:
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom:
             return other
-        if other.bottom:
+        if other.bottom or other is self:
             return self
-        a, b = self.as_dict(), other.as_dict()
-        return AbstractEnv.of({v: a.get(v, TOP).join(b.get(v, TOP)) for v in set(a) | set(b)})
+        return self._pointwise(other, _hull)
 
     def widen(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom:
             return other
-        if other.bottom:
+        if other.bottom or other is self:
             return self
-        a, b = self.as_dict(), other.as_dict()
-        return AbstractEnv.of({v: widen(a.get(v, TOP), b.get(v, TOP)) for v in set(a) | set(b)})
+        return self._pointwise(other, widen)
+
+    def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
+        """`op` (join or widening of intervals) variable by variable; a
+        variable missing on one side is top there.  Returns `self` when no
+        interval changes.  Neither side is bottom, so neither holds an empty
+        interval (``of`` and ``set`` collapse those) and `op` may assume
+        non-empty operands."""
+        mine, theirs = self.intervals, other.intervals
+        if len(mine) == len(theirs):
+            # Every environment of one analysis lists the same variables.
+            out = []
+            changed = False
+            for (name, a), (other_name, b) in zip(mine, theirs):
+                if name != other_name:
+                    break
+                c = a if a is b else op(a, b)
+                changed = changed or c is not a
+                out.append((name, c))
+            else:
+                return AbstractEnv(tuple(out)) if changed else self
+        a, b = dict(mine), dict(theirs)
+        return AbstractEnv.of({v: op(a.get(v, TOP), b.get(v, TOP)) for v in set(a) | set(b)})
 
 
 BOTTOM_ENV = AbstractEnv((), True)
@@ -338,22 +377,33 @@ def chaotic_iteration(
 
     `widen_delay` counts actual updates at a widening point, not visits.
     """
-    # Pull-style: a visit re-transfers every incoming edge, unchanged
-    # predecessors included, because widening and the narrowing passes need
-    # a location's whole candidate.  The cache analyses have finite lattices
-    # and need neither, so agebounds.analyze_approx and focused.analyze_block
-    # keep push-style loops that send only a changed value (or its new part)
+    # Pull-style: a visit joins the transfers of every incoming edge,
+    # unchanged predecessors included, because widening and the narrowing
+    # passes need a location's whole candidate.  Each edge remembers the
+    # source value it last transferred (by identity) and the result, and
+    # transfers again only when that value was replaced; transfers are pure,
+    # so the values computed are those of transferring every time.  Joins
+    # and widenings return the old value itself when nothing grows, so an
+    # unchanged location keeps its value object and its out-edges' results.
+    # The cache analyses have finite lattices and need neither widening nor
+    # narrowing, so agebounds.analyze_approx and focused.analyze_block keep
+    # push-style loops that send only a changed value (or its new part)
     # along each out-edge; analyze_approx on this engine took about 18%
     # longer over the cache-unknown benchmark graphs.
     widen_points = back_edge_targets(cfg)
-    incoming: dict[str, list] = {loc: [] for loc in cfg.locations}
+    # Per edge: [source, label, last source value, its transfer].
+    incoming: dict[str, list[list]] = {loc: [] for loc in cfg.locations}
     for e in cfg.edges:
-        incoming[e.dst].append(e)
+        incoming[e.dst].append([e.src, e.label, None, None])
 
     def candidate(loc: str, values: dict):
         acc = entry if loc == cfg.entry else bottom
-        for e in incoming[loc]:
-            acc = acc.join(transfer(e.label, values[e.src]))
+        for memo in incoming[loc]:
+            value = values[memo[0]]
+            if memo[2] is not value:
+                memo[2] = value
+                memo[3] = transfer(memo[1], value)
+            acc = acc.join(memo[3])
         return acc
 
     values = dict.fromkeys(cfg.locations, bottom)
@@ -367,7 +417,7 @@ def chaotic_iteration(
         new = old.join(candidate(loc, values))
         if loc in widen_points and updates[loc] > widen_delay:
             new = old.widen(new)
-        if new != old:
+        if new is not old and new != old:
             updates[loc] += 1
             values[loc] = new
             for e in cfg.out(loc):

@@ -173,6 +173,11 @@ class _Token:
     col: int
 
 
+# ASCII only: str.isdigit also accepts superscripts, which int() rejects,
+# and other scripts' digits, which int() reads as numbers.
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, col = 1, 1
@@ -193,9 +198,9 @@ def _tokenize(text: str) -> list[_Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("int", text[start:i], line, col))
             col += i - start

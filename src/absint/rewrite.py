@@ -68,8 +68,11 @@ class RewriteMap:
         )
 
     def join(self, other: "RewriteMap") -> "RewriteMap":
+        if self.rules == other.rules:
+            return self
         common = set(other.rules)
-        return RewriteMap(tuple(r for r in self.rules if r in common))
+        kept = tuple(r for r in self.rules if r in common)
+        return self if len(kept) == len(self.rules) else RewriteMap(kept)
 
 
 def _linear_form(e: Expr, sign: int, coeffs: dict[str, int], nondets: list[int]) -> int:
@@ -179,14 +182,20 @@ class _State:
     def join(self, other: "_State") -> "_State":
         if self.env.bottom:
             return other
-        if other.env.bottom:
+        if other.env.bottom or other is self:
             return self
-        return _State(self.env.join(other.env), self.rules.join(other.rules))
+        env, rules = self.env.join(other.env), self.rules.join(other.rules)
+        if env is self.env and rules is self.rules:
+            return self
+        return _State(env, rules)
 
     def widen(self, other: "_State") -> "_State":
         # The engine widens `old` with `old.join(new)`, whose rules are already
         # a subset of old's: maps only lose rules, so they need no widening.
-        return _State(self.env.widen(other.env), other.rules)
+        env = self.env.widen(other.env)
+        if env is self.env and other.rules is self.rules:
+            return self
+        return _State(env, other.rules)
 
 
 _BOTTOM_STATE = _State(BOTTOM_ENV, RewriteMap())

@@ -185,6 +185,31 @@ def random_program(rng: random.Random, cache_mode: bool = False) -> Program:
     return Program(decls, body)
 
 
+def _guard_asserts(s):
+    """`s` with every assertion moved inside ``if (*)``, so that a false one
+    cannot cut off the rest of the program."""
+    if isinstance(s, Assert):
+        return If(CondNondet(), (s,), ())
+    if isinstance(s, If):
+        return If(s.cond, tuple(map(_guard_asserts, s.then)), tuple(map(_guard_asserts, s.orelse)))
+    if isinstance(s, While):
+        return While(s.cond, tuple(map(_guard_asserts, s.body)))
+    return s
+
+
+def random_long_program(rng: random.Random, n_vars: int, n_stmts: int) -> Program:
+    """A `random_program` scaled up: `n_stmts` top-level statements over
+    `n_vars` variables (about 4 locations per statement), assertions
+    guarded by ``if (*)``."""
+    variables = [f"v{i}" for i in range(n_vars)]
+    decls = tuple(
+        Decl(v, Const(rng.randint(-4, 4)) if rng.random() < 0.7 else None)
+        for v in variables
+    )
+    body = tuple(_guard_asserts(random_stmt(rng, variables, 0, False)) for _ in range(n_stmts))
+    return Program(decls, body)
+
+
 # ---------------------------------------------------------------------------
 # Explicit-state enumerator for full multi-variable stores
 # ---------------------------------------------------------------------------

@@ -346,3 +346,17 @@ def test_deeply_nested_input_is_one_line_exit_1(tmp_path, source):
     path.write_text(source)
     code, out, err = run_cli("intervals", "--input", str(path))
     assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["²", "٣"],
+    ids=["superscript-two", "arabic-indic-three"],
+)
+def test_non_ascii_digit_is_unexpected_character(tmp_path, literal):
+    # str.isdigit accepts both; int() rejects the first and reads the second as 3.
+    path = tmp_path / "digit.imp"
+    path.write_text(f"int x = {literal};\n", encoding="utf-8")
+    code, out, err = run_cli("intervals", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: 1:9: unexpected character {literal!r}\n"

@@ -1,16 +1,20 @@
 """Byte-exact goldens for the interval and rewrite analyses.
 
-Two pins, both recorded from the same code and checked against every later
-change of the fixpoint engine:
+Three pins, checked against every later change of the fixpoint engine:
 
 * the SHA-256 of the stdout (and the exit code) of ``absint intervals`` on
   every ``demo/*.imp`` over a fixed set of methods, knobs and formats;
 * one SHA-256 over the final environments and assertion verdicts of
-  ``analyze`` and ``analyze_combined`` on 150 seeded random programs.
+  ``analyze`` and ``analyze_combined`` on 150 seeded random programs;
+* one SHA-256 over the exit codes and ``--format json`` stdout of
+  ``absint intervals --method widen-narrow``, with and without
+  ``--rewrites full``, on a few seeded programs of 300-800 locations (the
+  size of the benchmark's programs, where the engine's shortcuts are
+  exercised far more often than on the small ones).
 
 A failing pin means the analysis output changed.  If that is intended,
-print ``_cli_digests()`` and ``_corpus_digest()`` from a session with the new
-code and replace the tables below.
+print ``_cli_digests()``, ``_corpus_digest()`` and ``_long_digest()`` from
+a session with the new code and replace the values below.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import random
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment
 from absint.cli import main
+from absint.lang import pretty
 
 # (run name, extra CLI arguments); each runs in text and in json.
 RUNS = (
@@ -97,6 +102,11 @@ CORPUS_SIZE = 150
 CORPUS_GOLDEN = '4fdea8b094af19a8de8996b9900723c0e8fbb369e22e12ee30cfa9ac792c02d1'
 
 
+LONG_SEED = 20261019
+LONG_STMTS = (75, 120, 170)
+LONG_GOLDEN = '3b4eee19fa7d723ecf4674bf0ea6e04e56cdddbc08a071ff712433e47ddc3f59'
+
+
 def _cli_digests(demo_dir, capsys, monkeypatch) -> dict:
     monkeypatch.chdir(demo_dir.parent)
     out = {}
@@ -134,6 +144,22 @@ def _corpus_digest() -> str:
     return h.hexdigest()
 
 
+def _long_digest(tmp_path, capsys, monkeypatch) -> str:
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(LONG_SEED)
+    h = hashlib.sha256()
+    for index, n_stmts in enumerate(LONG_STMTS):
+        program = helpers.random_long_program(rng, 6, n_stmts)
+        name = f"long{index}.imp"
+        (tmp_path / name).write_text(pretty(program))
+        for extra in ((), ("--rewrites", "full")):
+            code = main(["intervals", "--input", name, "--method", "widen-narrow", *extra,
+                         "--format", "json"])
+            h.update(f"#{index} {' '.join(extra)} exit {code}\n".encode())
+            h.update(capsys.readouterr().out.encode("utf-8"))
+    return h.hexdigest()
+
+
 def test_cli_stdout_goldens(demo_dir, capsys, monkeypatch):
     got = _cli_digests(demo_dir, capsys, monkeypatch)
     assert got == CLI_GOLDENS
@@ -142,3 +168,7 @@ def test_cli_stdout_goldens(demo_dir, capsys, monkeypatch):
 def test_random_program_corpus_golden():
     assert _corpus_digest() == CORPUS_GOLDEN
 
+
+
+def test_long_program_json_golden(tmp_path, capsys, monkeypatch):
+    assert _long_digest(tmp_path, capsys, monkeypatch) == LONG_GOLDEN

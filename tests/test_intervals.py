@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from absint import intervals as intervals_module
+from absint import rewrite as rewrite_module
 from absint.cfg import build_cfg
 from absint.intervals import (
     BOTTOM_ENV,
@@ -20,7 +22,8 @@ from absint.intervals import (
     widen,
 )
 from absint.lang import BinOp, Cmp, Const, Nondet, Var, parse_program
-from helpers import RangeBlown, concrete_stores, random_program
+from absint.rewrite import analyze_combined
+from helpers import RangeBlown, concrete_stores, random_long_program, random_program
 
 RING = """
 int i;
@@ -126,6 +129,121 @@ def test_widen_is_upper_bound_and_stabilizes():
                 changes += 1
             acc = out
         assert changes <= 2  # each bound can only escape to infinity once
+
+
+# Reference for AbstractEnv.join/widen: the variable-by-variable formula
+# over dicts (a variable missing on one side is top there), with interval
+# join and widening written out from their definitions.
+
+
+def _reference_pointwise(a, b, op):
+    if a.bottom:
+        return b
+    if b.bottom:
+        return a
+    x, y = a.as_dict(), b.as_dict()
+    return AbstractEnv.of({v: op(x.get(v, TOP), y.get(v, TOP)) for v in set(x) | set(y)})
+
+
+def _reference_join(a, b):
+    return _reference_pointwise(a, b, lambda p, q: Interval(min(p.lo, q.lo), max(p.hi, q.hi)))
+
+
+def _reference_widen(a, b):
+    return _reference_pointwise(
+        a, b, lambda p, q: Interval(p.lo if p.lo <= q.lo else NEG_INF, p.hi if p.hi >= q.hi else POS_INF)
+    )
+
+
+ENV_BOUNDS = (NEG_INF, -3, -1, 0, 2, 5, POS_INF)
+ENV_VARS = ("a", "b", "c", "d", "e")
+
+
+def _random_env(rng, names):
+    if rng.random() < 0.1:
+        return BOTTOM_ENV
+    out = {}
+    for v in names:
+        # lo is never +oo, hi never -oo, and lo == hi only at finite bounds
+        i = rng.randrange(len(ENV_BOUNDS) - 1)
+        j = rng.randrange(max(i, 1), len(ENV_BOUNDS))
+        out[v] = Interval(ENV_BOUNDS[i], ENV_BOUNDS[j])
+    return AbstractEnv.of(out)
+
+
+def _below_same_vars(b, a) -> bool:
+    """b ⊑ a where both list the same variables (or b is bottom)."""
+    if b.bottom:
+        return True
+    if a.bottom or [v for v, _ in a.intervals] != [v for v, _ in b.intervals]:
+        return False
+    return all(q.subset(p) for (_, p), (_, q) in zip(a.intervals, b.intervals))
+
+
+def test_env_join_and_widen_match_pointwise_reference():
+    rng = random.Random(5150)
+    for round_ in range(3000):
+        a = _random_env(rng, ENV_VARS)
+        if round_ % 3 == 0:
+            names = rng.sample(ENV_VARS, rng.randint(0, len(ENV_VARS)))
+            b = _random_env(rng, sorted(names))
+        elif round_ % 3 == 1:
+            b = _random_env(rng, ENV_VARS)
+        else:
+            # share some interval objects, as environments of one run do
+            b = _random_env(rng, ENV_VARS)
+            if not (a.bottom or b.bottom):
+                b = AbstractEnv(tuple(p if rng.random() < 0.5 else q for p, q in zip(a.intervals, b.intervals)))
+        for x, y in ((a, b), (b, a), (a, a)):
+            joined, widened = x.join(y), x.widen(y)
+            assert joined == _reference_join(x, y) and repr(joined) == repr(_reference_join(x, y))
+            assert widened == _reference_widen(x, y) and repr(widened) == repr(_reference_widen(x, y))
+            if _below_same_vars(y, x):
+                assert joined is x and widened is x
+        # both operands below their join, which then absorbs each of them
+        upper = _reference_join(a, b)
+        for lower in (a, b):
+            if _below_same_vars(lower, upper):
+                assert upper.join(lower) is upper and upper.widen(lower) is upper
+
+
+def test_engine_transfers_each_edge_and_value_once(monkeypatch):
+    """The engine transfers an edge again only when its source value was
+    replaced: no (edge, source value object) pair is transferred twice."""
+    seen: set = set()
+    held: list = []  # keeps every transferred value alive, so ids stay unique
+    engine = intervals_module.chaotic_iteration
+
+    def counting_engine(cfg, entry, bottom, transfer, *knobs):
+        def counted(label, value):
+            key = (id(label), id(value))
+            assert key not in seen
+            seen.add(key)
+            held.append((label, value))
+            return transfer(label, value)
+
+        return engine(cfg, entry, bottom, counted, *knobs)
+
+    monkeypatch.setattr(intervals_module, "chaotic_iteration", counting_engine)
+    monkeypatch.setattr(rewrite_module, "chaotic_iteration", counting_engine)
+    rng = random.Random(4471)
+    programs = [random_program(rng) for _ in range(60)]
+    programs += [random_long_program(rng, 6, 40) for _ in range(3)]
+    for program in programs:
+        cfg = build_cfg(program)
+        assert len({id(e.label) for e in cfg.edges}) == len(cfg.edges)  # a label names its edge
+        env = entry_environment(program)
+        for passes in (0, 2):
+            for run in (
+                lambda: analyze(cfg, env, 0, passes),
+                lambda: analyze(cfg, env, 1, passes),
+                lambda: analyze_combined(cfg, env, None, 0, passes),
+                lambda: analyze_combined(cfg, env, 1, 0, passes),
+            ):
+                seen.clear()
+                held.clear()
+                run()
+                assert seen
 
 
 def loop_head(cfg):
