@@ -22,8 +22,9 @@ symbolic infinities:
   makes that greatest solution the least one above it.  No step's cost
   depends on the sizes of the constants.
 
-Both must agree with each other and, on bounded programs, with the
-explicit-state enumeration ``bounded_concrete_oracle``.
+Both must agree with each other and, on bounded programs, with
+``bounded_concrete_oracle``, which enumerates values with ``lru.explore``,
+the one explicit-state search both oracles share.
 
 A caveat that matters for exactness: an equation in this language cannot
 express "bottom unless the guard is satisfiable" (every expressible map moves
@@ -37,15 +38,16 @@ bound larger, never smaller.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg, Nop
+from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg
 from .intervals import NEG_INF, POS_INF, _Inf, Interval
-from .lang import FLIPPED_OP, BinOp, Cmp, CondNondet, Const, Expr, Var, pretty_cond
-from .lru import OracleBudgetError
+from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, pretty_cond
+from .lru import explore
 
 Value = int | _Inf
 
@@ -197,30 +199,35 @@ def _expr_shape(e: Expr, var: str) -> tuple[str, int]:
     raise UnsupportedConstructError(f"assignment to {var!r} outside the fragment: {e!r}")
 
 
-def _guard_atom(cond: Cmp, var: str) -> tuple[str, int] | None:
-    """Normalize to (relop, c) meaning `var relop c`.  Constant comparisons
-    yield None when identically true and ("false", 0) when identically
-    false."""
+_COMPARE = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq,
+    "!=": operator.ne, ">=": operator.ge, ">": operator.gt,
+}
+
+
+def _edge_shape(label, var: str, graph: str) -> tuple[str, int]:
+    """What an edge does to `var`: ("keep", 0), ("const", c), ("inc", c),
+    ("false", 0) for a guard that never holds, or (relop, c) for the guard
+    `var relop c`.  `graph` names the graph in the access error."""
+    if isinstance(label, AccessLabel):
+        raise UnsupportedConstructError(f"memory access in a {graph}")
+    if isinstance(label, AssignLabel):
+        if label.var != var:
+            raise UnsupportedConstructError(f"assignment to foreign variable {label.var!r}")
+        return _expr_shape(label.expr, var)
+    if not isinstance(label, AssumeLabel) or isinstance(label.cond, CondNondet):
+        return ("keep", 0)
+    cond = label.cond
     left, op, right = cond.left, cond.op, cond.right
     if isinstance(left, Const) and isinstance(right, Const):
-        holds = {
-            "<": left.value < right.value,
-            "<=": left.value <= right.value,
-            "==": left.value == right.value,
-            "!=": left.value != right.value,
-            ">=": left.value >= right.value,
-            ">": left.value > right.value,
-        }[op]
-        return None if holds else ("false", 0)
-    if isinstance(left, Var) and isinstance(right, Const):
-        if left.name != var:
-            raise UnsupportedConstructError(f"guard on foreign variable: {pretty_cond(cond)!r}")
-        return (op, right.value)
+        return ("keep", 0) if _COMPARE[op](left.value, right.value) else ("false", 0)
     if isinstance(left, Const) and isinstance(right, Var):
-        if right.name != var:
-            raise UnsupportedConstructError(f"guard on foreign variable: {pretty_cond(cond)!r}")
-        return (FLIPPED_OP[op], left.value)
-    raise UnsupportedConstructError(f"guard outside the fragment: {pretty_cond(cond)!r}")
+        left, op, right = right, FLIPPED_OP[op], left
+    if not (isinstance(left, Var) and isinstance(right, Const)):
+        raise UnsupportedConstructError(f"guard outside the fragment: {pretty_cond(cond)!r}")
+    if left.name != var:
+        raise UnsupportedConstructError(f"guard on foreign variable: {pretty_cond(cond)!r}")
+    return (op, right.value)
 
 
 def extract_upper_bounds(
@@ -237,47 +244,30 @@ def extract_upper_bounds(
     contribs: dict[str, list[BoundExpr]] = {loc: [] for loc in cfg.locations}
     for edge in cfg.edges:
         base: BoundExpr = BRef(edge.src)
-        label = edge.label
-        if isinstance(label, Nop):
+        op, c = _edge_shape(edge.label, var, "numeric fragment graph")
+        if op == "keep":
             expr = base
-        elif isinstance(label, AccessLabel):
-            raise UnsupportedConstructError("memory access in a numeric fragment graph")
-        elif isinstance(label, AssignLabel):
-            if label.var != var:
-                raise UnsupportedConstructError(
-                    f"assignment to foreign variable {label.var!r}"
-                )
-            shape, c = _expr_shape(label.expr, var)
-            expr = BConst(sign * c) if shape == "const" else badd_expr(base, sign * c)
-        elif isinstance(label, AssumeLabel):
-            cond = label.cond
-            if isinstance(cond, CondNondet):
-                expr = base
-            else:
-                atom = _guard_atom(cond, var)
-                if atom is None:
-                    expr = base
-                elif atom[0] == "false":
-                    expr = BConst(NEG_INF)
-                else:
-                    op, c = atom
-                    if op in ("==", "!="):
-                        # An equality's complement shaves one endpoint, which
-                        # no min/max/plus-constant expression can do exactly.
-                        raise UnsupportedConstructError(
-                            f"(dis)equality guard outside the fragment: {pretty_cond(cond)!r}"
-                        )
-                    if negate:
-                        op = FLIPPED_OP[op]
-                        c = -c
-                    if op == "<":
-                        expr = bmin(base, BConst(c - 1))
-                    elif op == "<=":
-                        expr = bmin(base, BConst(c))
-                    else:  # > or >=: no upper refinement is expressible
-                        expr = base
+        elif op == "const":
+            expr = BConst(sign * c)
+        elif op == "inc":
+            expr = badd_expr(base, sign * c)
+        elif op == "false":
+            expr = BConst(NEG_INF)
+        elif op in ("==", "!="):
+            # An equality's complement shaves one endpoint, which no
+            # min/max/plus-constant expression can do exactly.
+            raise UnsupportedConstructError(
+                f"(dis)equality guard outside the fragment: {pretty_cond(edge.label.cond)!r}"
+            )
         else:
-            raise UnsupportedConstructError(f"unknown label {label!r}")
+            if negate:
+                op, c = FLIPPED_OP[op], -c
+            if op == "<":
+                expr = bmin(base, BConst(c - 1))
+            elif op == "<=":
+                expr = bmin(base, BConst(c))
+            else:  # > or >=: no upper refinement is expressible
+                expr = base
         contribs[edge.dst].append(expr)
     equations: list[tuple[str, BoundExpr]] = []
     for loc in cfg.locations:
@@ -761,11 +751,11 @@ def bounded_concrete_oracle(
 ) -> dict[str, tuple[int, int] | None]:
     """Exact per-location hull of the reachable values of `var`.
 
-    Enumerates (location, store) pairs explicitly over all declared
-    variables.  Every enumerated value must stay within `value_range`
-    (otherwise the program is not oracle-suitable and RangeExceededError is
-    raised); nondeterministic expressions are rejected, nondeterministic
-    branch conditions explore both sides.
+    Enumerates (location, value) pairs with ``lru.explore``; the program
+    may declare no variable but `var`.  Every value must stay within
+    `value_range` (otherwise the program is not oracle-suitable and
+    RangeExceededError is raised); nondeterministic expressions are
+    rejected, nondeterministic branch conditions explore both sides.
     """
     lo, hi = value_range
     variables = cfg.variables if cfg.variables else (var,)
@@ -781,63 +771,29 @@ def bounded_concrete_oracle(
         raise RangeExceededError("entry interval must be finite for enumeration")
     if entry.lo < lo or entry.hi > hi:
         raise RangeExceededError(f"entry interval {entry} outside {value_range}")
-    seeds = list(range(entry.lo, entry.hi + 1))
 
     def check(value: int) -> int:
         if value < lo or value > hi:
             raise RangeExceededError(f"value {value} outside {value_range}")
         return value
 
-    reached: dict[str, set[int]] = {loc: set() for loc in cfg.locations}
-    reached[cfg.entry] = set(seeds)
-    frontier = [(cfg.entry, v) for v in sorted(seeds)]
-    total = len(seeds)
-    while frontier:
-        loc, value = frontier.pop()
-        for edge in cfg.out(loc):
-            label = edge.label
-            out_values: list[int] = []
-            if isinstance(label, Nop):
-                out_values = [value]
-            elif isinstance(label, AccessLabel):
-                raise UnsupportedConstructError("memory access in a numeric graph")
-            elif isinstance(label, AssignLabel):
-                if label.var != var:
-                    raise UnsupportedConstructError(
-                        f"assignment to foreign variable {label.var!r}"
-                    )
-                shape, c = _expr_shape(label.expr, var)
-                out_values = [check(c if shape == "const" else value + c)]
-            elif isinstance(label, AssumeLabel):
-                cond = label.cond
-                if isinstance(cond, CondNondet):
-                    out_values = [value]
-                else:
-                    atom = _guard_atom(cond, var)
-                    if atom is None:
-                        out_values = [value]
-                    elif atom[0] == "false":
-                        out_values = []
-                    else:
-                        op, c = atom
-                        holds = {
-                            "<": value < c,
-                            "<=": value <= c,
-                            "==": value == c,
-                            "!=": value != c,
-                            ">=": value >= c,
-                            ">": value > c,
-                        }[op]
-                        out_values = [value] if holds else []
-            for nv in out_values:
-                if nv not in reached[edge.dst]:
-                    reached[edge.dst].add(nv)
-                    total += 1
-                    if total > budget:
-                        raise OracleBudgetError(f"state budget {budget} exceeded")
-                    frontier.append((edge.dst, nv))
+    def step(label):
+        op, c = _edge_shape(label, var, "numeric graph")
+        if op == "keep":
+            return lambda value: value
+        if op == "const":
+            return lambda value: check(c)
+        if op == "inc":
+            return lambda value: check(value + c)
+        if op == "false":
+            return lambda value: None
+        holds = _COMPARE[op]
+        return lambda value: value if holds(value, c) else None
+
+    reached = explore(cfg, range(entry.lo, entry.hi + 1), step, budget)
     return {
-        loc: (min(vals), max(vals)) if vals else None for loc, vals in reached.items()
+        loc: (min(vals), max(vals)) if (vals := reached.get(loc)) else None
+        for loc in cfg.locations
     }
 
 

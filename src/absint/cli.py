@@ -253,15 +253,9 @@ def _oracle_result(cfg, program, value_range) -> AnalysisResult:
         except (boundsolve.RangeExceededError, OracleBudgetError) as exc:
             raise _CliError(str(exc), EXIT_BUDGET)
     for loc in cfg.locations:
-        mapping = {}
-        dead = False
-        for v, table in hulls.items():
-            hull = table[loc]
-            if hull is None:
-                dead = True
-                break
-            mapping[v] = Interval(hull[0], hull[1])
-        envs[loc] = AbstractEnv.unreachable() if dead else AbstractEnv.of(mapping)
+        cells = {v: table[loc] for v, table in hulls.items()}
+        envs[loc] = (AbstractEnv.unreachable() if None in cells.values()
+                     else AbstractEnv.of({v: Interval(*hull) for v, hull in cells.items()}))
     return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 

@@ -24,7 +24,9 @@ from integer variables and needs no declaration.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -162,65 +164,54 @@ def expr_has_nondet(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = {"int", "if", "else", "while", "assert", "access"}
-_PUNCT = ("<=", ">=", "==", "!=", "<", ">", "=", "+", "-", "*", "(", ")", "{", "}", ";")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "ident", "punct", "eof"
     text: str
     line: int
     col: int
 
 
-# ASCII only: str.isdigit also accepts superscripts, which int() rejects,
-# and other scripts' digits, which int() reads as numbers.
-_DIGITS = frozenset("0123456789")
+# Each match is a run of blanks and then one alternative, tried in this
+# order.  Integer literals are ASCII digits only: \d also takes other
+# scripts' digits, which int() reads as numbers.  An identifier starts with
+# a letter or "_" and goes on with what str.isalnum takes or "_" (which is
+# \w); [^\W\d] is the letters plus numeric characters such as "²", so a
+# non-ASCII start is checked with str.isalpha.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>[0-9]+)"
+    r"|(?P<ident>[A-Za-z_]\w*)|(?P<other_ident>[^\W\d]\w*)"
+    r"|(?P<punct><=|>=|==|!=|[<>=+\-*(){};])|(?P<bad>.)|\Z)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    end = eof = len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blanks up to the end
+            break
+        start = m.start(kind)
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(_Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+            line_start = start + 1
+        elif kind == "comment":
+            # A comment does not move the column: when it ends the input,
+            # the end-of-input token sits where it starts.
+            if m.end() == end:
+                eof = start
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+            word = m[kind]
+            if kind == "other_ident":
+                kind = "ident" if word[0].isalpha() else "bad"
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
+            tokens.append(_Token(kind, word, line, start - line_start + 1))
+    tokens.append(_Token("eof", "", line, eof - line_start + 1))
     return tokens
 
 

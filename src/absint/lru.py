@@ -1,18 +1,21 @@
 """Ground-truth LRU semantics for one cache set.
 
 A cache-set state is a sequence of at most N distinct block ids, youngest
-first.  ``collect_states`` computes the exact collecting semantics (the set
-of reachable states per location) by explicit enumeration, and
-``classify_oracle`` derives per-site hit/miss classifications from it.  This
-module is the reference every other cache analysis is validated against, so
-it must stay exact: exceeding the state budget is an error, never an
-approximation.
+first.  ``explore`` is the package's one trusted search: an explicit-state
+exploration of a graph under a state budget, free of any abstract domain.
+``collect_states`` runs it with the LRU transfer to get the exact collecting
+semantics (the set of reachable states per location), ``classify_oracle``
+derives per-site hit/miss classifications from that, and
+``boundsolve.bounded_concrete_oracle`` runs it over integer values.  This
+is the reference every other analysis is validated against, so it must
+stay exact: exceeding the state budget is an error, never an approximation.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
+from typing import Callable, Iterable, Iterator
 
 from .cfg import AccessLabel, Cfg
 
@@ -54,14 +57,60 @@ def is_hit(state: CacheState, block: str) -> bool:
     return block in state
 
 
-def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> set[CacheState]:
-    if init is InitPolicy.EMPTY:
-        return {()}
+def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> Iterator[CacheState]:
+    """The empty state, or with unknown contents every state over `blocks`
+    and one fresh block; each once, built one at a time."""
     universe = tuple(blocks) + (OTHER_BLOCK,)
-    states: set[CacheState] = set()
-    for r in range(min(n, len(universe)) + 1):
-        states.update(itertools.permutations(universe, r))
-    return states
+    longest = 0 if init is InitPolicy.EMPTY else min(n, len(universe))
+    return itertools.chain.from_iterable(itertools.permutations(universe, r) for r in range(longest + 1))
+
+
+def explore(cfg: Cfg, seeds: Iterable, step: Callable, budget: int) -> dict[str, set]:
+    """Every state reachable from `seeds` at the entry, per location: the
+    one explicit-state search behind both oracles.
+
+    `step(label)` gives an edge's successor function, which maps a state to
+    the next one, or to None where the edge blocks it; it is built at the
+    edge's first use, so an edge no state reaches is never examined.  Seeds
+    count against `budget` as they are taken; the search then pops new
+    states last in, first out, from the sorted seeds on, and pushes them
+    along out-edges in edge order.  The result holds the entry and every
+    location an explored edge leads to.
+    """
+    at_entry: set = set()
+    reached = {cfg.entry: at_entry}
+    where = " at entry"
+    for state in seeds:
+        at_entry.add(state)
+        if len(at_entry) > budget:
+            break
+    else:  # every seed fitted in the budget
+        where = ""
+        total = len(at_entry)
+        frontier = [(cfg.entry, s) for s in sorted(at_entry)]
+        # location -> [edge, successor function, states at its target] per
+        # out-edge; the last two are filled in at the edge's first use.
+        moves: dict[str, list[list]] = {}
+        while frontier and total <= budget:
+            loc, state = frontier.pop()
+            out = moves.get(loc)
+            if out is None:
+                out = moves[loc] = [[edge, None, None] for edge in cfg.out(loc)]
+            for move in out:
+                edge, succ, states = move
+                if succ is None:
+                    succ = move[1] = step(edge.label)
+                    states = move[2] = reached.setdefault(edge.dst, set())
+                nxt = succ(state)
+                if nxt is not None and nxt not in states:
+                    states.add(nxt)
+                    total += 1
+                    if total > budget:
+                        break
+                    frontier.append((edge.dst, nxt))
+        if total <= budget:
+            return reached
+    raise OracleBudgetError(f"state budget {budget} exceeded{where}")
 
 
 def collect_states(
@@ -77,34 +126,24 @@ def collect_states(
     from full programs can be passed directly.  `seed_states` overrides the
     entry seeding derived from `init`.
     """
-    seeds = initial_states(cfg.blocks(), n, init) if seed_states is None else set(seed_states)
-    reached: dict[str, set[CacheState]] = {cfg.entry: set(seeds)}
-    total = len(seeds)
-    if total > budget:
-        raise OracleBudgetError(f"state budget {budget} exceeded at entry")
-    # Frontier-based propagation: only states not yet seen at a location are
-    # pushed across its outgoing edges.
-    frontier: list[tuple[str, CacheState]] = [(cfg.entry, s) for s in sorted(seeds)]
-    transfer_cache: dict[tuple[CacheState, str], CacheState] = {}
-    while frontier:
-        loc, state = frontier.pop()
-        for edge in cfg.out(loc):
-            if isinstance(edge.label, AccessLabel):
-                key = (state, edge.label.block)
-                nxt = transfer_cache.get(key)
-                if nxt is None:
-                    nxt = access(state, edge.label.block, n)
-                    transfer_cache[key] = nxt
-            else:
-                nxt = state
-            dst_states = reached.setdefault(edge.dst, set())
-            if nxt not in dst_states:
-                dst_states.add(nxt)
-                total += 1
-                if total > budget:
-                    raise OracleBudgetError(f"state budget {budget} exceeded")
-                frontier.append((edge.dst, nxt))
-    return reached
+    seeds = initial_states(cfg.blocks(), n, init) if seed_states is None else seed_states
+    memo: dict[str, dict[CacheState, CacheState]] = {}
+
+    def step(label):
+        if not isinstance(label, AccessLabel):
+            return lambda state: state
+        block = label.block
+        after = memo.setdefault(block, {})
+
+        def succ(state):
+            nxt = after.get(state)
+            if nxt is None:
+                nxt = after[state] = access(state, block, n)
+            return nxt
+
+        return succ
+
+    return explore(cfg, seeds, step, budget)
 
 
 def classify_oracle(
@@ -117,18 +156,13 @@ def classify_oracle(
     reached = collect_states(cfg, n, init, budget)
     result: dict[int, Classification] = {}
     for edge in cfg.access_edges():
-        label = edge.label
-        assert isinstance(label, AccessLabel)
-        states = reached.get(edge.src, set())
-        if not states:
-            result[label.site] = Classification.UNREACHABLE
-            continue
-        hit_possible = any(label.block in s for s in states)
-        miss_possible = any(label.block not in s for s in states)
-        if hit_possible and miss_possible:
-            result[label.site] = Classification.VARIABLE
-        elif hit_possible:
-            result[label.site] = Classification.ALWAYS_HIT
-        else:
-            result[label.site] = Classification.ALWAYS_MISS
+        block, states = edge.label.block, reached.get(edge.src, ())
+        hit = any(block in s for s in states)
+        miss = any(block not in s for s in states)
+        result[edge.label.site] = (
+            Classification.VARIABLE if hit and miss
+            else Classification.ALWAYS_HIT if hit
+            else Classification.ALWAYS_MISS if miss
+            else Classification.UNREACHABLE
+        )
     return result

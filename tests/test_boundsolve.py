@@ -28,7 +28,8 @@ from absint.boundsolve import (
     solve_policy_iteration,
     _selector_nodes,
 )
-from absint.cfg import back_edge_targets, build_cfg
+from absint.cfg import back_edge_targets, build_cfg, parse_access_graph
+from absint.lru import OracleBudgetError
 from absint.intervals import NEG_INF, POS_INF, Interval, analyze, entry_environment
 from absint.lang import parse_program
 from helpers import FRAGMENT_VAR, random_fragment_program
@@ -310,6 +311,29 @@ def test_bounded_oracle_range_violation():
     cfg = build_cfg(parse_program("int i = 0; while (0 < 1) { i = i + 1; }"))
     with pytest.raises(RangeExceededError):
         bounded_concrete_oracle(cfg, "i", Interval.const(0), (-8, 8))
+
+
+def test_bounded_oracle_budget_error():
+    cfg = build_cfg(parse_program("int i = 0; while (i < 100) { i = i + 1; }"))
+    assert bounded_concrete_oracle(cfg, "i", Interval.const(0), budget=500)[cfg.entry] == (0, 0)
+    with pytest.raises(OracleBudgetError, match="state budget 50 exceeded$"):
+        bounded_concrete_oracle(cfg, "i", Interval.const(0), budget=50)
+
+
+def test_bounded_oracle_counts_entry_values_against_the_budget():
+    cfg = build_cfg(parse_program("int i = 0; i = 5;"))
+    with pytest.raises(OracleBudgetError, match="state budget 10 exceeded at entry"):
+        bounded_concrete_oracle(cfg, "i", Interval.make(0, 20), budget=10)
+
+
+def test_bounded_oracle_examines_an_edge_only_when_the_search_takes_it():
+    # From n0 the search takes the no-op edge first: with the budget full it
+    # stops there, before it reaches the access edge that leaves the fragment.
+    cfg = parse_access_graph("loc n0\nloc n1\nloc n2\nentry n0\nedge n0 n1\nedge n0 n2 access a\n")
+    with pytest.raises(OracleBudgetError, match="state budget 10 exceeded$"):
+        bounded_concrete_oracle(cfg, "v", Interval.make(0, 9), budget=10)
+    with pytest.raises(UnsupportedConstructError, match="memory access in a numeric graph"):
+        bounded_concrete_oracle(cfg, "v", Interval.make(0, 9), budget=11)
 
 
 def test_fixpoint_property_on_ring():

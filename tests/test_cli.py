@@ -360,3 +360,16 @@ def test_non_ascii_digit_is_unexpected_character(tmp_path, literal):
     code, out, err = run_cli("intervals", "--input", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: 1:9: unexpected character {literal!r}\n"
+
+
+@pytest.mark.parametrize("method", ["oracle", "compare"])
+def test_unknown_init_seed_overflow_is_exit_2(tmp_path, method):
+    # 9 blocks plus the fresh one at N = 8 give 2,606,501 entry states; the
+    # oracle stops at the 1,000,001st instead of building them all first.
+    path = tmp_path / "wide.ag"
+    lines = [f"loc n{i}" for i in range(10)] + ["entry n0"]
+    lines += [f"edge n{i} n{i + 1} access m{i}" for i in range(9)]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("cache", "--input", str(path), "--assoc", "8",
+                             "--method", method, "--init", "unknown")
+    assert (code, out, err) == (2, "", "error: state budget 1000000 exceeded at entry\n")

@@ -12,9 +12,20 @@ Three pins, checked against every later change of the fixpoint engine:
   size of the benchmark's programs, where the engine's shortcuts are
   exercised far more often than on the small ones).
 
+* one SHA-256 over the reached cache states of ``collect_states`` on
+  random and region access graphs, at several associativities and both
+  initial-content policies (budget errors pinned by their message);
+* one SHA-256 over the hulls, or the error, of ``bounded_concrete_oracle``
+  on fragment programs and on programs it must reject or that stray out of
+  range;
+* the SHA-256 of the stdout (and the exit code) of ``absint cache`` with
+  the oracle and compare methods on every ``demo/`` file;
+* one SHA-256 over the lexer's tokens, or its error, for every BMP code
+  point at the start of a token, after a letter and after a digit.
+
 A failing pin means the analysis output changed.  If that is intended,
-print ``_cli_digests()``, ``_corpus_digest()`` and ``_long_digest()`` from
-a session with the new code and replace the values below.
+print the matching ``_..._digest()`` or ``_..._digests()`` function's value
+from a session with the new code and replace the value below.
 """
 
 from __future__ import annotations
@@ -23,9 +34,12 @@ import hashlib
 import random
 
 import helpers
-from absint import analyze, analyze_combined, build_cfg, entry_environment
+from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
+from absint.boundsolve import bounded_concrete_oracle
 from absint.cli import main
-from absint.lang import pretty
+from absint.intervals import NEG_INF, POS_INF, Interval
+from absint.lang import ParseError, _tokenize, pretty
+from absint.lru import InitPolicy, OracleBudgetError, collect_states
 
 # (run name, extra CLI arguments); each runs in text and in json.
 RUNS = (
@@ -172,3 +186,278 @@ def test_random_program_corpus_golden():
 
 def test_long_program_json_golden(tmp_path, capsys, monkeypatch):
     assert _long_digest(tmp_path, capsys, monkeypatch) == LONG_GOLDEN
+
+
+LRU_SEED = 20261020
+LRU_RANDOM_GRAPHS = 60
+LRU_REGIONS = ((20, 5), (30, 8), (40, 10))
+LRU_BUDGET = 50_000
+LRU_SMALL_BUDGET = 300
+LRU_GOLDEN = '569d7920e9a296a1c6f9c240f576fc90128d86e3d03c7dddfd61dcfa690a4fcd'
+
+
+def _lru_digest() -> str:
+    rng = random.Random(LRU_SEED)
+    graphs = helpers.cache_corpus(LRU_SEED, LRU_RANDOM_GRAPHS)
+    graphs += [helpers.region_cache_cfg(rng, locs, blocks) for locs, blocks in LRU_REGIONS]
+    runs = [(n, init, LRU_BUDGET) for n in (1, 2, 4, 6) for init in InitPolicy]
+    runs += [(4, init, LRU_SMALL_BUDGET) for init in InitPolicy]
+    h = hashlib.sha256()
+    for index, cfg in enumerate(graphs):
+        for n, init, budget in runs:
+            h.update(f"#{index} {n} {init.value} {budget}\n".encode())
+            try:
+                reached = collect_states(cfg, n, init, budget)
+            except OracleBudgetError as exc:
+                h.update(f"budget: {exc}\n".encode())
+                continue
+            for loc in sorted(reached):
+                h.update(f"{loc} {sorted(reached[loc])!r}\n".encode())
+    return h.hexdigest()
+
+
+# (program, variable, entry interval or None for the declared constant,
+# value range, budget) for the cases the fragment generator does not make.
+NUMERIC_CASES = (
+    ("int v = 0; while (v < 100) { v = v + 1; }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v < 100) { v = v + 1; }", "v", None, (-1024, 1100), 50),
+    ("int v = 0; while (v < 100) { v = v + 1; } v = *;", "v", None, (-1024, 1100), 50),
+    ("int v = 0; while (0 < 1) { v = v + 1; }", "v", None, (-8, 8), 1_000_000),
+    ("int v = 0; while (0 < 1) { v = v - 3; }", "v", None, (-8, 8), 1_000_000),
+    ("int v = 2000;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; v = 5000; v = *;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; v = *;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; v = v + v;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; v = 2 - v;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; if (v < v + 1) { v = 1; }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; int w = 1; v = w;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; access(b); v = 1;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; if (v > 3) { access(b); } v = v + 2;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; if (v > 5) { v = v + v; } v = v + 1;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (2 < 1) { v = *; } v = 7;", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; if (1 < 2) { v = 3; } else { v = *; }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; if (*) { v = v + 1; } else { v = *; }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v != 5) { v = v + 1; } if (v == 5) { v = 9; }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (10 > v) { v = v + 2; } if (3 <= v) { v = v - 1; }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v >= -5) { if (v > -2) { v = v - 1; } else { v = v - 2; } }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (*) { if (v < 6) { v = 6 + v; } }", "v", None, (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v < 40) { v = v + 1; }", "v", Interval.make(-3, 3), (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v < 40) { v = v + 1; }", "v", Interval(POS_INF, NEG_INF), (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v < 40) { v = v + 1; }", "v", Interval(NEG_INF, 3), (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v < 40) { v = v + 1; }", "v", Interval.make(-2000, 0), (-1024, 1100), 1_000_000),
+    ("int v = 0; while (v < 40) { v = v + 1; }", "w", None, (-1024, 1100), 1_000_000),
+    ("while (*) { }", "v", Interval.const(4), (-1024, 1100), 1_000_000),
+    # Which error comes first depends on the order the values are explored.
+    ("int v = 0; if (v > 0) { v = v + 10; } else { v = *; }", "v", Interval.make(-3, 3), (-8, 8), 1_000_000),
+    ("int v = 0; if (v < 0) { v = v - 10; } else { v = *; }", "v", Interval.make(-3, 3), (-8, 8), 1_000_000),
+)
+NUMERIC_SEED = 20261021
+NUMERIC_RAW_PROGRAMS = 200
+NUMERIC_GOLDEN = 'a70d618c85e3d534919c086b021987375195c8d2de72dc786eba2b26f18cdd7b'
+
+
+def _numeric_outcome(cfg, var, entry, value_range, budget) -> str:
+    try:
+        hulls = bounded_concrete_oracle(cfg, var, entry, value_range, budget)
+    except Exception as exc:  # the error is part of the pinned outcome
+        return f"{type(exc).__name__}: {exc}"
+    return repr(list(hulls.items()))
+
+
+def _numeric_oracle_digest(fragment_corpus) -> str:
+    h = hashlib.sha256()
+    for index, (_, cfg, init, _) in enumerate(fragment_corpus):
+        outcome = _numeric_outcome(cfg, helpers.FRAGMENT_VAR, Interval.const(init), (-64, 64), 1_000_000)
+        h.update(f"corpus #{index} {outcome}\n".encode())
+    rng = random.Random(NUMERIC_SEED)
+    for index in range(NUMERIC_RAW_PROGRAMS):
+        text, init = helpers.random_fragment_program(rng)
+        cfg = build_cfg(parse_program(text))
+        outcome = _numeric_outcome(cfg, helpers.FRAGMENT_VAR, Interval.const(init), (-16, 16), 60)
+        h.update(f"raw #{index} {outcome}\n".encode())
+    for text, var, entry, value_range, budget in NUMERIC_CASES:
+        program = parse_program(text)
+        if entry is None:
+            entry = Interval.const(program.decls[0].init.value)
+        outcome = _numeric_outcome(build_cfg(program), var, entry, value_range, budget)
+        h.update(f"{text} {var} {entry} {value_range} {budget}: {outcome}\n".encode())
+    return h.hexdigest()
+
+
+CACHE_CLI_GOLDENS = {
+    'copy_diff.imp oracle 1 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'copy_diff.imp oracle 1 empty json': (0, 'ba4a9efd9f81befa24ffc5efb538f30efd9c6486b6afb6d7c22e75f9bda019ba'),
+    'copy_diff.imp oracle 1 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'copy_diff.imp oracle 1 unknown json': (0, '3b0928082aeea9a9da9c4cfab62cd36ef6e2c2c2b26d9de4b4db627c13e0aea3'),
+    'copy_diff.imp oracle 2 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'copy_diff.imp oracle 2 empty json': (0, '47817d86f36eff3f16759bfbda8528384424f6382dd8eb61bc96805d409fdd4d'),
+    'copy_diff.imp oracle 2 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'copy_diff.imp oracle 2 unknown json': (0, '9fc3b7ce547174fecbc8ffd425e6101fc3e906ba845c024dbf1fd86edf4f5eb1'),
+    'copy_diff.imp oracle 4 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'copy_diff.imp oracle 4 empty json': (0, '9369c940e52c870b840676fb4c88578bfbd921549fbc6631cba3f105bb2b7aab'),
+    'copy_diff.imp oracle 4 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'copy_diff.imp oracle 4 unknown json': (0, '7787e026e3dc8d97f98d6698174b1643423eef68972539770059688cf9fedb33'),
+    'copy_diff.imp compare 1 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'copy_diff.imp compare 1 empty json': (0, '43d088efd7ea91736a9f9d119f14c50aa9ab18e3ff10a635574192af3bc9198b'),
+    'copy_diff.imp compare 1 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'copy_diff.imp compare 1 unknown json': (0, '5c459cf47709a61ea373cc024d9b1e478d802bdb17f5a25207320acf3fb05ea4'),
+    'copy_diff.imp compare 2 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'copy_diff.imp compare 2 empty json': (0, '8f49dc6e410535bce642bea24b6cb38049e32d02da27724b0fb4b88c85cf4652'),
+    'copy_diff.imp compare 2 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'copy_diff.imp compare 2 unknown json': (0, '5343efd88c9d797e00354578e0ce69a8b79af47bfebf619a83f7dc44da7468f6'),
+    'copy_diff.imp compare 4 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'copy_diff.imp compare 4 empty json': (0, '0b08fb16c76067937f3f081b9c2ab7949ac3c5297c0ca66ec30275c5c07a2b11'),
+    'copy_diff.imp compare 4 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'copy_diff.imp compare 4 unknown json': (0, 'bc4479079d6dccc152c9ee653af1b9cf24f70aaf922eb64aafc374f8fc0cce54'),
+    'flag_reuse.ag oracle 1 empty text': (0, '8662da70a09cf5cb89515ab7fcd4cfa99fe59448fb97e0bffb2c2bcd148b454a'),
+    'flag_reuse.ag oracle 1 empty json': (0, 'a0e295bd316f99892ac4b1c94eac9b2059180cad2b737f103611ab066069b478'),
+    'flag_reuse.ag oracle 1 unknown text': (0, '95b364144f03bf293f15cc01be229893e5a8d302249d308009c8662c352c7634'),
+    'flag_reuse.ag oracle 1 unknown json': (0, 'c200dfc70cbc6a1d4bc1870770f0d5848c2be44d6d3b2cc2f12e09be6263a95a'),
+    'flag_reuse.ag oracle 2 empty text': (0, '8662da70a09cf5cb89515ab7fcd4cfa99fe59448fb97e0bffb2c2bcd148b454a'),
+    'flag_reuse.ag oracle 2 empty json': (0, '589bc75a28e73c3c7c11941665ef0aeeba43f832597421901dd8f72d25c7f3cf'),
+    'flag_reuse.ag oracle 2 unknown text': (0, '95b364144f03bf293f15cc01be229893e5a8d302249d308009c8662c352c7634'),
+    'flag_reuse.ag oracle 2 unknown json': (0, '8d9b39d40cd05b05f063bca35ac9b4d53833e0ea18128da9df35866a57f8c8d6'),
+    'flag_reuse.ag oracle 4 empty text': (0, '8662da70a09cf5cb89515ab7fcd4cfa99fe59448fb97e0bffb2c2bcd148b454a'),
+    'flag_reuse.ag oracle 4 empty json': (0, 'c0f402116160ef446809a026a21d949231cfac1eba4904e96a99db2bed1f4758'),
+    'flag_reuse.ag oracle 4 unknown text': (0, '95b364144f03bf293f15cc01be229893e5a8d302249d308009c8662c352c7634'),
+    'flag_reuse.ag oracle 4 unknown json': (0, 'ed9a8c7ee005f0a42427023732187cb4580017ac6367c70d0b6b9f7c163d0aec'),
+    'flag_reuse.ag compare 1 empty text': (0, '6a5ec32d895d0f9166d4a644e627f3f00573010c96b2f27ab59518f2cb6d3382'),
+    'flag_reuse.ag compare 1 empty json': (0, '01d59c0bfdf37da5b620ecdc94201522c7d199245dad08c4e587156a6963050c'),
+    'flag_reuse.ag compare 1 unknown text': (0, '2ecf966ee2c5c8f89d25c69321c873b606b44d8a83630ca988dc8c66ad6d56c8'),
+    'flag_reuse.ag compare 1 unknown json': (0, 'd44357f73bddfa5f7fc5768eda050f58139ef30df362b7173278c5ffba17267f'),
+    'flag_reuse.ag compare 2 empty text': (0, '6a5ec32d895d0f9166d4a644e627f3f00573010c96b2f27ab59518f2cb6d3382'),
+    'flag_reuse.ag compare 2 empty json': (0, '081571c7b629b337c658bc61fe11dff1d1d8b01c3a93068872a06cddc4327f37'),
+    'flag_reuse.ag compare 2 unknown text': (0, '2ecf966ee2c5c8f89d25c69321c873b606b44d8a83630ca988dc8c66ad6d56c8'),
+    'flag_reuse.ag compare 2 unknown json': (0, '2a79fdf6221ad9a98c4ad49c2b492fa642d88567d37c413c4976038aa1846c0a'),
+    'flag_reuse.ag compare 4 empty text': (0, '6a5ec32d895d0f9166d4a644e627f3f00573010c96b2f27ab59518f2cb6d3382'),
+    'flag_reuse.ag compare 4 empty json': (0, '3896c8987c87a139cf5dbbbcdde240199b01350a3ba8ee26b8562fc1c51ca81b'),
+    'flag_reuse.ag compare 4 unknown text': (0, '2ecf966ee2c5c8f89d25c69321c873b606b44d8a83630ca988dc8c66ad6d56c8'),
+    'flag_reuse.ag compare 4 unknown json': (0, '4148d2f3d6667ba51e6475c99534a54f5b09921d524e071785f872c18f9311bc'),
+    'flag_reuse.imp oracle 1 empty text': (0, '29ae6a8ca577006f3b9ef237750db8233ecd45a91a7825c59f80049f7558d6f7'),
+    'flag_reuse.imp oracle 1 empty json': (0, 'def1fdcf1d313373d681b007af6c36fc50a487ff37c0621926cba49af82d67fb'),
+    'flag_reuse.imp oracle 1 unknown text': (0, '6d20ead680f1c3b5671abe23b1aeabbd2dce1ccee60e961309c9b7248c4ded2f'),
+    'flag_reuse.imp oracle 1 unknown json': (0, 'c80f9473cfb676df79272148afe906cb3b9f9138cb3c48e3cce3b76a12ceae52'),
+    'flag_reuse.imp oracle 2 empty text': (0, '29ae6a8ca577006f3b9ef237750db8233ecd45a91a7825c59f80049f7558d6f7'),
+    'flag_reuse.imp oracle 2 empty json': (0, '6060fc020833659ef4cb5b4c1116356b51d8bed96be2cfe4bfbc25152362fd38'),
+    'flag_reuse.imp oracle 2 unknown text': (0, '6d20ead680f1c3b5671abe23b1aeabbd2dce1ccee60e961309c9b7248c4ded2f'),
+    'flag_reuse.imp oracle 2 unknown json': (0, '71c92ad6c7c5c40c421769f39c6a722e52dbbe262f731654aada0e0464a7298b'),
+    'flag_reuse.imp oracle 4 empty text': (0, '29ae6a8ca577006f3b9ef237750db8233ecd45a91a7825c59f80049f7558d6f7'),
+    'flag_reuse.imp oracle 4 empty json': (0, '63d11ac9531aaf76c4dfce9a7c3e6d78cd6355b4c6956648dd4528ff25bfc6d1'),
+    'flag_reuse.imp oracle 4 unknown text': (0, '6d20ead680f1c3b5671abe23b1aeabbd2dce1ccee60e961309c9b7248c4ded2f'),
+    'flag_reuse.imp oracle 4 unknown json': (0, 'f19b1f557f93fbaf6b85c08869b6a15bbb37c7edd3b30fed1ca1605b2a82f243'),
+    'flag_reuse.imp compare 1 empty text': (0, '2b1a35b393ba3864bddc95cc511906cb32a3240fe9796e4d1d4440ec2f6ba67c'),
+    'flag_reuse.imp compare 1 empty json': (0, 'e46c8a026ca24239dee0151721fddf705c8fb2cb4568ef9e9bc16c7bf28c00ab'),
+    'flag_reuse.imp compare 1 unknown text': (0, '88ac25d0ff1cc36aab3e61225980d0815d098bb631b4d9d18c23e9772517bbf5'),
+    'flag_reuse.imp compare 1 unknown json': (0, '80bc4d4537031c5982378b4fb2b67ec30248a9d665773336017f664174da48e7'),
+    'flag_reuse.imp compare 2 empty text': (0, '2b1a35b393ba3864bddc95cc511906cb32a3240fe9796e4d1d4440ec2f6ba67c'),
+    'flag_reuse.imp compare 2 empty json': (0, 'a7bc9700117158e160682ad95c58ec513cf0224114aeb55bbe17ba1cb9be55be'),
+    'flag_reuse.imp compare 2 unknown text': (0, '88ac25d0ff1cc36aab3e61225980d0815d098bb631b4d9d18c23e9772517bbf5'),
+    'flag_reuse.imp compare 2 unknown json': (0, '087993e9847bd1394de2f47a167ab21529e5ec8bcb85e1b70bd31e6d1288d30a'),
+    'flag_reuse.imp compare 4 empty text': (0, '2b1a35b393ba3864bddc95cc511906cb32a3240fe9796e4d1d4440ec2f6ba67c'),
+    'flag_reuse.imp compare 4 empty json': (0, 'd3ba31dbfaff4ce6747f5626e7e83b5bd0ea4860dd0bc9a70fb527f36207f859'),
+    'flag_reuse.imp compare 4 unknown text': (0, '88ac25d0ff1cc36aab3e61225980d0815d098bb631b4d9d18c23e9772517bbf5'),
+    'flag_reuse.imp compare 4 unknown json': (0, '24fcc3cbc9d56abf2dab4af161cbee5a25bfc9ef63cbd2ad1dff9a6444b25fa8'),
+    'guarded_copy.imp oracle 1 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'guarded_copy.imp oracle 1 empty json': (0, '26cb695c9567ca994662de08a580bfd5901e8ba99f42ce4afbbb8044c08f66db'),
+    'guarded_copy.imp oracle 1 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'guarded_copy.imp oracle 1 unknown json': (0, '0839d6911ac0185726174becebde908c270262f072305f144b20e0a2281394d1'),
+    'guarded_copy.imp oracle 2 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'guarded_copy.imp oracle 2 empty json': (0, '9701b14e39df3975dc21bed841d30fc782f70f4a97164eb10c5561e3fa45fc16'),
+    'guarded_copy.imp oracle 2 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'guarded_copy.imp oracle 2 unknown json': (0, 'aa90da1aade6ce900a7a0e085e0370f563225d260569797979697bf1b0d02c9c'),
+    'guarded_copy.imp oracle 4 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'guarded_copy.imp oracle 4 empty json': (0, 'a8ea18b825db3ee0f8f84d82504d098a8b3d7271353015e7386d7726859afb03'),
+    'guarded_copy.imp oracle 4 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'guarded_copy.imp oracle 4 unknown json': (0, 'cc4df9c16d579eb7de684afd165943260925a826af0f2d9e7a3e93f95000f168'),
+    'guarded_copy.imp compare 1 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'guarded_copy.imp compare 1 empty json': (0, 'b27d750179b8de7a8c82ed54127c2b871d3d3b1dff81b920aeefe54d1e1c05bb'),
+    'guarded_copy.imp compare 1 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'guarded_copy.imp compare 1 unknown json': (0, '53d73bcd1e3528675f3317e3aed399facb4fdeb6cd8aab7d37d3254a6aa4c99e'),
+    'guarded_copy.imp compare 2 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'guarded_copy.imp compare 2 empty json': (0, '41294871d99345c1aa7447b6fce1e4af6d668c5eaa1a8393aedf951329a66453'),
+    'guarded_copy.imp compare 2 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'guarded_copy.imp compare 2 unknown json': (0, '581f5288d979fac427d3c36de6e01fd1ed50c439963b81b1af4cadd324bad658'),
+    'guarded_copy.imp compare 4 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'guarded_copy.imp compare 4 empty json': (0, '884fcd3643ec6fb7157313b2b7301f38880fce6d93a5bcbe4d0a8cadd83955ed'),
+    'guarded_copy.imp compare 4 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'guarded_copy.imp compare 4 unknown json': (0, 'eeb5dd2aacb254fde499b3535e6782fead8291005310f48605088f7b0d5bfbf0'),
+    'ring_index.imp oracle 1 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'ring_index.imp oracle 1 empty json': (0, 'edcba49b4467dbfbcebbdff7ee38de495df7c343d0d004f2eb80b152250af285'),
+    'ring_index.imp oracle 1 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'ring_index.imp oracle 1 unknown json': (0, 'f5ff9e3d8cdd441c720ded19af9a88b1153aa55abbf9617ca1536b2239c8569c'),
+    'ring_index.imp oracle 2 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'ring_index.imp oracle 2 empty json': (0, '83f088805f8fc36127d7797423307f6ebfd40581d8e0d6318a566f06c01542d1'),
+    'ring_index.imp oracle 2 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'ring_index.imp oracle 2 unknown json': (0, '5e10c24ae3eccc3a02023e13c8e03bd055489a7014f695e138ee3fd9c936ef8a'),
+    'ring_index.imp oracle 4 empty text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'ring_index.imp oracle 4 empty json': (0, '01fcaffa2b160141dbdf8cf1ebe3d29670b972689e77ba216423939e125489bd'),
+    'ring_index.imp oracle 4 unknown text': (0, 'c5df30d76ac8ee1db254184a54a8d7877e4e84a2fe3d1dbfb5ed5c6a11027d5e'),
+    'ring_index.imp oracle 4 unknown json': (0, '13ae284e4baecc689f924447b45f36d591a8590858a1bf6e10f6ff9fd6abb012'),
+    'ring_index.imp compare 1 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'ring_index.imp compare 1 empty json': (0, '2457c988d8a03a6e52d2108fe8da46d5b25c2d6e2e6bb8819d6685495ed6e550'),
+    'ring_index.imp compare 1 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'ring_index.imp compare 1 unknown json': (0, '3388e53e67796dadff71f1b2c6e8653179b4264edbd333bf5c0947393d2b47aa'),
+    'ring_index.imp compare 2 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'ring_index.imp compare 2 empty json': (0, '2ed4b885fa3bff9c70600532ad6ff7743fae687f59b21a300b889c37780be553'),
+    'ring_index.imp compare 2 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'ring_index.imp compare 2 unknown json': (0, '980646479039c2ff5b506565d5c1d74b9dfce785328072222058960d6465dfbe'),
+    'ring_index.imp compare 4 empty text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'ring_index.imp compare 4 empty json': (0, '9435dea46d8106d0bd564de0947e01beb63a6963b1269935e0d017f1fc873228'),
+    'ring_index.imp compare 4 unknown text': (0, '187c085185e5caf666b47ba3482ebc221aff05c570b95bcdff28f79dccf06b1b'),
+    'ring_index.imp compare 4 unknown json': (0, 'eacb15397ee0408e814c27a3bf2721e47d22987f35d991b2d9189ce056cf84cc'),
+}
+
+
+def _cache_cli_digests(demo_dir, capsys, monkeypatch) -> dict:
+    monkeypatch.chdir(demo_dir.parent)
+    out = {}
+    for path in sorted(demo_dir.iterdir()):
+        for method in ("oracle", "compare"):
+            for n in (1, 2, 4):
+                for init in ("empty", "unknown"):
+                    for fmt in ("text", "json"):
+                        code = main(["cache", "--input", f"demo/{path.name}", "--assoc", str(n),
+                                     "--method", method, "--init", init, "--format", fmt])
+                        stdout = capsys.readouterr().out
+                        digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+                        out[f"{path.name} {method} {n} {init} {fmt}"] = (code, digest)
+    return out
+
+
+LEXER_TEXTS = (
+    "x # trailing comment", "x\n# c", "# only", "\r\n\tint x = 1;\r\n", "a<==b!=c>=d>e<f=g",
+    "!x", "12ab", "x\x0by", "x\u00a0y", "_a1 __ a_", "-1+-2", "if(x){}else{}",
+    "int\n  y\n    = 3 ;  # c\n\n z", "\u0663", "a\u00b2", "\u00b2a", "1\u0663",
+)
+LEXER_GOLDEN = '72e5e6ae1414236845f033df07f22e80f2ca2b5f2d976356b4288b9835edaf36'
+
+
+def _lex_outcome(text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def _lexer_digest() -> str:
+    h = hashlib.sha256()
+    texts = [ctx + chr(cp) for cp in range(0x10000) for ctx in ("", "a", "1")]
+    for text in texts + list(LEXER_TEXTS):
+        h.update(repr((text, _lex_outcome(text))).encode("utf-8", "backslashreplace"))
+    return h.hexdigest()
+
+
+def test_lru_states_golden():
+    assert _lru_digest() == LRU_GOLDEN
+
+
+def test_numeric_oracle_golden(fragment_corpus_small):
+    assert _numeric_oracle_digest(fragment_corpus_small) == NUMERIC_GOLDEN
+
+
+def test_cache_cli_stdout_goldens(demo_dir, capsys, monkeypatch):
+    assert _cache_cli_digests(demo_dir, capsys, monkeypatch) == CACHE_CLI_GOLDENS
+
+
+def test_lexer_golden():
+    assert _lexer_digest() == LEXER_GOLDEN

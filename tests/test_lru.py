@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from absint.lru import (
     access,
     classify_oracle,
     collect_states,
+    explore,
     initial_states,
     is_hit,
 )
@@ -92,9 +94,9 @@ def test_collect_no_accesses_keeps_initial():
 
 def test_initial_states_unknown_counts():
     # permutations of length <= N over graph blocks plus one fresh block
-    states = initial_states(("a", "b"), 2, InitPolicy.UNKNOWN)
+    states = list(initial_states(("a", "b"), 2, InitPolicy.UNKNOWN))
     # 1 empty + 3 singletons + 3*2 pairs = 10
-    assert len(states) == 10
+    assert len(states) == len(set(states)) == 10
     assert () in states
 
 
@@ -130,7 +132,7 @@ def test_collect_monotone_in_seed():
     for _ in range(40):
         cfg = random_cache_cfg(rng, max_locs=8, max_blocks=4)
         n = rng.choice([1, 2, 4])
-        small = initial_states(cfg.blocks(), n, InitPolicy.EMPTY)
+        small = set(initial_states(cfg.blocks(), n, InitPolicy.EMPTY))
         pool = sorted(initial_states(cfg.blocks(), n, InitPolicy.UNKNOWN))
         big = small | set(rng.sample(pool, min(3, len(pool))))
         r_small = collect_states(cfg, n, seed_states=small)
@@ -143,6 +145,55 @@ def test_budget_error_is_not_an_approximation():
     cfg = chain(["a", "b", "c", "d", "e", "f"])
     with pytest.raises(OracleBudgetError):
         collect_states(cfg, 4, InitPolicy.UNKNOWN, budget=20)
+
+
+def test_unknown_seeds_count_against_the_budget_as_taken():
+    # 10 blocks plus the fresh one at N = 6 give 397,112 entry states
+    # (about 65 MB); only the first 11 may be built.
+    cfg = chain([f"m{i}" for i in range(10)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetError, match="state budget 10 exceeded at entry"):
+            collect_states(cfg, 6, InitPolicy.UNKNOWN, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_explore_builds_each_successor_function_once_at_first_use():
+    # "dead" is reached by no state, so its edge's label is never examined.
+    cfg = Cfg(
+        ("s", "t", "u", "dead"),
+        "s",
+        (
+            Edge("s", AccessLabel("a", 0), "t"),
+            Edge("t", Nop(), "u"),
+            Edge("u", AccessLabel("b", 1), "t"),
+            Edge("dead", AccessLabel("z", 2), "u"),
+        ),
+    )
+    built = []
+
+    def step(label):
+        built.append(label)
+        if isinstance(label, AccessLabel):
+            return lambda state: min(state + 1, 5)
+        return lambda state: state
+
+    reached = explore(cfg, [0, 3], step, budget=1000)
+    assert built == [AccessLabel("a", 0), Nop(), AccessLabel("b", 1)]
+    assert reached == {"s": {0, 3}, "t": {1, 2, 3, 4, 5}, "u": {1, 2, 3, 4, 5}}
+    # Without the cap every lap of the t -> u -> t loop makes a new state
+    # until the budget stops the search.
+    with pytest.raises(OracleBudgetError, match="state budget 1000 exceeded$"):
+        explore(cfg, [0], lambda label: lambda state: state + 1, budget=1000)
+
+
+def test_explore_blocked_successors_add_no_state():
+    cfg = Cfg(("s", "t"), "s", (Edge("s", Nop(), "t"),))
+    reached = explore(cfg, [1, 2, 3], lambda label: lambda v: v if v % 2 else None, budget=5)
+    assert reached == {"s": {1, 2, 3}, "t": {1, 3}}
 
 
 def test_guard_erasure_is_implicit(flag_program_cfg):
