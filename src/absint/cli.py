@@ -8,7 +8,10 @@ Two subcommands mirror the two analysis families::
 Reports go to stdout as aligned text or JSON (``--format``).  Outputs are
 byte-reproducible for identical inputs and flags; wall-clock timings are
 only emitted with ``--timings`` (into the report's ``timings`` object, which
-is otherwise empty).
+is otherwise empty).  One writer produces every JSON report, byte-identical
+to ``json.dumps`` with ``indent`` 2 and ``sort_keys``; an intervals report
+encodes each distinct environment and interval once and reuses the text
+wherever the value appears again.
 
 Exit codes: 0 success, 1 input or usage error (or a failed internal
 consistency check), 2 oracle budget or value range exceeded, 3 (intervals, single-method runs) at least one assertion
@@ -22,6 +25,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import boundsolve, focused, rewrite
 from .agebounds import classify_all_approx
@@ -92,8 +96,78 @@ def _interval_json(iv: Interval):
     return [b if isinstance(b, int) else repr(b) for b in (iv.lo, iv.hi)]
 
 
+class _Encoded(str):
+    """JSON text already laid out for the depth it is placed at; the writer
+    copies it verbatim."""
+
+
+def _json_text(value, level: int = 0) -> str:
+    """`value` byte for byte as ``json.dumps`` writes it with a two-space
+    indent and sorted keys, each line after the first indented `level`
+    steps further.
+
+    Takes only what reports hold (dicts with str keys, lists, str, int,
+    float, bool, None and `_Encoded` text) and raises TypeError on anything
+    else.  Strings are escaped by the json module's own C routine."""
+    parts: list[str] = []
+    _encode(value, "\n" + "  " * level, parts.append)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, out) -> None:
+    if isinstance(value, str):
+        out(value if type(value) is _Encoded else encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out(sep)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            item = value[key]
+            # Most values of an intervals report are pre-encoded: copy them
+            # here instead of making a call per value.
+            if type(item) is _Encoded:
+                out(item)
+            else:
+                _encode(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            if type(item) is _Encoded:
+                out(item)
+            else:
+                _encode(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        out(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(report) + "\n")
 
 
 def _write_rows(rows: list[str]) -> None:
@@ -328,18 +402,32 @@ def run_intervals(args) -> int:
     return EXIT_OK
 
 
+# Every environment of an intervals report sits at the same depth (report,
+# "results" list, location entry), and every interval one level below it.
+_ENV_LEVEL = 3
+
+
 def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[dict]:
+    """One entry per location; each distinct environment and interval value
+    is encoded once, and its text reused wherever the value appears again."""
     variables = program.variables
+
+    @functools.cache
+    def interval_text(iv: Interval) -> _Encoded:
+        return _Encoded(_json_text(_interval_json(iv), _ENV_LEVEL + 1))
+
+    @functools.cache
+    def env_text(env: AbstractEnv) -> _Encoded | None:
+        if env.bottom:
+            return None
+        ivs = env.as_dict()
+        return _Encoded(_json_text({v: interval_text(ivs.get(v, TOP)) for v in variables}, _ENV_LEVEL))
+
     results = []
     for loc in cfg.locations:
         entry = {"location": loc}
         for m in methods:
-            envm = outcomes[m].envs[loc]
-            if envm.bottom:
-                entry[m if compare else "env"] = None
-            else:
-                ivs = envm.as_dict()
-                entry[m if compare else "env"] = {v: _interval_json(ivs.get(v, TOP)) for v in variables}
+            entry[m if compare else "env"] = env_text(outcomes[m].envs[loc])
         results.append(entry)
     return results
 
@@ -358,17 +446,18 @@ def _interval_rows(cfg, program, outcomes, methods, verdicts) -> list[str]:
     variables = program.variables
     width = 18 * max(1, len(variables))
     rows = [f"{'location':<12} " + " ".join(f"{m:<{width}}" for m in methods)]
+
+    @functools.cache
+    def cell(env: AbstractEnv) -> str:
+        if env.bottom:
+            shown = "unreachable"
+        else:
+            ivs = env.as_dict()
+            shown = " ".join(f"{v}={ivs.get(v, TOP)!r:<14}" for v in variables)
+        return f"{shown:<{width}}"
+
     for loc in cfg.locations:
-        cells = []
-        for m in methods:
-            envm = outcomes[m].envs[loc]
-            if envm.bottom:
-                shown = "unreachable"
-            else:
-                ivs = envm.as_dict()
-                shown = " ".join(f"{v}={ivs.get(v, TOP)!r:<14}" for v in variables)
-            cells.append(f"{shown:<{width}}")
-        rows.append(f"{loc:<12} " + " ".join(cells))
+        rows.append(f"{loc:<12} " + " ".join([cell(outcomes[m].envs[loc]) for m in methods]))
     if cfg.asserts:
         rows.append("")
     for site in cfg.asserts:

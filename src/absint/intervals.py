@@ -199,9 +199,15 @@ class AbstractEnv:
             return self
         if iv.is_empty:
             return BOTTOM_ENV
-        d = self.as_dict()
-        d[var] = iv
-        return AbstractEnv(tuple(sorted(d.items())))
+        items = self.intervals
+        for i, (name, old) in enumerate(items):
+            if name == var:
+                if old is iv:
+                    return self
+                return AbstractEnv(items[:i] + ((var, iv),) + items[i + 1:])
+            if name > var:
+                return AbstractEnv(items[:i] + ((var, iv),) + items[i:])
+        return AbstractEnv(items + ((var, iv),))
 
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom:

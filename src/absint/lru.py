@@ -14,8 +14,9 @@ stay exact: exceeding the state budget is an error, never an approximation.
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .cfg import AccessLabel, Cfg
 
@@ -57,35 +58,47 @@ def is_hit(state: CacheState, block: str) -> bool:
     return block in state
 
 
-def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> Iterator[CacheState]:
+class _InitialStates:
+    """Every state of at most `longest` distinct blocks of `universe`, each
+    once: counted without being built, built one at a time."""
+
+    def __init__(self, universe: tuple[str, ...], longest: int):
+        self.universe, self.longest = universe, longest
+
+    def __len__(self) -> int:
+        return sum(math.perm(len(self.universe), r) for r in range(self.longest + 1))
+
+    def __iter__(self) -> Iterator[CacheState]:
+        return itertools.chain.from_iterable(
+            itertools.permutations(self.universe, r) for r in range(self.longest + 1)
+        )
+
+
+def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> _InitialStates:
     """The empty state, or with unknown contents every state over `blocks`
-    and one fresh block; each once, built one at a time."""
+    and one fresh block."""
     universe = tuple(blocks) + (OTHER_BLOCK,)
-    longest = 0 if init is InitPolicy.EMPTY else min(n, len(universe))
-    return itertools.chain.from_iterable(itertools.permutations(universe, r) for r in range(longest + 1))
+    return _InitialStates(universe, 0 if init is InitPolicy.EMPTY else min(n, len(universe)))
 
 
-def explore(cfg: Cfg, seeds: Iterable, step: Callable, budget: int) -> dict[str, set]:
+def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[str, set]:
     """Every state reachable from `seeds` at the entry, per location: the
     one explicit-state search behind both oracles.
 
     `step(label)` gives an edge's successor function, which maps a state to
     the next one, or to None where the edge blocks it; it is built at the
-    edge's first use, so an edge no state reaches is never examined.  Seeds
-    count against `budget` as they are taken; the search then pops new
-    states last in, first out, from the sorted seeds on, and pushes them
-    along out-edges in edge order.  The result holds the entry and every
-    location an explored edge leads to.
+    edge's first use, so an edge no state reaches is never examined.  The
+    seeds are distinct and count against `budget`; their number is checked
+    before any is taken.  The search then pops new states last in, first
+    out, from the sorted seeds on, and pushes them along out-edges in edge
+    order.  The result holds the entry and every location an explored edge
+    leads to.
     """
-    at_entry: set = set()
-    reached = {cfg.entry: at_entry}
     where = " at entry"
-    for state in seeds:
-        at_entry.add(state)
-        if len(at_entry) > budget:
-            break
-    else:  # every seed fitted in the budget
+    if len(seeds) <= budget:
         where = ""
+        at_entry = set(seeds)
+        reached = {cfg.entry: at_entry}
         total = len(at_entry)
         frontier = [(cfg.entry, s) for s in sorted(at_entry)]
         # location -> [edge, successor function, states at its target] per

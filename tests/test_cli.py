@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from absint import boundsolve
-from absint.cli import main
+from absint.cli import _Encoded, _json_text, main
 
 PY = [sys.executable, "-m", "absint.cli"]
 
@@ -365,7 +365,7 @@ def test_non_ascii_digit_is_unexpected_character(tmp_path, literal):
 @pytest.mark.parametrize("method", ["oracle", "compare"])
 def test_unknown_init_seed_overflow_is_exit_2(tmp_path, method):
     # 9 blocks plus the fresh one at N = 8 give 2,606,501 entry states; the
-    # oracle stops at the 1,000,001st instead of building them all first.
+    # oracle counts them and fails before building any.
     path = tmp_path / "wide.ag"
     lines = [f"loc n{i}" for i in range(10)] + ["entry n0"]
     lines += [f"edge n{i} n{i + 1} access m{i}" for i in range(9)]
@@ -373,3 +373,69 @@ def test_unknown_init_seed_overflow_is_exit_2(tmp_path, method):
     code, out, err = run_cli("cache", "--input", str(path), "--assoc", "8",
                              "--method", method, "--init", "unknown")
     assert (code, out, err) == (2, "", "error: state budget 1000000 exceeded at entry\n")
+
+
+# Characters the writer must escape or pass through exactly as json.dumps
+# does: quotes, backslashes, every control character, DEL, non-ASCII, line
+# and paragraph separators, a lone surrogate and astral code points.
+JSON_CHARS = (
+    ['"', "\\", "/", "a", "Z", "0", " ", "\x7f", "\u00e9", "\u00ff", "\u2028", "\u2029",
+     "\ud800", "\uffff", "\U0001d4b3", "\U0010ffff"]
+    + [chr(c) for c in range(0x20)]
+)
+
+
+def _random_text(rng) -> str:
+    return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice((0, 1, -1, rng.randint(-2**16, 2**16), rng.randint(-2**80, 2**80),
+                           2**64, 2**64 + 1, -2**64 - 1))
+    if kind == 2:
+        x = rng.choice((rng.uniform(-1e3, 1e3), rng.uniform(0, 1e-4), rng.uniform(-1e20, 1e20), 0.0, -0.0))
+        return round(x, 6)
+    return (True, False, None, "")[kind - 3]
+
+
+def _random_report_value(rng, depth: int = 0):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.4:
+        return _random_scalar(rng)
+    width = rng.choice((0, 1, 2, 3, 5))
+    if roll < 0.7:
+        return {_random_text(rng): _random_report_value(rng, depth + 1) for _ in range(width)}
+    return [_random_report_value(rng, depth + 1) for _ in range(width)]
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(20261018)
+    for _ in range(2500):
+        value = _random_report_value(rng)
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_reuses_text_encoded_at_its_depth():
+    # Text encoded at level k reads exactly as the value does inside k containers.
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        value = _random_report_value(rng)
+        keys = [_random_text(rng) if rng.random() < 0.5 else None for _ in range(rng.randint(0, 4))]
+
+        def nest(inner):
+            for key in keys:
+                inner = [inner, 1] if key is None else {key: inner, "~": 1}
+            return inner
+
+        reused = nest(_Encoded(_json_text(value, len(keys))))
+        assert _json_text(reused) == json.dumps(nest(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x", object(), {1: "a"}, {"a": [(1,)]}, {("a",): 1}])
+def test_json_writer_rejects_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        _json_text(value)

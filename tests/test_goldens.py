@@ -20,6 +20,10 @@ Three pins, checked against every later change of the fixpoint engine:
   range;
 * the SHA-256 of the stdout (and the exit code) of ``absint cache`` with
   the oracle and compare methods on every ``demo/`` file;
+* one SHA-256 over the exit codes and ``--format json`` stdout of
+  ``intervals`` and ``cache --method compare`` on demos copied to a file
+  whose name holds a quote, a backslash, a non-ASCII letter and an astral
+  code point (the report echoes it in its ``"input"`` field);
 * one SHA-256 over the lexer's tokens, or its error, for every BMP code
   point at the start of a token, after a letter and after a digit.
 
@@ -424,6 +428,27 @@ def _cache_cli_digests(demo_dir, capsys, monkeypatch) -> dict:
     return out
 
 
+ODD_NAME = 'q"b\\\u00e9\U0001d4b3.imp'
+ODD_NAME_RUNS = (
+    ("copy_diff.imp", ("intervals", "--method", "compare")),
+    ("ring_index.imp", ("intervals", "--method", "widen-narrow", "--rewrites", "full")),
+    ("flag_reuse.imp", ("cache", "--assoc", "2", "--method", "compare", "--init", "empty")),
+    ("flag_reuse.imp", ("cache", "--assoc", "1", "--method", "compare", "--init", "unknown")),
+)
+ODD_NAME_GOLDEN = '672f0d7e2fc6101191249e54362cda406aba99fb4da5ab52dbd82385ed7acb84'
+
+
+def _odd_name_digest(demo_dir, tmp_path, capsys, monkeypatch) -> str:
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for demo, (command, *extra) in ODD_NAME_RUNS:
+        (tmp_path / ODD_NAME).write_bytes((demo_dir / demo).read_bytes())
+        code = main([command, "--input", ODD_NAME, *extra, "--format", "json"])
+        h.update(f"{demo} {command} {' '.join(extra)} exit {code}\n".encode())
+        h.update(capsys.readouterr().out.encode("utf-8"))
+    return h.hexdigest()
+
+
 LEXER_TEXTS = (
     "x # trailing comment", "x\n# c", "# only", "\r\n\tint x = 1;\r\n", "a<==b!=c>=d>e<f=g",
     "!x", "12ab", "x\x0by", "x\u00a0y", "_a1 __ a_", "-1+-2", "if(x){}else{}",
@@ -461,3 +486,7 @@ def test_cache_cli_stdout_goldens(demo_dir, capsys, monkeypatch):
 
 def test_lexer_golden():
     assert _lexer_digest() == LEXER_GOLDEN
+
+
+def test_odd_input_name_json_golden(demo_dir, tmp_path, capsys, monkeypatch):
+    assert _odd_name_digest(demo_dir, tmp_path, capsys, monkeypatch) == ODD_NAME_GOLDEN

@@ -207,6 +207,38 @@ def test_env_join_and_widen_match_pointwise_reference():
                 assert upper.join(lower) is upper and upper.widen(lower) is upper
 
 
+def _reference_set(env, var, iv):
+    """The dict-and-sort formula `AbstractEnv.set` once used."""
+    if env.bottom:
+        return env
+    if iv.is_empty:
+        return BOTTOM_ENV
+    d = env.as_dict()
+    d[var] = iv
+    return AbstractEnv(tuple(sorted(d.items())))
+
+
+def test_env_set_matches_dict_and_sort_reference():
+    rng = random.Random(20261018)
+    names = ENV_VARS + ("", "a0", "bb", "f", "z")
+    for _ in range(3000):
+        env = _random_env(rng, sorted(rng.sample(ENV_VARS, rng.randint(0, len(ENV_VARS)))))
+        var = rng.choice(names)  # present or new, before, between or after the others
+        roll = rng.random()
+        if roll < 0.15:
+            iv = EMPTY
+        elif roll < 0.3 and not env.bottom and env.intervals:
+            iv = rng.choice(env.intervals)[1]  # possibly the current object of `var`
+        else:
+            iv = _random_env(rng, ("x",)).get("x")
+        got, want = env.set(var, iv), _reference_set(env, var, iv)
+        assert got == want and repr(got) == repr(want)
+        if not env.bottom and env.get(var) is iv and var in dict(env.intervals):
+            assert got is env
+    assert BOTTOM_ENV.set("a", Interval.const(1)) is BOTTOM_ENV
+    assert env_of(a=Interval.const(1)).set("b", EMPTY) is BOTTOM_ENV
+
+
 def test_engine_transfers_each_edge_and_value_once(monkeypatch):
     """The engine transfers an edge again only when its source value was
     replaced: no (edge, source value object) pair is transferred twice."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
@@ -149,12 +150,39 @@ def test_budget_error_is_not_an_approximation():
 
 def test_unknown_seeds_count_against_the_budget_as_taken():
     # 10 blocks plus the fresh one at N = 6 give 397,112 entry states
-    # (about 65 MB); only the first 11 may be built.
+    # (about 65 MB); their number is known before any is built.
     cfg = chain([f"m{i}" for i in range(10)])
     tracemalloc.start()
     try:
         with pytest.raises(OracleBudgetError, match="state budget 10 exceeded at entry"):
             collect_states(cfg, 6, InitPolicy.UNKNOWN, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_initial_states_are_counted_by_the_closed_formula():
+    for n_blocks in range(5):
+        blocks = tuple(f"b{i}" for i in range(n_blocks))
+        for n in range(1, 7):
+            for init in InitPolicy:
+                seeds = initial_states(blocks, n, init)
+                states = list(seeds)
+                assert len(states) == len(set(states)) == len(seeds)
+                longest = 0 if init is InitPolicy.EMPTY else n
+                assert len(seeds) == sum(math.perm(n_blocks + 1, r) for r in range(longest + 1))
+
+
+def test_seed_overflow_fails_before_any_seed_is_built():
+    # 9 blocks plus the fresh one at N = 8 give 2,606,501 entry states, over
+    # the default budget; holding a million of them would take about 150 MB.
+    cfg = chain([f"m{i}" for i in range(9)])
+    assert len(initial_states(cfg.blocks(), 8, InitPolicy.UNKNOWN)) == 2_606_501
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetError, match="^state budget 1000000 exceeded at entry$"):
+            collect_states(cfg, 8, InitPolicy.UNKNOWN, budget=1_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
