@@ -97,26 +97,28 @@ def _interval_json(iv: Interval):
 
 
 class _Encoded(str):
-    """JSON text already laid out for the depth it is placed at; the writer
-    copies it verbatim."""
+    """`_json_text` output reused as a value: the writer indents its lines
+    to the depth it is placed at, so one text serves every place."""
 
 
-def _json_text(value, level: int = 0) -> str:
+def _json_text(value) -> str:
     """`value` byte for byte as ``json.dumps`` writes it with a two-space
-    indent and sorted keys, each line after the first indented `level`
-    steps further.
+    indent and sorted keys.
 
     Takes only what reports hold (dicts with str keys, lists, str, int,
     float, bool, None and `_Encoded` text) and raises TypeError on anything
     else.  Strings are escaped by the json module's own C routine."""
     parts: list[str] = []
-    _encode(value, "\n" + "  " * level, parts.append)
+    _encode(value, "\n", parts.append)
     return "".join(parts)
 
 
 def _encode(value, newline: str, out) -> None:
+    # An encoded string holds no raw newline, so in `_Encoded` text every
+    # "\n" starts a line, which `newline` indents to the current depth.
     if isinstance(value, str):
-        out(value if type(value) is _Encoded else encode_basestring_ascii(value))
+        out(value.replace("\n", newline) if type(value) is _Encoded
+            else encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
             out("{}")
@@ -130,10 +132,10 @@ def _encode(value, newline: str, out) -> None:
             out(encode_basestring_ascii(key))
             out(": ")
             item = value[key]
-            # Most values of an intervals report are pre-encoded: copy them
+            # Most values of an intervals report are pre-encoded: place them
             # here instead of making a call per value.
             if type(item) is _Encoded:
-                out(item)
+                out(item.replace("\n", inner))
             else:
                 _encode(item, inner, out)
             sep = "," + inner
@@ -147,7 +149,7 @@ def _encode(value, newline: str, out) -> None:
         for item in value:
             out(sep)
             if type(item) is _Encoded:
-                out(item)
+                out(item.replace("\n", inner))
             else:
                 _encode(item, inner, out)
             sep = "," + inner
@@ -402,11 +404,6 @@ def run_intervals(args) -> int:
     return EXIT_OK
 
 
-# Every environment of an intervals report sits at the same depth (report,
-# "results" list, location entry), and every interval one level below it.
-_ENV_LEVEL = 3
-
-
 def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[dict]:
     """One entry per location; each distinct environment and interval value
     is encoded once, and its text reused wherever the value appears again."""
@@ -414,14 +411,14 @@ def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[di
 
     @functools.cache
     def interval_text(iv: Interval) -> _Encoded:
-        return _Encoded(_json_text(_interval_json(iv), _ENV_LEVEL + 1))
+        return _Encoded(_json_text(_interval_json(iv)))
 
     @functools.cache
     def env_text(env: AbstractEnv) -> _Encoded | None:
         if env.bottom:
             return None
         ivs = env.as_dict()
-        return _Encoded(_json_text({v: interval_text(ivs.get(v, TOP)) for v in variables}, _ENV_LEVEL))
+        return _Encoded(_json_text({v: interval_text(ivs.get(v, TOP)) for v in variables}))
 
     results = []
     for loc in cfg.locations:

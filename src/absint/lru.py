@@ -95,7 +95,12 @@ def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[st
     leads to.
     """
     where = " at entry"
-    if len(seeds) <= budget:
+    try:
+        fits = len(seeds) <= budget
+    except OverflowError:
+        # len() cannot report more than sys.maxsize seeds: far past any budget
+        fits = False
+    if fits:
         where = ""
         at_entry = set(seeds)
         reached = {cfg.entry: at_entry}

@@ -324,6 +324,9 @@ def test_bounded_oracle_counts_entry_values_against_the_budget():
     cfg = build_cfg(parse_program("int i = 0; i = 5;"))
     with pytest.raises(OracleBudgetError, match="state budget 10 exceeded at entry"):
         bounded_concrete_oracle(cfg, "i", Interval.make(0, 20), budget=10)
+    # an entry wider than len() can report
+    with pytest.raises(OracleBudgetError, match="^state budget 10 exceeded at entry$"):
+        bounded_concrete_oracle(cfg, "i", Interval.make(0, 2**64), (0, 2**65), budget=10)
 
 
 def test_bounded_oracle_examines_an_edge_only_when_the_search_takes_it():

@@ -187,6 +187,9 @@ def test_seed_overflow_fails_before_any_seed_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+    # 32 blocks at N = 16 give about 2.4e22, more than len() can report.
+    with pytest.raises(OracleBudgetError, match="^state budget 1000000 exceeded at entry$"):
+        collect_states(chain([f"b{i:02d}" for i in range(32)]), 16, InitPolicy.UNKNOWN)
 
 
 def test_explore_builds_each_successor_function_once_at_first_use():
