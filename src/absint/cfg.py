@@ -120,18 +120,19 @@ class Cfg:
             )
             for loc in order
         )
-        return AccessIndex(tuple(order), blocks, succ)
+        return AccessIndex(tuple(order), where, blocks, succ)
 
 
 @dataclass(frozen=True)
 class AccessIndex:
     """Locations are numbered in reverse postorder of a depth-first search
     from the entry (so the entry is 0), followed by the unreachable ones,
-    and blocks in sorted order.  ``succ[loc]`` lists ``(dst, bit)`` per
-    out-edge in edge order, where bit is ``1 << block`` for an access and 0
-    on an edge that accesses nothing."""
+    and blocks in sorted order; ``where`` maps a location to its number.
+    ``succ[loc]`` lists ``(dst, bit)`` per out-edge in edge order, where bit
+    is ``1 << block`` for an access and 0 on an edge that accesses nothing."""
 
     locations: tuple[str, ...]
+    where: dict[str, int]
     blocks: dict[str, int]
     succ: tuple[tuple[tuple[int, int], ...], ...]
 

@@ -54,16 +54,23 @@ configuration there is absent, in any order.  Dually a KEEP_MIN set stays
 present at least as long as any superset it subsumes, so the KEEP_MIN store
 is nonempty iff some configuration there is present.  Classifications use
 only these two facts.
+
+Result.  ``analyze_block`` keeps the final stores and returns them as a
+read-only mapping from location to ``BlockView``.  A view is built from its
+location's store when it is looked up, and is not kept, so
+``classify_exact``, which reads only the sources of its focus's access
+sites, builds the views of those locations alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .agebounds import ApproxClass, classify_all_approx
 from .antichain import Antichain, AntichainStore, Orientation
-from .cfg import AccessLabel, Cfg
+from .cfg import AccessIndex, AccessLabel, Cfg
 from .lru import Classification, InitPolicy
 
 
@@ -187,19 +194,44 @@ def transfer(view: BlockView, accessed: int, focus: int, n: int) -> BlockView:
     return state.view()
 
 
+class _Views(Mapping):
+    """The result of `analyze_block`: the final stores of one run, read as
+    views of the locations of ``graph`` (None for an unreached one)."""
+
+    __slots__ = ("graph", "states", "bottom")
+
+    def __init__(self, graph: AccessIndex, states: list[_State | None], bottom: BlockView):
+        self.graph, self.states, self.bottom = graph, states, bottom
+
+    def __getitem__(self, loc: str) -> BlockView:
+        state = self.states[self.graph.where[loc]]
+        return self.bottom if state is None else state.view()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.graph.locations)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
 def analyze_block(
     cfg: Cfg,
     focus: str,
     n: int,
     orientation: Orientation,
     init: InitPolicy = InitPolicy.EMPTY,
-) -> dict[str, BlockView]:
+) -> Mapping[str, BlockView]:
     """Least fixpoint of the focused transfer for one block.
 
     Blocks are interned to bit indices in sorted order, followed by one
     extra index for the fresh block of the unknown-initial-contents policy
     and, if the graph never accesses the focus, one for the focus.
     Non-access edges are no-ops.
+
+    The result maps every location, in ``Cfg.access_index`` order, to its
+    view.  A view is built from the location's final store when it is
+    looked up, and again at every lookup; an unreached location maps to one
+    shared bottom view.  Callers that read a few locations build only those.
     """
     graph = cfg.access_index
     fresh = len(graph.blocks)
@@ -239,11 +271,7 @@ def analyze_block(
             if changed and not queued[dst]:
                 queued[dst] = True
                 heappush(work, dst)
-    bottom = BlockView(False, Antichain.empty(orientation))
-    return {
-        loc: bottom if state is None else state.view()
-        for loc, state in zip(graph.locations, states)
-    }
+    return _Views(graph, states, BlockView(False, Antichain.empty(orientation)))
 
 
 def classify_exact(

@@ -49,8 +49,8 @@ def access(state: CacheState, block: str, n: int) -> CacheState:
     if len(state) > n:
         raise ValueError("state longer than associativity")
     if block in state:
-        rest = tuple(b for b in state if b != block)
-        return (block,) + rest
+        i = state.index(block)
+        return (block,) + state[:i] + state[i + 1:]
     return ((block,) + state)[:n]
 
 

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 
+from absint import focused
 from absint.antichain import Antichain, Orientation
 from absint.cfg import AccessLabel, Cfg, Edge, Nop, erase_guards
+from absint.cli import main
 from absint.focused import (
     BlockView,
     analyze_block,
@@ -256,15 +258,18 @@ def test_pipeline_agrees_with_exact(cache_corpus_small):
 
 
 def test_mid_size_exact_matches_oracle():
-    """40 to 120 locations over 12 blocks at N=8, empty contents: the
-    oracle stays within its budget (up to about 175k states) and agrees with
-    the exact analysis at every site."""
+    """40 to 500 locations over 12 or 24 blocks at N=8, empty contents: the
+    oracle stays within its budget (up to about 400k states) and agrees with
+    the exact analysis and the pipeline at every site.  At N=16 the oracle
+    runs past its default budget of 1M states on this test's 250-location
+    graph, so the check stops at N=8."""
     rng = random.Random(2019)
     kinds = set()
-    for n_locs in (40, 60, 80, 100, 120):
-        cfg = region_cache_cfg(rng, n_locs, 12, extra=0.8)
+    for n_locs, n_blocks in ((40, 12), (60, 12), (80, 12), (100, 12), (120, 12), (250, 12), (500, 24)):
+        cfg = region_cache_cfg(rng, n_locs, n_blocks, extra=0.8)
         oracle = classify_oracle(cfg, 8)
         assert classify_exact(cfg, 8) == oracle, n_locs
+        assert {site: v for site, (v, _tag) in classify_pipeline(cfg, 8).items()} == oracle, n_locs
         kinds.update(oracle.values())
     assert {Classification.ALWAYS_HIT, Classification.ALWAYS_MISS, Classification.VARIABLE} <= kinds
 
@@ -300,3 +305,61 @@ def test_verdicts_do_not_depend_on_visit_order(cache_corpus_small):
             expected = classify_exact(cfg, n, init)
             for _ in range(2):
                 assert classify_exact(shuffled_cfg(rng, cfg), n, init) == expected, (cfg, n, init)
+
+
+def access_graph_text(cfg: Cfg) -> str:
+    """`cfg` in the access-graph input format (sites numbered in edge order)."""
+    lines = [f"loc {loc}" for loc in cfg.locations] + [f"entry {cfg.entry}"]
+    for e in cfg.edges:
+        access = f" access {e.label.block}" if isinstance(e.label, AccessLabel) else ""
+        lines.append(f"edge {e.src} {e.dst}{access}")
+    return "\n".join(lines) + "\n"
+
+
+def reachable(cfg: Cfg) -> set[str]:
+    seen, stack = {cfg.entry}, [cfg.entry]
+    while stack:
+        for e in cfg.out(stack.pop()):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return seen
+
+
+def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch, capsys):
+    """The exact verdicts read a view at the source of each access site of
+    the focus, once per orientation; `analyze_block` builds a view only when
+    it is looked up, so the command line builds exactly those, far fewer
+    than one per location and run."""
+    graph = tmp_path / "region.ag"
+    graph.write_text(access_graph_text(region_cache_cfg(random.Random(60), 60, 10)))
+    runs = [(path, n, init) for path in sorted(demo_dir.iterdir())
+            for n in (1, 2, 4) for init in ("empty", "unknown")]
+    runs += [(graph, n, "empty") for n in (2, 4)]
+    built = 0
+    blocks_analyzed = []
+    view, analyze = focused._State.view, focused.analyze_block
+
+    def counted_view(self):
+        nonlocal built
+        built += 1
+        return view(self)
+
+    def recorded(cfg, focus, *args):
+        blocks_analyzed.append((cfg, focus))
+        return analyze(cfg, focus, *args)
+
+    monkeypatch.setattr(focused._State, "view", counted_view)
+    monkeypatch.setattr(focused, "analyze_block", recorded)
+    for path, n, init in runs:
+        for method in ("pipeline", "compare"):
+            code = main(["cache", "--input", str(path), "--assoc", str(n), "--method", method,
+                         "--init", init, "--format", "json"])
+            assert code == 0, (path, n, init, method, capsys.readouterr().err)
+    capsys.readouterr()
+    lookups = 0
+    for cfg, focus in blocks_analyzed:
+        reached = reachable(cfg)
+        lookups += sum(e.src in reached for e in cfg.access_edges() if e.label.block == focus)
+    assert built == lookups > 0
+    assert built < sum(len(cfg.locations) for cfg, _ in blocks_analyzed)

@@ -15,6 +15,11 @@ Three pins, checked against every later change of the fixpoint engine:
 * one SHA-256 over the reached cache states of ``collect_states`` on
   random and region access graphs, at several associativities and both
   initial-content policies (budget errors pinned by their message);
+* one SHA-256 over the whole result of ``focused.analyze_block`` (every
+  location's view, in the order the result lists its locations) on random
+  and region access graphs, for every block and one block no edge
+  accesses, at several associativities, both orientations and both
+  initial-content policies;
 * one SHA-256 over the hulls, or the error, of ``bounded_concrete_oracle``
   on fragment programs and on programs it must reject or that stray out of
   range;
@@ -39,8 +44,10 @@ import random
 
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
+from absint.antichain import Orientation
 from absint.boundsolve import bounded_concrete_oracle
 from absint.cli import main
+from absint.focused import analyze_block
 from absint.intervals import NEG_INF, POS_INF, Interval
 from absint.lang import ParseError, _tokenize, pretty
 from absint.lru import InitPolicy, OracleBudgetError, collect_states
@@ -217,6 +224,30 @@ def _lru_digest() -> str:
                 continue
             for loc in sorted(reached):
                 h.update(f"{loc} {sorted(reached[loc])!r}\n".encode())
+    return h.hexdigest()
+
+
+FOCUSED_SEED = 20261022
+FOCUSED_RANDOM_GRAPHS = 40
+FOCUSED_REGIONS = ((20, 5), (40, 8), (60, 10))
+FOCUSED_GOLDEN = '1fbb3ba091a83440ad84ae5aa641d2919ffee9a55cb8af8dcf34206e709a6775'
+
+
+def _focused_digest() -> str:
+    rng = random.Random(FOCUSED_SEED)
+    graphs = helpers.cache_corpus(FOCUSED_SEED, FOCUSED_RANDOM_GRAPHS)
+    graphs += [helpers.region_cache_cfg(rng, locs, blocks) for locs, blocks in FOCUSED_REGIONS]
+    h = hashlib.sha256()
+    for index, cfg in enumerate(graphs):
+        locations = cfg.access_index.locations
+        for focus in cfg.blocks() + ("never-accessed",):
+            for n in (2, 4, 6):
+                for orientation in Orientation:
+                    for init in InitPolicy:
+                        views = analyze_block(cfg, focus, n, orientation, init)
+                        assert dict(views) == {loc: views[loc] for loc in locations}
+                        h.update(f"#{index} {focus} {n} {orientation.name} {init.value}\n".encode())
+                        h.update(f"{list(views.items())!r}\n".encode())
     return h.hexdigest()
 
 
@@ -474,6 +505,10 @@ def _lexer_digest() -> str:
 
 def test_lru_states_golden():
     assert _lru_digest() == LRU_GOLDEN
+
+
+def test_focused_views_golden():
+    assert _focused_digest() == FOCUSED_GOLDEN
 
 
 def test_numeric_oracle_golden(fragment_corpus_small):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -67,6 +68,33 @@ def test_access_length_law():
         b = rng.choice(blocks)
         expected = min(len(state) + (b not in state), n)
         assert len(access(state, b, n)) == expected
+
+
+def _access_by_rebuild(state, block, n):
+    """The earlier formula of `access`, which rebuilt the state without the
+    block instead of splicing it out at its position."""
+    if block in state:
+        return (block,) + tuple(b for b in state if b != block)
+    return ((block,) + state)[:n]
+
+
+def test_access_matches_the_rebuild_formula_exhaustively():
+    blocks = ("a", "b", "c", "d", "e")
+    checked = 0
+    for n in range(1, 5):
+        for r in range(n + 1):
+            for state in itertools.permutations(blocks, r):
+                for block in blocks:
+                    assert access(state, block, n) == _access_by_rebuild(state, block, n), (state, block, n)
+                    checked += 1
+    assert checked == 5 * sum(math.perm(5, r) for n in range(1, 5) for r in range(n + 1))
+
+
+def test_access_checks_associativity_before_length():
+    with pytest.raises(ValueError, match="associativity must be at least 1"):
+        access(("a", "b"), "a", 0)
+    with pytest.raises(ValueError, match="state longer than associativity"):
+        access(("a", "b", "c"), "a", 2)
 
 
 def test_collect_straight_line():
