@@ -102,12 +102,12 @@ class AntichainStore:
 
     __slots__ = ("orientation", "keep_max", "buckets")
 
-    def __init__(self, orientation: Orientation, antichain: Iterable[int] = (), width: int = 0):
-        """`antichain` must already be pairwise incomparable; buckets for sets
-        of up to `width` elements are made up front."""
+    def __init__(self, orientation: Orientation, antichain: Iterable[int] = ()):
+        """`antichain` must already be pairwise incomparable; a bucket is made
+        when the first set of its size arrives."""
         self.orientation = orientation
         self.keep_max = orientation is Orientation.KEEP_MAX
-        self.buckets: list[set[int]] = [set() for _ in range(width + 1)]
+        self.buckets: list[set[int]] = []
         for mask in antichain:
             size = mask.bit_count()
             self._grow(size)

@@ -11,9 +11,12 @@ there is a single solving code path.
 Two independent solvers compute the least solution over ZZ extended with
 symbolic infinities:
 
-* ``solve_exhaustive`` enumerates argument selections of every min/max node,
-  solves each induced chain system, and keeps solutions that actually solve
-  the original equations; the pointwise least survivor is the least fixpoint.
+* ``solve_exhaustive`` lists what each equation can reduce to under its
+  min/max choices (a constant, or one variable plus an offset), enumerates
+  every combination of those links, which are exactly the systems that every
+  argument selection of every min/max node induces, solves each chain
+  system, and keeps solutions that actually solve the original equations;
+  the pointwise least survivor is the least fixpoint.
 * ``solve_policy_iteration`` ascends through selections of the max nodes
   only and solves each induced min-system exactly: a counting pass finds the
   variables that must leave -oo, and a Bellman-Ford pass from +oo computes
@@ -289,8 +292,6 @@ def extract_upper_bounds(
 
 def dump_expr(e: BoundExpr) -> str:
     if isinstance(e, BConst):
-        if isinstance(e.value, _Inf):
-            return "+oo" if e.value.sign > 0 else "-oo"
         return str(e.value)
     if isinstance(e, BRef):
         return e.name
@@ -409,141 +410,93 @@ def _selector_nodes(system: BoundSystem) -> list[tuple[str, tuple[int, ...]]]:
     return nodes
 
 
-def _resolve(e: BoundExpr, name: str, path: tuple[int, ...], pick) -> tuple[str, object, int]:
-    """Reduce under a selection to ("const", v, 0) or ("ref", w, offset)."""
+def _links(e: BoundExpr) -> list[tuple[str, Value | str, int]]:
+    """Every ("const", v, 0) or ("ref", w, offset) that `e` reduces to under
+    some choice of argument at each of its min/max nodes."""
     if isinstance(e, BConst):
-        return ("const", e.value, 0)
+        return [("const", e.value, 0)]
     if isinstance(e, BRef):
-        return ("ref", e.name, 0)
+        return [("ref", e.name, 0)]
     if isinstance(e, BAdd):
-        kind, payload, off = _resolve(e.expr, name, path + (0,), pick)
-        if kind == "const":
-            return ("const", vadd(payload, e.offset), 0)
-        return ("ref", payload, off + e.offset)
-    chosen = pick(name, path)
-    child = e.left if chosen == 0 else e.right
-    return _resolve(child, name, path + (chosen,), pick)
+        return [
+            ("const", vadd(payload, e.offset), 0) if kind == "const" else ("ref", payload, off + e.offset)
+            for kind, payload, off in _links(e.expr)
+        ]
+    return _links(e.left) + _links(e.right)
 
 
-def _resolve_links(
-    names: tuple[str, ...], links: dict[str, tuple[str, object, int]]
-) -> tuple[dict[str, tuple], int]:
-    """Resolve the functional graph of a selection.
+def _resolve_links(links: dict[str, tuple[str, Value | str, int]]) -> tuple[dict[str, tuple], int]:
+    """Resolve the functional graph of one link per variable.
 
-    Returns per-variable either ("const", value) or ("cycle", k, offset):
-    the variable equals the k-th cycle's representative plus offset.  Walks
-    each chain once; all members of a walked path relate linearly to its
-    terminal.
+    Returns per variable either ("const", value) or ("cycle", k): the
+    variable is grounded in a constant, or its chain ends in the k-th closed
+    cycle.  A cycle is only ever tried at an infinity, which absorbs every
+    offset, so none is kept for it.  Each chain is walked until it reaches a
+    constant, an already resolved variable or a revisited one, and the walked
+    path is then resolved back to front.
     """
     resolution: dict[str, tuple] = {}
     n_cycles = 0
-    for start in names:
-        if start in resolution:
-            continue
+    for start in links:
         path: list[str] = []
-        depth: dict[str, int] = {}
-        shift: list[int] = []  # shift[i]: start = path[i] + shift[i]
         cur = start
-        acc = 0
-        terminal: tuple | None = None
-        while True:
-            if cur in resolution:
-                res = resolution[cur]
-                if res[0] == "const":
-                    base = res[1]
-                    terminal = ("const", base, acc)
-                else:
-                    terminal = ("cycle", res[1], res[2], acc)
-                break
-            if cur in depth:
-                # Closed cycle entered at depth[cur]; its members (and the
-                # prefix leading in) all relate to the representative `cur`.
-                k = n_cycles
-                n_cycles += 1
-                rep_shift = shift[depth[cur]]
-                for v, s in zip(path, shift):
-                    # v = rep + (rep_shift - s)
-                    resolution[v] = ("cycle", k, rep_shift - s)
-                terminal = None
-                break
-            depth[cur] = len(path)
-            path.append(cur)
-            shift.append(acc)
-            kind, payload, off = links[cur]
+        while cur not in resolution:
+            kind, payload, _ = links[cur]
             if kind == "const":
-                terminal = ("const", payload, acc + off)
-                break
-            acc += off
-            cur = payload
-        if terminal is not None:
-            if terminal[0] == "const":
-                _, base, end_shift = terminal
-                for v, s in zip(path, shift):
-                    resolution[v] = (
-                        "const",
-                        base if isinstance(base, _Inf) else base + (end_shift - s),
-                    )
+                resolution[cur] = ("const", payload)
+            elif cur in path:
+                resolution[cur] = ("cycle", n_cycles)
+                n_cycles += 1
             else:
-                _, k, rep_off, end_shift = terminal
-                for v, s in zip(path, shift):
-                    resolution[v] = ("cycle", k, rep_off + (end_shift - s))
+                path.append(cur)
+                cur = payload
+        for v in reversed(path):
+            if v not in resolution:  # only a cycle's entry is resolved already
+                _, w, off = links[v]
+                res = resolution[w]
+                resolution[v] = ("const", vadd(res[1], off)) if res[0] == "const" else res
     return resolution, n_cycles
 
 
 def solve_exhaustive(system: BoundSystem, cap: int = 20) -> dict[str, Value]:
-    """Least solution by enumerating argument selections of all min/max nodes.
+    """Least solution by enumerating every combination of the equations'
+    links (``_links``), with at most `cap` min/max nodes in the system.
 
-    Each selection reduces every equation to a constant or a single-variable
-    chain.  Chains grounded in constants propagate directly; closed cycles
-    are tried at both infinities.  Assembled valuations are kept only if they
-    solve the original system, which makes every survivor a genuine fixpoint.
-    The least fixpoint is always among the survivors: picking, per node, an
-    argument that attains the extremum both at the least fixpoint and at its
-    Kleene stage yields constant-grounded chains for every finite component
-    (the stage strictly decreases along the selected links) and
-    sign-homogeneous cycles for the infinite ones.  The pointwise minimum of
-    the survivors is therefore the answer and must itself be a survivor.
+    These are the link systems of all argument selections of all min/max
+    nodes: choices in different equations are independent, every leaf is
+    reached by some choice, and a node in a branch that is not taken only
+    repeats a system.  Chains grounded in constants propagate directly;
+    closed cycles are tried at both infinities.  Assembled valuations are
+    kept only if they solve the original system, which makes every survivor
+    a genuine fixpoint.  The least fixpoint is always among the survivors:
+    picking, per node, an argument that attains the extremum both at the
+    least fixpoint and at its Kleene stage yields constant-grounded chains
+    for every finite component (the stage strictly decreases along the
+    selected links) and sign-homogeneous cycles for the infinite ones.  The
+    pointwise minimum of the survivors is therefore the answer and must
+    itself be a survivor.
     """
     nodes = _selector_nodes(system)
     if len(nodes) > cap:
         raise CapExceededError(f"{len(nodes)} min/max nodes exceed the cap of {cap}")
     names = system.names()
-    rhs_map = system.as_dict()
     candidates: list[dict[str, Value]] = []
     seen: set[tuple] = set()
-    for bits in itertools.product((0, 1), repeat=len(nodes)):
-        selection = dict(zip(nodes, bits))
-
-        def pick(name: str, path: tuple[int, ...]) -> int:
-            return selection[(name, path)]
-
-        links = {name: _resolve(rhs_map[name], name, (), pick) for name in names}
-        resolution, n_cycles = _resolve_links(names, links)
+    for choice in itertools.product(*(_links(rhs) for _, rhs in system.equations)):
+        resolution, n_cycles = _resolve_links(dict(zip(names, choice)))
         for combo in itertools.product((NEG_INF, POS_INF), repeat=n_cycles):
-            val: dict[str, Value] = {}
-            for v in names:
-                res = resolution[v]
-                if res[0] == "const":
-                    val[v] = res[1]
-                else:
-                    val[v] = combo[res[1]]  # infinities absorb the offset
+            val = {v: x if tag == "const" else combo[x] for v, (tag, x) in resolution.items()}
             if is_fixpoint(system, val):
-                key = tuple(_sort_key(val[n]) for n in names)
+                key = tuple(val[n] for n in names)
                 if key not in seen:
                     seen.add(key)
                     candidates.append(val)
     if not candidates:
         raise RuntimeError("no selection yields a fixpoint; the system is inconsistent")
-    least = {n: min((c[n] for c in candidates), key=_sort_key) for n in names}
+    least = {n: min(c[n] for c in candidates) for n in names}
     if not any(c == least for c in candidates):
         raise RuntimeError("pointwise minimum of fixpoints is not itself a fixpoint")
     return least
-
-
-def _sort_key(v: Value):
-    if isinstance(v, _Inf):
-        return (v.sign, 0)
-    return (0, v)
 
 
 # ---------------------------------------------------------------------------

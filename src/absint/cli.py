@@ -496,26 +496,27 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--init", choices=("empty", "unknown"), default="empty")
     cache.add_argument("--format", choices=("text", "json"), default="text")
     cache.add_argument("--timings", action="store_true", help="include wall-clock timings (not byte-reproducible)")
-    cache.set_defaults(func=run_cache)
+    cache.set_defaults(func=run_cache, least=(("assoc", 1),))
 
     iv = sub.add_parser("intervals", help="numeric interval analyses and exact solving")
     iv.add_argument("--input", required=True, help="toy program (cache-free)")
     iv.add_argument("--method", choices=_INTERVAL_METHODS, default="widen-narrow")
-    iv.add_argument("--widen-delay", type=int, default=0, dest="widen_delay")
-    iv.add_argument("--narrow-passes", type=int, default=1, dest="narrow_passes")
+    iv.add_argument("--widen-delay", type=int, default=0, dest="widen_delay", help="K >= 0")
+    iv.add_argument("--narrow-passes", type=int, default=1, dest="narrow_passes", help="K >= 0")
     iv.add_argument("--rewrites", default="off", help="off | full | truncated:<d>")
     iv.add_argument("--range", default="-1024:1100", help="value range for the concrete oracle")
     iv.add_argument("--format", choices=("text", "json"), default="text")
     iv.add_argument("--timings", action="store_true", help="include wall-clock timings (not byte-reproducible)")
-    iv.set_defaults(func=run_intervals)
+    iv.set_defaults(func=run_intervals, least=(("widen_delay", 0), ("narrow_passes", 0)))
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "cache" and args.assoc < 1:
-            raise _CliError("--assoc must be at least 1")
+        for dest, least in args.least:  # (option, its least value)
+            if getattr(args, dest) < least:
+                raise _CliError(f"--{dest.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except _CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -111,7 +111,7 @@ class _State(AntichainStore):
     __slots__ = ("limit", "absent", "cores", "new_absent", "new_masks", "new_cores")
 
     def __init__(self, orientation: Orientation, n: int):
-        super().__init__(orientation, width=n - 1)
+        super().__init__(orientation)
         self.limit = n - 1
         self.absent = False
         self.cores: list[int] = []

@@ -406,6 +406,34 @@ def hulls_are_postfixpoint(cfg, system_upper, system_lower, values) -> bool:
     return True
 
 
+def corner_system(rng: random.Random, n_vars: int):
+    """Depth-3 bound systems weighted toward the corners of the min-system
+    solve: offset-0 and self references (``x = min(x, 10)``), infinite
+    constants inside min/max, and equations without constants, whose
+    variables may reach no constant at all."""
+    from absint.boundsolve import BAdd, BConst, BMax, BMin, BoundSystem, BRef
+    from absint.intervals import NEG_INF, POS_INF
+
+    names = [f"x{i}" for i in range(n_vars)]
+
+    def expr(name: str, depth: int, refs_only: bool):
+        if depth >= 3 or rng.random() < 0.3:
+            if refs_only or rng.random() < 0.5:
+                target = name if rng.random() < 0.3 else rng.choice(names)
+                offset = 0 if rng.random() < 0.5 else rng.randint(-3, 4)
+                return BRef(target) if offset == 0 else BAdd(BRef(target), offset)
+            roll = rng.random()
+            if roll < 0.15:
+                return BConst(POS_INF)
+            if roll < 0.3:
+                return BConst(NEG_INF)
+            return BConst(rng.randint(-8, 12))
+        ctor = BMin if rng.random() < 0.5 else BMax
+        return ctor(expr(name, depth + 1, refs_only), expr(name, depth + 1, refs_only))
+
+    return BoundSystem(tuple((name, expr(name, 0, rng.random() < 0.25)) for name in names))
+
+
 def build_fragment_corpus(seed: int, count: int, max_nodes: int = 10):
     """Programs whose hulls the solvers must reproduce exactly.
 

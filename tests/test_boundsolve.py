@@ -10,12 +10,10 @@ from absint.boundsolve import (
     BMax,
     BMin,
     BRef,
-    BoundExpr,
     BoundSystem,
     CapExceededError,
     RangeExceededError,
     UnsupportedConstructError,
-    badd_expr,
     bounded_concrete_oracle,
     dump_system,
     eval_bexpr,
@@ -32,7 +30,7 @@ from absint.cfg import back_edge_targets, build_cfg, parse_access_graph
 from absint.lru import OracleBudgetError
 from absint.intervals import NEG_INF, POS_INF, Interval, analyze, entry_environment
 from absint.lang import parse_program
-from helpers import FRAGMENT_VAR, random_fragment_program
+from helpers import FRAGMENT_VAR, corner_system, random_fragment_program
 
 RING = """
 int i = 0;
@@ -212,31 +210,6 @@ def test_solver_agreement_on_random_systems():
         pi = solve_policy_iteration(system)
         assert ex == pi, dump_system(system)
         assert is_fixpoint(system, ex)
-
-
-def corner_system(rng: random.Random, n_vars: int) -> BoundSystem:
-    """Depth-3 systems weighted toward the corners of the min-system solve:
-    offset-0 and self references (``x = min(x, 10)``), infinite constants
-    inside min/max, and equations without constants, whose variables may
-    reach no constant at all."""
-    names = [f"x{i}" for i in range(n_vars)]
-
-    def expr(name: str, depth: int, refs_only: bool) -> BoundExpr:
-        if depth >= 3 or rng.random() < 0.3:
-            if refs_only or rng.random() < 0.5:
-                target = name if rng.random() < 0.3 else rng.choice(names)
-                offset = 0 if rng.random() < 0.5 else rng.randint(-3, 4)
-                return badd_expr(BRef(target), offset)
-            roll = rng.random()
-            if roll < 0.15:
-                return BConst(POS_INF)
-            if roll < 0.3:
-                return BConst(NEG_INF)
-            return BConst(rng.randint(-8, 12))
-        ctor = BMin if rng.random() < 0.5 else BMax
-        return ctor(expr(name, depth + 1, refs_only), expr(name, depth + 1, refs_only))
-
-    return BoundSystem(tuple((name, expr(name, 0, rng.random() < 0.25)) for name in names))
 
 
 def test_solver_agreement_on_corner_case_systems():

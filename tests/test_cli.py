@@ -330,6 +330,8 @@ def test_in_process_main_matches_subprocess(demo_dir, capsys):
         ("cache", "--input", "{ring}", "--assoc", "x"),
         ("intervals",),
         ("nosuch",),
+        ("intervals", "--input", "{ring}", "--widen-delay", "-5"),
+        ("intervals", "--input", "{ring}", "--narrow-passes", "-3"),
     ],
 )
 def test_in_process_usage_errors_match_subprocess(demo_dir, capsys, args):

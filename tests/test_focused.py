@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from absint import focused
 from absint.antichain import Antichain, Orientation
-from absint.cfg import AccessLabel, Cfg, Edge, Nop, erase_guards
+from absint.cfg import AccessLabel, Cfg, Edge, Nop, erase_guards, parse_access_graph
 from absint.cli import main
 from absint.focused import (
     BlockView,
@@ -363,3 +364,20 @@ def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch
         lookups += sum(e.src in reached for e in cfg.access_edges() if e.label.block == focus)
     assert built == lookups > 0
     assert built < sum(len(cfg.locations) for cfg, _ in blocks_analyzed)
+
+
+def test_store_memory_does_not_grow_with_associativity(demo_dir):
+    """A store holds buckets only for the set sizes it has seen, so a huge
+    N costs what a small one does once the graph has fewer blocks than N."""
+    cfg = parse_access_graph((demo_dir / "flag_reuse.ag").read_text())
+    runs = ((classify_exact, InitPolicy.EMPTY), (classify_pipeline, InitPolicy.UNKNOWN))
+    for classify, init in runs:
+        expected = classify(cfg, 64, init)
+        tracemalloc.start()
+        try:
+            verdicts = classify(cfg, 10_000, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts == expected, classify.__name__
+        assert peak < 5 * 2**20, (classify.__name__, peak)

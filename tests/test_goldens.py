@@ -30,7 +30,10 @@ Three pins, checked against every later change of the fixpoint engine:
   whose name holds a quote, a backslash, a non-ASCII letter and an astral
   code point (the report echoes it in its ``"input"`` field);
 * one SHA-256 over the lexer's tokens, or its error, for every BMP code
-  point at the start of a token, after a letter and after a digit.
+  point at the start of a token, after a letter and after a digit;
+* one SHA-256 over the dump of each system and the result, or the error,
+  of ``solve_exhaustive`` at a cap of 12 min/max nodes, on seeded corner
+  systems and on the upper and negated systems of seeded fragment programs.
 
 A failing pin means the analysis output changed.  If that is intended,
 print the matching ``_..._digest()`` or ``_..._digests()`` function's value
@@ -45,7 +48,7 @@ import random
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
 from absint.antichain import Orientation
-from absint.boundsolve import bounded_concrete_oracle
+from absint.boundsolve import bounded_concrete_oracle, dump_system, extract_upper_bounds, solve_exhaustive
 from absint.cli import main
 from absint.focused import analyze_block
 from absint.intervals import NEG_INF, POS_INF, Interval
@@ -503,6 +506,35 @@ def _lexer_digest() -> str:
     return h.hexdigest()
 
 
+EXHAUSTIVE_SEED = 20261023
+EXHAUSTIVE_CORNER_SYSTEMS = 250
+EXHAUSTIVE_FRAGMENT_PROGRAMS = 125
+EXHAUSTIVE_CAP = 12
+EXHAUSTIVE_GOLDEN = 'e50a57a2097b8fa2cbc060a743c5eb32d2c34f9b9334c67f8b01a458db4332b0'
+
+
+def _exhaustive_outcome(system) -> str:
+    try:
+        result = solve_exhaustive(system, cap=EXHAUSTIVE_CAP)
+    except Exception as exc:  # the error is part of the pinned outcome
+        return f"{type(exc).__name__}: {exc}"
+    return repr(sorted(result.items()))
+
+
+def _exhaustive_digest() -> str:
+    rng = random.Random(EXHAUSTIVE_SEED)
+    systems = [helpers.corner_system(rng, rng.randint(1, 6)) for _ in range(EXHAUSTIVE_CORNER_SYSTEMS)]
+    for _ in range(EXHAUSTIVE_FRAGMENT_PROGRAMS):
+        text, init = helpers.random_fragment_program(rng)
+        cfg = build_cfg(parse_program(text))
+        systems.append(extract_upper_bounds(cfg, helpers.FRAGMENT_VAR, init))
+        systems.append(extract_upper_bounds(cfg, helpers.FRAGMENT_VAR, -init, negate=True))
+    h = hashlib.sha256()
+    for system in systems:
+        h.update(f"{dump_system(system)}{_exhaustive_outcome(system)}\n".encode())
+    return h.hexdigest()
+
+
 def test_lru_states_golden():
     assert _lru_digest() == LRU_GOLDEN
 
@@ -525,3 +557,7 @@ def test_lexer_golden():
 
 def test_odd_input_name_json_golden(demo_dir, tmp_path, capsys, monkeypatch):
     assert _odd_name_digest(demo_dir, tmp_path, capsys, monkeypatch) == ODD_NAME_GOLDEN
+
+
+def test_solve_exhaustive_golden():
+    assert _exhaustive_digest() == EXHAUSTIVE_GOLDEN
