@@ -6,12 +6,13 @@ sets (a superset subsumes its subsets), a KEEP_MIN antichain retains minimal
 ones.  Elements are bitmasks over block indices interned at graph-load time.
 
 ``Antichain`` is the immutable value: its elements are kept in sorted order so
-that structurally equal antichains compare equal.  ``AntichainStore`` is the
-mutable form a fixpoint updates in place.  It groups its masks by popcount:
-two distinct masks of equal size are never comparable, so a mask meets its
-own bucket only through a membership test, and only the buckets on the side
-that can subsume it (larger for KEEP_MAX, smaller for KEEP_MIN) are scanned.
-Both forms insert through ``AntichainStore.add``.
+that structurally equal antichains compare equal.  A fixpoint updates a
+``Store`` in place instead: a plain dict from popcount to the set of masks of
+that size, holding only the sizes present.  Two distinct masks of equal size
+are never comparable, so a mask meets its own size only through a membership
+test, and only the sizes on the side that can subsume it (larger for
+KEEP_MAX, smaller for KEEP_MIN) are scanned.  ``store_add`` is the one
+insertion routine; ``Antichain.insert`` and ``union`` go through it too.
 """
 
 from __future__ import annotations
@@ -44,6 +45,52 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+#: A mutable antichain: popcount -> the masks of that size, sizes present only.
+Store = dict[int, set[int]]
+
+
+def store_of(masks: Iterable[int]) -> Store:
+    """A store holding `masks`, which must already be pairwise incomparable."""
+    store: Store = {}
+    for mask in masks:
+        store.setdefault(mask.bit_count(), set()).add(mask)
+    return store
+
+
+def store_masks(store: Store) -> tuple[int, ...]:
+    """The masks of `store` in the sorted order ``Antichain`` keeps."""
+    return tuple(sorted([mask for bucket in store.values() for mask in bucket]))
+
+
+def store_add(store: Store, mask: int, keep_max: bool) -> bool:
+    """Add a set to `store` unless subsumed, dropping the elements it
+    subsumes; True when the store changed.
+
+    An element that subsumes the mask rules out one that the mask subsumes
+    (the two elements would be comparable), so a single pass over the other
+    sizes both looks for a subsumer and drops what the mask subsumes."""
+    size = mask.bit_count()
+    own = store.get(size)
+    if own is not None and mask in own:
+        return False
+    for other, bucket in list(store.items()):
+        if other != size:
+            larger = other > size
+            hits = ([e for e in bucket if mask & e == mask] if larger
+                    else [e for e in bucket if mask & e == e])
+            if hits:
+                if larger is keep_max:
+                    return False
+                bucket.difference_update(hits)
+                if not bucket:
+                    del store[other]
+    if own is None:
+        store[size] = {mask}
+    else:
+        own.add(mask)
+    return True
+
+
 @dataclass(frozen=True)
 class Antichain:
     orientation: Orientation
@@ -71,19 +118,22 @@ class Antichain:
 
     def insert(self, mask: int) -> "Antichain":
         """Add a set unless subsumed; drop the elements it subsumes."""
-        store = AntichainStore(self.orientation, self.elements)
-        return store.freeze() if store.add(mask) else self
+        store = store_of(self.elements)
+        if store_add(store, mask, self.orientation is Orientation.KEEP_MAX):
+            return Antichain(self.orientation, store_masks(store))
+        return self
 
     def union(self, other: "Antichain") -> "Antichain":
         """Least antichain subsuming both operands."""
         if self.orientation is not other.orientation:
             raise ValueError("cannot union antichains of different orientations")
         big, small = (self, other) if len(self) >= len(other) else (other, self)
-        store = AntichainStore(big.orientation, big.elements)
+        store = store_of(big.elements)
+        keep_max = big.orientation is Orientation.KEEP_MAX
         changed = False
         for m in small.elements:
-            changed |= store.add(m)
-        return store.freeze() if changed else big
+            changed |= store_add(store, m, keep_max)
+        return Antichain(big.orientation, store_masks(store)) if changed else big
 
     def covers(self, mask: int) -> bool:
         if self.orientation is Orientation.KEEP_MAX:
@@ -95,66 +145,3 @@ class Antichain:
         if self.orientation is not other.orientation:
             raise ValueError("cannot compare antichains of different orientations")
         return all(self.covers(m) for m in other.elements)
-
-
-class AntichainStore:
-    """A mutable antichain whose masks are bucketed by popcount."""
-
-    __slots__ = ("orientation", "keep_max", "buckets")
-
-    def __init__(self, orientation: Orientation, antichain: Iterable[int] = ()):
-        """`antichain` must already be pairwise incomparable; a bucket is made
-        when the first set of its size arrives."""
-        self.orientation = orientation
-        self.keep_max = orientation is Orientation.KEEP_MAX
-        self.buckets: list[set[int]] = []
-        for mask in antichain:
-            size = mask.bit_count()
-            self._grow(size)
-            self.buckets[size].add(mask)
-
-    def _grow(self, size: int) -> None:
-        self.buckets += [set() for _ in range(size + 1 - len(self.buckets))]
-
-    def __contains__(self, mask: int) -> bool:
-        size = mask.bit_count()
-        return size < len(self.buckets) and mask in self.buckets[size]
-
-    def __iter__(self) -> Iterator[int]:
-        return (mask for bucket in self.buckets for mask in bucket)
-
-    def add(self, mask: int) -> bool:
-        """Add a set unless subsumed, dropping the elements it subsumes;
-        True when the store changed."""
-        size = mask.bit_count()
-        buckets = self.buckets
-        if size >= len(buckets):
-            self._grow(size)
-        own = buckets[size]
-        if mask in own:
-            return False
-        if self.keep_max:
-            for bucket in buckets[size + 1:]:
-                for e in bucket:
-                    if mask & e == mask:
-                        return False
-            for bucket in buckets[:size]:
-                if bucket:
-                    bucket.difference_update([e for e in bucket if e & mask == e])
-        else:
-            for bucket in buckets[:size]:
-                for e in bucket:
-                    if mask & e == e:
-                        return False
-            for bucket in buckets[size + 1:]:
-                if bucket:
-                    bucket.difference_update([e for e in bucket if mask & e == mask])
-        own.add(mask)
-        return True
-
-    def discard(self, mask: int) -> None:
-        if mask in self:
-            self.buckets[mask.bit_count()].remove(mask)
-
-    def freeze(self) -> Antichain:
-        return Antichain(self.orientation, tuple(sorted(set().union(*self.buckets))))

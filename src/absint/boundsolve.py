@@ -49,7 +49,7 @@ from typing import Mapping
 
 from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg
 from .intervals import NEG_INF, POS_INF, _Inf, Interval
-from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, pretty_cond
+from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, pretty_cond, pretty_expr
 from .lru import explore
 
 Value = int | _Inf
@@ -189,6 +189,11 @@ def is_fixpoint(system: BoundSystem, valuation: Mapping[str, Value]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _excerpt(text: str, width: int = 60) -> str:
+    """`text` quoted, cut to its first `width` characters, for a one-line error."""
+    return repr(text if len(text) <= width else text[:width] + "...")
+
+
 def _expr_shape(e: Expr, var: str) -> tuple[str, int]:
     """Classify an assignment right-hand side as ("const", c) or ("inc", c)."""
     if isinstance(e, Const):
@@ -199,7 +204,8 @@ def _expr_shape(e: Expr, var: str) -> tuple[str, int]:
         return ("inc", e.right.value if e.op == "+" else -e.right.value)
     if isinstance(e, BinOp) and e.op == "+" and isinstance(e.right, Var) and e.right.name == var and isinstance(e.left, Const):
         return ("inc", e.left.value)
-    raise UnsupportedConstructError(f"assignment to {var!r} outside the fragment: {e!r}")
+    shown = _excerpt(pretty_expr(e))
+    raise UnsupportedConstructError(f"assignment to {var!r} outside the fragment: {shown}")
 
 
 _COMPARE = {
@@ -227,9 +233,9 @@ def _edge_shape(label, var: str, graph: str) -> tuple[str, int]:
     if isinstance(left, Const) and isinstance(right, Var):
         left, op, right = right, FLIPPED_OP[op], left
     if not (isinstance(left, Var) and isinstance(right, Const)):
-        raise UnsupportedConstructError(f"guard outside the fragment: {pretty_cond(cond)!r}")
+        raise UnsupportedConstructError(f"guard outside the fragment: {_excerpt(pretty_cond(cond))}")
     if left.name != var:
-        raise UnsupportedConstructError(f"guard on foreign variable: {pretty_cond(cond)!r}")
+        raise UnsupportedConstructError(f"guard on foreign variable: {_excerpt(pretty_cond(cond))}")
     return (op, right.value)
 
 
@@ -260,7 +266,7 @@ def extract_upper_bounds(
             # An equality's complement shaves one endpoint, which no
             # min/max/plus-constant expression can do exactly.
             raise UnsupportedConstructError(
-                f"(dis)equality guard outside the fragment: {pretty_cond(edge.label.cond)!r}"
+                f"(dis)equality guard outside the fragment: {_excerpt(pretty_cond(edge.label.cond))}"
             )
         else:
             if negate:

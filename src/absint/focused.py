@@ -13,17 +13,18 @@ The absent flag is only trusted from the KEEP_MAX run: the KEEP_MIN run drops
 superset configurations, which can hide evictions that happen later (a
 concrete instance demonstrating this lives in the regression tests).
 
-Delta propagation.  Each location keeps its younger-sets in a mutable
-``AntichainStore`` (bucketed by popcount) next to its absent flag, and a
-visit pushes along the location's out-edges only what became new there
-since its previous visit: the absent flag the first time it is set, and the
-younger-sets that arrived since and are still in the store.  A set subsumed
-before its location is visited is never pushed.  The worklist always visits
-the waiting location that comes first in reverse postorder from the entry
-(``Cfg.access_index``), so outside loops a location is visited once, after
-all its predecessors, and pushes their sets on in one batch.  ``transfer``
-applies the same per-edge step (``_State.receive``) to a whole view, so the
-semantics live in one place.
+Delta propagation.  One run keeps its state in per-graph lists and dicts
+keyed by location number: each reached location's store of younger-sets (a
+popcount-keyed ``antichain.Store``), absent flag and cores, and what arrived
+there since its previous visit.  A visit pushes along the location's
+out-edges only that: the absent flag the first time it is set, and the
+younger-sets and cores that arrived since and are still there.  A set
+subsumed before its location is visited is never pushed.  The worklist
+always visits the waiting location that comes first in reverse postorder
+from the entry (``Cfg.access_index``), so outside loops a location is
+visited once, after all its predecessors, and pushes their sets on in one
+batch.  ``_Run.receive`` is the one per-edge step; ``transfer`` applies it
+to a whole view, so the semantics live in one place.
 
 Symbolic seed.  With unknown initial contents the KEEP_MAX seed is every
 full (N-1)-set of the other blocks; listing them costs C(blocks, N-1) masks.
@@ -55,9 +56,9 @@ present at least as long as any superset it subsumes, so the KEEP_MIN store
 is nonempty iff some configuration there is present.  Classifications use
 only these two facts.
 
-Result.  ``analyze_block`` keeps the final stores and returns them as a
+Result.  ``analyze_block`` keeps the run's final lists and returns them as a
 read-only mapping from location to ``BlockView``.  A view is built from its
-location's store when it is looked up, and is not kept, so
+location's store when it is looked up (``_Run.view``), and is not kept, so
 ``classify_exact``, which reads only the sources of its focus's access
 sites, builds the views of those locations alone.
 """
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .agebounds import ApproxClass, classify_all_approx
-from .antichain import Antichain, AntichainStore, Orientation
+from .antichain import Antichain, Orientation, Store, store_add, store_masks
 from .cfg import AccessIndex, AccessLabel, Cfg
 from .lru import Classification, InitPolicy
 
@@ -103,46 +104,58 @@ class BlockView:
         )
 
 
-class _State(AntichainStore):
-    """A location's view while the fixpoint runs: its concrete younger-sets
-    (the store itself), absent flag and cores, plus what arrived since the
-    location was last visited."""
+class _Run(Mapping):
+    """One fixpoint run, held in per-graph state indexed by location number:
+    the store of each location an edge has reached (None before that), its
+    absent flag and cores, and the absent flag, masks and cores that arrived
+    there since its last visit.  Read as a mapping, it is the result of
+    `analyze_block`: the view of each location of ``graph``."""
 
-    __slots__ = ("limit", "absent", "cores", "new_absent", "new_masks", "new_cores")
+    __slots__ = ("graph", "orientation", "keep_max", "limit", "stores", "absent", "cores",
+                 "new_absent", "new_masks", "new_cores")
 
-    def __init__(self, orientation: Orientation, n: int):
-        super().__init__(orientation)
-        self.limit = n - 1
-        self.absent = False
-        self.cores: list[int] = []
-        self.new_absent = False
-        self.new_masks: list[int] = []
-        self.new_cores: list[int] = []
+    def __init__(self, orientation: Orientation, n: int, size: int, graph: AccessIndex | None = None):
+        self.graph, self.orientation, self.limit = graph, orientation, n - 1
+        self.keep_max = orientation is Orientation.KEEP_MAX
+        self.stores: list[Store | None] = [None] * size
+        self.absent = [False] * size
+        self.cores: list[tuple[int, ...]] = [()] * size
+        self.new_absent = [False] * size
+        self.new_masks: dict[int, list[int]] = {}
+        self.new_cores: dict[int, list[int]] = {}
 
-    def add_family(self, core: int) -> bool:
-        """Add every full set ⊇ core: the concrete set itself once it is full."""
+    def add_family(self, loc: int, core: int) -> bool:
+        """Add every full set ⊇ core at `loc`: the concrete set itself once
+        it is full."""
         if core.bit_count() >= self.limit:
-            return self.receive(False, (core,), (), 0)
-        if any(c & core == c for c in self.cores):
+            return self.receive(loc, False, (core,), (), 0)
+        own = self.cores[loc]
+        if any(c & core == c for c in own):
             return False
-        self.cores = [c for c in self.cores if c & core != core]
-        self.cores.append(core)
-        for mask in [m for m in self if (core | m).bit_count() <= self.limit]:
-            self.discard(mask)
-        self.new_cores.append(core)
+        self.cores[loc] = (*[c for c in own if c & core != core], core)
+        store, limit = self.stores[loc], self.limit
+        for size, bucket in list(store.items()):
+            bucket.difference_update([m for m in bucket if (core | m).bit_count() <= limit])
+            if not bucket:
+                del store[size]
+        self.new_cores.setdefault(loc, []).append(core)
         return True
 
-    def receive(self, absent: bool, masks, cores, bit: int) -> bool:
-        """Join the image of (absent, masks, cores) under one edge; `bit` is
-        the accessed block's bit, never the focus's, or 0 on an edge that
-        accesses nothing.  True when the view grew."""
+    def receive(self, loc: int, absent: bool, masks, cores, bit: int) -> bool:
+        """The per-edge step: join the image of (absent, masks, cores) under
+        one edge into `loc`; `bit` is the accessed block's bit, never the
+        focus's, or 0 on an edge that accesses nothing.  True when the view
+        at `loc` grew."""
+        store = self.stores[loc]
+        if store is None:
+            store = self.stores[loc] = {}
         changed = False
         for core in cores:
             if bit and not core & bit:
                 absent = True
-            changed |= self.add_family(core | bit)
-        if bit:
-            limit = self.limit
+            changed |= self.add_family(loc, core | bit)
+        limit = self.limit
+        if bit and masks:
             images = []
             for mask in masks:
                 if mask & bit:
@@ -152,30 +165,36 @@ class _State(AntichainStore):
                 else:
                     absent = True
             masks = images
-        if self.cores:
+        own_cores = self.cores[loc]
+        if own_cores:
             masks = [m for m in masks
-                     if all((core | m).bit_count() > self.limit for core in self.cores)]
+                     if all((core | m).bit_count() > limit for core in own_cores)]
+        keep_max = self.keep_max
         for mask in masks:
-            if self.add(mask):
-                self.new_masks.append(mask)
+            if store_add(store, mask, keep_max):
+                self.new_masks.setdefault(loc, []).append(mask)
                 changed = True
-        if absent and not self.absent:
-            self.absent = self.new_absent = changed = True
+        if absent and not self.absent[loc]:
+            self.absent[loc] = self.new_absent[loc] = changed = True
         return changed
 
-    def take(self) -> tuple[bool, list[int], list[int]]:
-        """What arrived since the last visit and is still part of the view."""
-        buckets = self.buckets
-        delta = (
-            self.new_absent,
-            [m for m in self.new_masks if m in buckets[m.bit_count()]],
-            [c for c in self.new_cores if c in self.cores] if self.new_cores else [],
-        )
-        self.new_absent, self.new_masks, self.new_cores = False, [], []
-        return delta
+    def view(self, loc: int) -> BlockView:
+        """The view of a reached location, built from its store."""
+        cores = self.cores[loc]
+        younger = Antichain(self.orientation, store_masks(self.stores[loc]))
+        return BlockView(self.absent[loc], younger, tuple(sorted(cores)) if cores else ())
 
-    def view(self) -> BlockView:
-        return BlockView(self.absent, self.freeze(), tuple(sorted(self.cores)) if self.cores else ())
+    def __getitem__(self, loc: str) -> BlockView:
+        index = self.graph.where[loc]
+        if self.stores[index] is None:
+            return BlockView(False, Antichain.empty(self.orientation))
+        return self.view(index)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.graph.locations)
+
+    def __len__(self) -> int:
+        return len(self.stores)
 
 
 def transfer(view: BlockView, accessed: int, focus: int, n: int) -> BlockView:
@@ -189,29 +208,9 @@ def transfer(view: BlockView, accessed: int, focus: int, n: int) -> BlockView:
         return view
     if accessed == focus:
         return BlockView(False, Antichain(view.younger.orientation, (0,)))
-    state = _State(view.younger.orientation, n)
-    state.receive(view.may_absent, view.younger, view.cores, 1 << accessed)
-    return state.view()
-
-
-class _Views(Mapping):
-    """The result of `analyze_block`: the final stores of one run, read as
-    views of the locations of ``graph`` (None for an unreached one)."""
-
-    __slots__ = ("graph", "states", "bottom")
-
-    def __init__(self, graph: AccessIndex, states: list[_State | None], bottom: BlockView):
-        self.graph, self.states, self.bottom = graph, states, bottom
-
-    def __getitem__(self, loc: str) -> BlockView:
-        state = self.states[self.graph.where[loc]]
-        return self.bottom if state is None else state.view()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.graph.locations)
-
-    def __len__(self) -> int:
-        return len(self.states)
+    run = _Run(view.younger.orientation, n, 1)
+    run.receive(0, view.may_absent, view.younger, view.cores, 1 << accessed)
+    return run.view(0)
 
 
 def analyze_block(
@@ -230,48 +229,54 @@ def analyze_block(
 
     The result maps every location, in ``Cfg.access_index`` order, to its
     view.  A view is built from the location's final store when it is
-    looked up, and again at every lookup; an unreached location maps to one
-    shared bottom view.  Callers that read a few locations build only those.
+    looked up, and again at every lookup; an unreached location maps to the
+    bottom view.  Callers that read a few locations build only those.
     """
     graph = cfg.access_index
     fresh = len(graph.blocks)
     focus_idx = graph.blocks.get(focus, fresh + 1)
     focus_bit = 1 << focus_idx
-    states: list[_State | None] = [None] * len(graph.locations)
-
-    entry = states[0] = _State(orientation, n)
-    entry.receive(True, (), (), 0)  # absent under either policy
+    run = _Run(orientation, n, len(graph.locations), graph)
+    receive = run.receive
+    receive(0, True, (), (), 0)  # absent under either policy
     if init is InitPolicy.UNKNOWN:
         others = ((1 << (fresh + 1)) - 1) & ~focus_bit
         if orientation is Orientation.KEEP_MIN:
-            entry.receive(False, (0,), (), 0)
+            receive(0, False, (0,), (), 0)
         elif others.bit_count() >= n - 1:
-            entry.add_family(0)
+            run.add_family(0, 0)
         else:
-            entry.receive(False, (others,), (), 0)
+            receive(0, False, (others,), (), 0)
 
-    succ = graph.succ
-    queued = [False] * len(states)
+    succ, stores, cores_of = graph.succ, run.stores, run.cores
+    new_absent, new_masks, new_cores = run.new_absent, run.new_masks, run.new_cores
+    queued = [False] * len(stores)
     queued[0] = True
     work = [0]
     while work:
         loc = heappop(work)
         queued[loc] = False
-        # Never empty: a location is queued only when something was added,
-        # and an addition leaves the store only for a newer one.
-        absent, masks, cores = states[loc].take()
+        # What arrived since the last visit and is still at `loc`.  Never all
+        # empty: a location is queued only when something was added, and an
+        # addition leaves the store only for a newer one.
+        absent = new_absent[loc]
+        new_absent[loc] = False
+        masks = new_masks.pop(loc, ())
+        if masks:
+            store = stores[loc]
+            masks = [m for m in masks if m in store.get(m.bit_count(), ())]
+        cores = new_cores.pop(loc, ())
+        if cores:
+            cores = [c for c in cores if c in cores_of[loc]]
         for dst, bit in succ[loc]:
-            target = states[dst]
-            if target is None:
-                target = states[dst] = _State(orientation, n)
             if bit == focus_bit:
-                changed = target.receive(False, (0,), (), 0)
+                changed = receive(dst, False, (0,), (), 0)
             else:
-                changed = target.receive(absent, masks, cores, bit)
+                changed = receive(dst, absent, masks, cores, bit)
             if changed and not queued[dst]:
                 queued[dst] = True
                 heappush(work, dst)
-    return _Views(graph, states, BlockView(False, Antichain.empty(orientation)))
+    return run
 
 
 def classify_exact(

@@ -8,6 +8,8 @@ data types.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 from absint.cfg import (
@@ -33,6 +35,7 @@ from absint.lang import (
     Var,
     While,
 )
+from absint.lru import Classification, InitPolicy, OracleBudgetError, explore
 
 BLOCK_NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -97,6 +100,64 @@ def shuffled_cfg(rng: random.Random, cfg: Cfg) -> Cfg:
     rng.shuffle(locations)
     rng.shuffle(edges)
     return Cfg(tuple(locations), cfg.entry, tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# Per-focus explicit-state search
+# ---------------------------------------------------------------------------
+
+ABSENT = -1
+
+
+def classify_per_focus(
+    cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY, budget: int = 1_000_000
+) -> dict[int, Classification]:
+    """Per-site verdicts from one ``lru.explore`` search per focus block, with
+    no antichain, no subsumption and no symbolic seed.
+
+    A state is ABSENT or the mask of the blocks younger than the focus; the
+    fresh block of the unknown policy is one more block that no edge
+    accesses.  Accessing the focus leaves the empty set; accessing another
+    block adds it, and evicts the focus once N blocks would be younger.
+    The seeds are ABSENT and, under unknown init, every set of fewer than N
+    blocks other than the focus.  Exceeding `budget` in any one search is
+    an error.  Of the package it uses only ``lru.explore``, the search the
+    LRU oracle itself runs on."""
+    blocks = cfg.blocks()
+    bits = {block: 1 << i for i, block in enumerate(blocks)}
+    result: dict[int, Classification] = {}
+    for focus in blocks:
+        seeds = {ABSENT}
+        if init is InitPolicy.UNKNOWN:
+            others = [bit for block, bit in bits.items() if block != focus] + [1 << len(blocks)]
+            if 1 + sum(math.comb(len(others), r) for r in range(n)) > budget:
+                raise OracleBudgetError(f"state budget {budget} exceeded at entry")
+            seeds.update(sum(c) for r in range(n) for c in itertools.combinations(others, r))
+
+        def step(label, focus=focus):
+            if not isinstance(label, AccessLabel):
+                return lambda state: state
+            if label.block == focus:
+                return lambda state: 0
+            bit = bits[label.block]
+            return lambda state: (
+                state if state == ABSENT or state & bit
+                else state | bit if state.bit_count() < n - 1
+                else ABSENT
+            )
+
+        reached = explore(cfg, seeds, step, budget)
+        for edge in cfg.access_edges():
+            if edge.label.block == focus:
+                states = reached.get(edge.src, ())
+                hit, miss = any(s != ABSENT for s in states), ABSENT in states
+                result[edge.label.site] = (
+                    Classification.VARIABLE if hit and miss
+                    else Classification.ALWAYS_HIT if hit
+                    else Classification.ALWAYS_MISS if miss
+                    else Classification.UNREACHABLE
+                )
+    return result
 
 
 # ---------------------------------------------------------------------------

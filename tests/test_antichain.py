@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from absint.antichain import Antichain, Orientation, indices_of, mask_of
+from absint.antichain import Antichain, Orientation, indices_of, mask_of, store_add, store_masks
 from helpers import naive_extremes
 
 
@@ -84,6 +84,27 @@ def test_matches_naive_extremes_oracle():
             family = [frozenset(indices_of(m)) for m in masks]
             expected = naive_extremes(family, orientation is Orientation.KEEP_MAX)
             assert set(out.sets()) == expected
+
+
+def test_store_add_keeps_the_extremes_in_nonempty_size_buckets():
+    """The fixpoint's in-place insertion agrees with the naive oracle after
+    every step, reports exactly the steps that change the store, and keeps
+    a key only for a size that still has masks."""
+    rng = random.Random(99)
+    for _ in range(300):
+        masks = random_masks(rng)
+        for orientation in Orientation:
+            keep_max = orientation is Orientation.KEEP_MAX
+            store, seen = {}, []
+            for m in masks:
+                before = store_masks(store)
+                changed = store_add(store, m, keep_max)
+                seen.append(frozenset(indices_of(m)))
+                after = store_masks(store)
+                assert {frozenset(indices_of(e)) for e in after} == naive_extremes(seen, keep_max)
+                assert changed == (after != before)
+                assert all(bucket and {e.bit_count() for e in bucket} == {size}
+                           for size, bucket in store.items())
 
 
 def test_no_two_elements_comparable():

@@ -222,6 +222,31 @@ def test_fragment_violation_is_exit_1(tmp_path):
     assert "fragment" in err
 
 
+def test_fragment_violation_quotes_a_short_excerpt(tmp_path):
+    """The solver's fragment errors quote a capped excerpt of the source
+    text, never the repr of the syntax tree: a 500-term sum gives one short
+    line (it used to end in a RecursionError), and `compare` skips the
+    methods that reject it, as for any input outside their fragment."""
+    short = tmp_path / "short.imp"
+    short.write_text("int x;\nx = 1 + 2 + x;\n")
+    assert run_cli("intervals", "--input", str(short), "--method", "policy") == (
+        1, "", "error: program outside the solvable fragment: "
+        "assignment to 'x' outside the fragment: '1 + 2 + x'\n",
+    )
+    long = tmp_path / "long.imp"
+    long.write_text("int x = 0;\nx = " + " + ".join(["1"] * 500) + ";\n")
+    for method, fragment in (("policy", "solvable"), ("exhaustive", "solvable"),
+                             ("oracle", "oracle")):
+        code, out, err = run_cli("intervals", "--input", str(long), "--method", method)
+        assert (code, out) == (1, ""), method
+        assert err.startswith(f"error: program outside the {fragment} fragment: ")
+        assert err.count("\n") == 1 and len(err) < 200, err
+    code, out, err = run_cli("intervals", "--input", str(long), "--method", "compare",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert set(json.loads(out)["skipped"]) == {"policy", "exhaustive", "oracle"}
+
+
 @pytest.mark.parametrize("method", ["policy", "compare"])
 def test_internal_solver_error_is_one_line_exit_1(demo_dir, monkeypatch, capsys, method):
     def broken(system):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
+
+import pytest
 
 from absint import focused
 from absint.antichain import Antichain, Orientation
@@ -14,8 +17,8 @@ from absint.focused import (
     classify_pipeline,
     transfer,
 )
-from absint.lru import Classification, InitPolicy, classify_oracle
-from helpers import random_cache_cfg, region_cache_cfg, shuffled_cfg
+from absint.lru import Classification, InitPolicy, OracleBudgetError, classify_oracle
+from helpers import classify_per_focus, random_cache_cfg, region_cache_cfg, shuffled_cfg
 from test_lru import chain
 
 A, B, C, D, E = range(5)
@@ -275,6 +278,72 @@ def test_mid_size_exact_matches_oracle():
     assert {Classification.ALWAYS_HIT, Classification.ALWAYS_MISS, Classification.VARIABLE} <= kinds
 
 
+def test_per_focus_search_matches_the_oracle():
+    """The per-focus explicit search in the test helpers is checked against
+    the LRU oracle before it stands in for it."""
+    rng = random.Random(400)
+    for _ in range(400):
+        cfg = random_cache_cfg(rng)
+        for n in range(1, 5):
+            for init in InitPolicy:
+                assert classify_per_focus(cfg, n, init) == classify_oracle(cfg, n, init), (cfg, n)
+
+
+def test_exact_matches_per_focus_search_past_the_oracle():
+    """At N=16 the LRU oracle runs past its budget on the 250-location graph
+    of `test_mid_size_exact_matches_oracle`; the per-focus search finishes,
+    and the exact analysis and the pipeline agree with it under both inits."""
+    rng = random.Random(2019)
+    for n_locs, n_blocks in ((40, 12), (60, 12), (80, 12), (100, 12), (120, 12), (250, 12)):
+        cfg = region_cache_cfg(rng, n_locs, n_blocks, extra=0.8)
+    kinds = set()
+    for init in InitPolicy:
+        expected = classify_per_focus(cfg, 16, init)
+        assert classify_exact(cfg, 16, init) == expected, init
+        assert {site: v for site, (v, _tag) in classify_pipeline(cfg, 16, init).items()} == expected
+        kinds.update(expected.values())
+    assert {Classification.ALWAYS_HIT, Classification.ALWAYS_MISS, Classification.VARIABLE} <= kinds
+    with pytest.raises(OracleBudgetError):
+        classify_per_focus(cfg, 16, budget=1_000)
+    with pytest.raises(OracleBudgetError, match="at entry"):
+        classify_per_focus(cfg, 16, InitPolicy.UNKNOWN, budget=1_000)
+
+
+def wide_antichain_cfg(k: int) -> Cfg:
+    """`s -f-> p0`, then for each i < k two branches `p_i -a_i-> x_i -> p_i+1`
+    and `p_i -b_i-> y_i -> p_i+1`, then `p_k -f-> p0`: 2^k younger-sets of
+    size k reach `p_k`, pairwise incomparable."""
+    locs, edges = ["s"], []
+
+    def access(src, block, dst):
+        edges.append(Edge(src, AccessLabel(block, len(edges)), dst))
+
+    access("s", "f", "p0")
+    for i in range(k):
+        locs += [f"p{i}", f"x{i}", f"y{i}"]
+        access(f"p{i}", f"a{i:02d}", f"x{i}")
+        access(f"p{i}", f"b{i:02d}", f"y{i}")
+        edges += [Edge(f"x{i}", Nop(), f"p{i + 1}"), Edge(f"y{i}", Nop(), f"p{i + 1}")]
+    locs.append(f"p{k}")
+    access(f"p{k}", "f", "p0")
+    return Cfg(tuple(locs), "s", tuple(edges))
+
+
+def test_wide_antichains_of_equal_size_stay_fast():
+    """8,192 incomparable sets of one size meet at `p13`; a store that scans
+    every set on insertion, rather than only the other sizes, is quadratic
+    here (3.6 s already at k = 12, against about 0.1 s bucketed)."""
+    cfg = wide_antichain_cfg(13)
+    last = cfg.edges[-1].label.site
+    for init, first in ((InitPolicy.EMPTY, Classification.ALWAYS_MISS),
+                        (InitPolicy.UNKNOWN, Classification.VARIABLE)):
+        start = time.perf_counter()
+        verdicts = classify_exact(cfg, 17, init, foci={"f"})
+        elapsed = time.perf_counter() - start
+        assert verdicts == {0: first, last: Classification.ALWAYS_HIT}, init
+        assert elapsed < 2.0, (init, elapsed)
+
+
 def test_unknown_init_around_the_symbolic_seed_boundary():
     """The KEEP_MAX seed is symbolic only when the universe (blocks plus the
     fresh block) has at least N indices; check graphs just below, at and
@@ -339,18 +408,18 @@ def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch
     runs += [(graph, n, "empty") for n in (2, 4)]
     built = 0
     blocks_analyzed = []
-    view, analyze = focused._State.view, focused.analyze_block
+    view, analyze = focused._Run.view, focused.analyze_block
 
-    def counted_view(self):
+    def counted_view(self, loc):
         nonlocal built
         built += 1
-        return view(self)
+        return view(self, loc)
 
     def recorded(cfg, focus, *args):
         blocks_analyzed.append((cfg, focus))
         return analyze(cfg, focus, *args)
 
-    monkeypatch.setattr(focused._State, "view", counted_view)
+    monkeypatch.setattr(focused._Run, "view", counted_view)
     monkeypatch.setattr(focused, "analyze_block", recorded)
     for path, n, init in runs:
         for method in ("pipeline", "compare"):
