@@ -14,9 +14,9 @@ analysis is for.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 
 from .cfg import AccessLabel, Cfg
 from .lru import InitPolicy
@@ -34,14 +34,16 @@ class AgeBounds:
     may: dict[str, int] = field(default_factory=dict)
 
     def join(self, other: "AgeBounds") -> "AgeBounds":
-        must = {
-            b: max(k, other.must[b])
-            for b, k in self.must.items()
-            if b in other.must
-        }
-        may = dict(other.may)
-        for b, k in self.may.items():
-            may[b] = min(k, may[b]) if b in may else k
+        """The least upper bound; `self` itself when `other` adds nothing."""
+        theirs = other.must
+        must = {b: k if k >= theirs[b] else theirs[b] for b, k in self.must.items() if b in theirs}
+        may = dict(self.may)
+        for b, k in other.may.items():
+            mine = may.get(b)
+            if mine is None or k < mine:
+                may[b] = k
+        if must == self.must and may == self.may:
+            return self
         return AgeBounds(must, may)
 
 
@@ -83,29 +85,37 @@ def initial_bounds(cfg: Cfg, init: InitPolicy) -> AgeBounds:
 def analyze_approx(
     cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY
 ) -> dict[str, AgeBounds | None]:
-    """Fixpoint of the must/may transfer; None marks unreached locations."""
-    bounds: dict[str, AgeBounds | None] = {loc: None for loc in cfg.locations}
-    bounds[cfg.entry] = initial_bounds(cfg, init)
-    work = deque([cfg.entry])
-    queued = {cfg.entry}
+    """Fixpoint of the must/may transfer; None marks unreached locations.
+
+    The worklist runs on ``Cfg.access_index`` and always visits the waiting
+    location that comes first in reverse postorder from the entry, as
+    ``focused.analyze_block`` does.  A visit pushes the location's bounds
+    along its out-edges and joins each image into the target, which is
+    queued again only when the join grew it.  The lattice is finite and the
+    transfer monotone, so every fair order reaches the same least fixpoint.
+    """
+    graph = cfg.access_index
+    names = {1 << i: b for b, i in graph.blocks.items()}
+    bounds: list[AgeBounds | None] = [None] * len(graph.locations)
+    bounds[0] = initial_bounds(cfg, init)
+    queued = [False] * len(bounds)
+    queued[0] = True
+    work = [0]
     while work:
-        loc = work.popleft()
-        queued.remove(loc)
+        loc = heappop(work)
+        queued[loc] = False
         cur = bounds[loc]
-        assert cur is not None
-        for edge in cfg.out(loc):
-            if isinstance(edge.label, AccessLabel):
-                out = _transfer(cur, edge.label.block, n)
-            else:
-                out = cur
-            old = bounds[edge.dst]
+        for dst, bit in graph.succ[loc]:
+            out = _transfer(cur, names[bit], n) if bit else cur
+            old = bounds[dst]
             new = out if old is None else old.join(out)
-            if new != old:
-                bounds[edge.dst] = new
-                if edge.dst not in queued:
-                    queued.add(edge.dst)
-                    work.append(edge.dst)
-    return bounds
+            if new is not old:
+                bounds[dst] = new
+                if not queued[dst]:
+                    queued[dst] = True
+                    heappush(work, dst)
+    where = graph.where
+    return {loc: bounds[where[loc]] for loc in cfg.locations}
 
 
 def classify_approx(bounds: AgeBounds | None, block: str, n: int) -> ApproxClass:

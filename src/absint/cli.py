@@ -306,6 +306,8 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
             raise _CliError(f"program outside the solvable fragment: {exc}")
         except boundsolve.CapExceededError as exc:
             raise _CliError(str(exc))
+        except RecursionError:
+            raise  # a RuntimeError, but main reports it as deep input
         except RuntimeError as exc:
             raise _InternalError(f"internal solver error: {exc}")
     envs = {loc: AbstractEnv.of({v: per_var[v][loc] for v in per_var}) for loc in cfg.locations}

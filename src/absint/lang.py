@@ -396,15 +396,20 @@ def parse_program(text: str) -> Program:
 
 
 def pretty_expr(e: Expr) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Nondet):
-        return "*"
     # The grammar has no parentheses; BinOp trees from the parser are
-    # left-nested, which f"{left} {op} {right}" reproduces faithfully.
-    return f"{pretty_expr(e.left)} {e.op} {pretty_expr(e.right)}"
+    # left-nested, which f"{left} {op} {right}" reproduces faithfully.  The
+    # left spine is walked in a loop, so a long sum does not recurse.
+    rights: list[str] = []
+    while isinstance(e, BinOp):
+        rights.append(f" {e.op} {pretty_expr(e.right)}")
+        e = e.left
+    if isinstance(e, Const):
+        head = str(e.value)
+    elif isinstance(e, Var):
+        head = e.name
+    else:
+        head = "*"
+    return head + "".join(reversed(rights))
 
 
 def pretty_cond(c: Cond) -> str:

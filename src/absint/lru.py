@@ -42,16 +42,31 @@ class OracleBudgetError(Exception):
     """The explicit-state oracle would need more states than allowed."""
 
 
+def _update(block: str, n: int) -> Callable[[CacheState], CacheState]:
+    """The LRU update of an access to `block` at associativity `n`, on states
+    of at most `n` blocks, unchecked: the block becomes youngest; on a fill,
+    the oldest is evicted.  The one definition behind `access` and the
+    oracle's successors."""
+    head, keep = (block,), n - 1
+
+    def update(state: CacheState) -> CacheState:
+        if block in state:
+            if state[0] == block:
+                return state
+            i = state.index(block)
+            return head + state[:i] + state[i + 1:]
+        return head + state[:keep]
+
+    return update
+
+
 def access(state: CacheState, block: str, n: int) -> CacheState:
     """Access `block`: it becomes youngest; on a fill, the oldest is evicted."""
     if n < 1:
         raise ValueError("associativity must be at least 1")
     if len(state) > n:
         raise ValueError("state longer than associativity")
-    if block in state:
-        i = state.index(block)
-        return (block,) + state[:i] + state[i + 1:]
-    return ((block,) + state)[:n]
+    return _update(block, n)(state)
 
 
 def is_hit(state: CacheState, block: str) -> bool:
@@ -131,6 +146,23 @@ def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[st
     raise OracleBudgetError(f"state budget {budget} exceeded{where}")
 
 
+def lru_step(n: int) -> Callable:
+    """`explore`'s step for the LRU transfer at associativity `n`: an access
+    edge's successor is its block's update, built once per edge; any other
+    edge is a no-op."""
+
+    def step(label):
+        if isinstance(label, AccessLabel):
+            return _update(label.block, n)
+        return _unchanged
+
+    return step
+
+
+def _unchanged(state: CacheState) -> CacheState:
+    return state
+
+
 def collect_states(
     cfg: Cfg,
     n: int,
@@ -142,26 +174,22 @@ def collect_states(
 
     Non-access edges are treated as no-ops (guard erasure), so graphs built
     from full programs can be passed directly.  `seed_states` overrides the
-    entry seeding derived from `init`.
+    entry seeding derived from `init`.  The associativity and the seeds'
+    lengths are checked once, before the search; each access edge then
+    applies the unchecked update of ``lru_step`` to every state that reaches
+    it.  There is no memo: over the benchmark's graphs fewer than one update
+    in five met a state its block had already seen, so hashing every state
+    into a memo cost more than it saved.
     """
-    seeds = initial_states(cfg.blocks(), n, init) if seed_states is None else seed_states
-    memo: dict[str, dict[CacheState, CacheState]] = {}
-
-    def step(label):
-        if not isinstance(label, AccessLabel):
-            return lambda state: state
-        block = label.block
-        after = memo.setdefault(block, {})
-
-        def succ(state):
-            nxt = after.get(state)
-            if nxt is None:
-                nxt = after[state] = access(state, block, n)
-            return nxt
-
-        return succ
-
-    return explore(cfg, seeds, step, budget)
+    if n < 1:
+        raise ValueError("associativity must be at least 1")
+    if seed_states is None:
+        seeds = initial_states(cfg.blocks(), n, init)
+    elif any(len(state) > n for state in seed_states):
+        raise ValueError("seed state longer than associativity")
+    else:
+        seeds = seed_states
+    return explore(cfg, seeds, lru_step(n), budget)
 
 
 def classify_oracle(

@@ -247,6 +247,18 @@ def test_fragment_violation_quotes_a_short_excerpt(tmp_path):
     assert set(json.loads(out)["skipped"]) == {"policy", "exhaustive", "oracle"}
 
 
+@pytest.mark.parametrize("method", ["policy", "exhaustive", "oracle"])
+def test_long_sum_outside_the_fragment_is_one_short_line(tmp_path, method):
+    """Quoting a 5,000-term sum walks its left spine in a loop; a recursive
+    printer ended in `internal solver error: maximum recursion depth`."""
+    path = tmp_path / "sum.imp"
+    path.write_text("int x = 0;\nx = " + " + ".join(["1"] * 5000) + ";\n")
+    code, out, err = run_cli("intervals", "--input", str(path), "--method", method)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 200, err
+    assert "outside the" in err and "fragment: " in err, err
+
+
 @pytest.mark.parametrize("method", ["policy", "compare"])
 def test_internal_solver_error_is_one_line_exit_1(demo_dir, monkeypatch, capsys, method):
     def broken(system):
@@ -260,6 +272,17 @@ def test_internal_solver_error_is_one_line_exit_1(demo_dir, monkeypatch, capsys,
     assert captured.err == (
         "error: internal solver error: policy iteration did not land on a fixpoint\n"
     )
+
+
+@pytest.mark.parametrize("method", ["policy", "compare"])
+def test_recursion_in_the_solver_is_not_an_internal_error(demo_dir, monkeypatch, capsys, method):
+    def deep(system):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(boundsolve, "solve_policy_iteration", deep)
+    code = main(["intervals", "--input", str(demo_dir / "ring_index.imp"), "--method", method])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: input nested too deeply\n")
 
 
 def test_rewrites_flag_rejected_for_solver_methods(demo_dir):

@@ -15,6 +15,9 @@ Three pins, checked against every later change of the fixpoint engine:
 * one SHA-256 over the reached cache states of ``collect_states`` on
   random and region access graphs, at several associativities and both
   initial-content policies (budget errors pinned by their message);
+* one SHA-256 over the must and may bounds of ``agebounds.analyze_approx``
+  (sorted, or None where unreached) at every location of the same graphs,
+  at several associativities and both initial-content policies;
 * one SHA-256 over the whole result of ``focused.analyze_block`` (every
   location's view, in the order the result lists its locations) on random
   and region access graphs, for every block and one block no edge
@@ -47,6 +50,7 @@ import random
 
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
+from absint.agebounds import analyze_approx
 from absint.antichain import Orientation
 from absint.boundsolve import bounded_concrete_oracle, dump_system, extract_upper_bounds, solve_exhaustive
 from absint.cli import main
@@ -210,10 +214,14 @@ LRU_SMALL_BUDGET = 300
 LRU_GOLDEN = '569d7920e9a296a1c6f9c240f576fc90128d86e3d03c7dddfd61dcfa690a4fcd'
 
 
-def _lru_digest() -> str:
+def _lru_graphs() -> list:
     rng = random.Random(LRU_SEED)
     graphs = helpers.cache_corpus(LRU_SEED, LRU_RANDOM_GRAPHS)
-    graphs += [helpers.region_cache_cfg(rng, locs, blocks) for locs, blocks in LRU_REGIONS]
+    return graphs + [helpers.region_cache_cfg(rng, locs, blocks) for locs, blocks in LRU_REGIONS]
+
+
+def _lru_digest() -> str:
+    graphs = _lru_graphs()
     runs = [(n, init, LRU_BUDGET) for n in (1, 2, 4, 6) for init in InitPolicy]
     runs += [(4, init, LRU_SMALL_BUDGET) for init in InitPolicy]
     h = hashlib.sha256()
@@ -227,6 +235,23 @@ def _lru_digest() -> str:
                 continue
             for loc in sorted(reached):
                 h.update(f"{loc} {sorted(reached[loc])!r}\n".encode())
+    return h.hexdigest()
+
+
+AGEBOUNDS_GOLDEN = '4afb9b3e224f18e8e4e6c26f3e749b3d7649cf58fe937f2205495d0eae96b53d'
+
+
+def _agebounds_digest() -> str:
+    h = hashlib.sha256()
+    for index, cfg in enumerate(_lru_graphs()):
+        for n in (1, 2, 4, 6):
+            for init in InitPolicy:
+                h.update(f"#{index} {n} {init.value}\n".encode())
+                bounds = analyze_approx(cfg, n, init)
+                for loc in sorted(bounds):
+                    b = bounds[loc]
+                    shown = None if b is None else (sorted(b.must.items()), sorted(b.may.items()))
+                    h.update(f"{loc} {shown!r}\n".encode())
     return h.hexdigest()
 
 
@@ -539,6 +564,10 @@ def _exhaustive_digest() -> str:
 
 def test_lru_states_golden():
     assert _lru_digest() == LRU_GOLDEN
+
+
+def test_agebounds_golden():
+    assert _agebounds_digest() == AGEBOUNDS_GOLDEN
 
 
 def test_focused_views_golden():

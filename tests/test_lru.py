@@ -18,6 +18,7 @@ from absint.lru import (
     explore,
     initial_states,
     is_hit,
+    lru_step,
 )
 
 
@@ -88,6 +89,37 @@ def test_access_matches_the_rebuild_formula_exhaustively():
                     assert access(state, block, n) == _access_by_rebuild(state, block, n), (state, block, n)
                     checked += 1
     assert checked == 5 * sum(math.perm(5, r) for n in range(1, 5) for r in range(n + 1))
+
+
+def test_oracle_successor_matches_the_rebuild_formula_exhaustively():
+    # The successor `collect_states` hands to `explore` for an access edge,
+    # built once per edge and applied without checks.
+    blocks = ("a", "b", "c", "d", "e")
+    checked = 0
+    for n in range(1, 5):
+        step = lru_step(n)
+        for block in blocks:
+            succ = step(AccessLabel(block, 0))
+            for r in range(n + 1):
+                for state in itertools.permutations(blocks, r):
+                    assert succ(state) == _access_by_rebuild(state, block, n), (state, block, n)
+                    checked += 1
+    assert checked == 5 * sum(math.perm(5, r) for n in range(1, 5) for r in range(n + 1))
+    assert lru_step(2)(Nop())(("a", "b")) == ("a", "b")
+
+
+def test_collect_states_checks_associativity_and_seeds_before_the_search():
+    # Both checks run once, before any state is explored: an over-long seed
+    # is rejected even where no access edge ever sees it, and so is N = 0 on
+    # a graph without accesses.
+    no_access = Cfg(("x", "y"), "x", (Edge("x", Nop(), "y"),))
+    with pytest.raises(ValueError, match="^associativity must be at least 1$"):
+        collect_states(no_access, 0)
+    with pytest.raises(ValueError, match="^seed state longer than associativity$"):
+        collect_states(no_access, 2, seed_states={("a", "b", "c")})
+    with pytest.raises(ValueError, match="^seed state longer than associativity$"):
+        collect_states(chain(["a"]), 2, seed_states={(), ("a", "b", "c")})
+    assert collect_states(chain(["a"]), 2, seed_states={("b", "c")})["p1"] == {("a", "b")}
 
 
 def test_access_checks_associativity_before_length():
