@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
-from .cfg import AccessLabel, Cfg
+from .cfg import Cfg
 from .lru import InitPolicy
 
 
@@ -133,9 +133,4 @@ def classify_all_approx(
     cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY
 ) -> dict[int, ApproxClass]:
     bounds = analyze_approx(cfg, n, init)
-    out: dict[int, ApproxClass] = {}
-    for edge in cfg.access_edges():
-        label = edge.label
-        assert isinstance(label, AccessLabel)
-        out[label.site] = classify_approx(bounds[edge.src], label.block, n)
-    return out
+    return {site: classify_approx(bounds[src], block, n) for site, block, src in cfg.access_sites}

@@ -98,11 +98,11 @@ class Cfg:
         """Distinct accessed blocks, sorted."""
         return tuple(sorted({e.label.block for e in self.edges if isinstance(e.label, AccessLabel)}))
 
-    def access_edges(self) -> list[Edge]:
-        return [e for e in self.edges if isinstance(e.label, AccessLabel)]
-
-    def has_access(self) -> bool:
-        return any(isinstance(e.label, AccessLabel) for e in self.edges)
+    @cached_property
+    def access_sites(self) -> tuple[tuple[int, str, str], ...]:
+        """``(site, block, src)`` per access edge, in edge order."""
+        return tuple((e.label.site, e.label.block, e.src)
+                     for e in self.edges if isinstance(e.label, AccessLabel))
 
     @cached_property
     def access_index(self) -> "AccessIndex":

@@ -199,9 +199,7 @@ def _cache_classify(cfg: Cfg, n: int, init: InitPolicy, method: str) -> dict[int
 def run_cache(args) -> int:
     cfg = _load_cache_cfg(args.input)
     init = InitPolicy(args.init)
-    sites = sorted(
-        (e.label.site, e.label.block, e.src) for e in cfg.access_edges()
-    )
+    sites = sorted(cfg.access_sites)
     timings: dict[str, float] = {}
     started = time.perf_counter()
     methods = ("approx", "exact", "oracle") if args.method == "compare" else (args.method,)
@@ -344,7 +342,7 @@ def run_intervals(args) -> int:
         cfg = build_cfg(program)
     except ParseError as exc:
         raise _CliError(f"{args.input}: {exc}")
-    if cfg.has_access():
+    if cfg.access_sites:
         raise _CliError("interval analyses require a cache-free program")
     rewrites = _parse_rewrites(args.rewrites)
     if rewrites != "off" and args.method not in ("widen", "widen-narrow", "compare"):

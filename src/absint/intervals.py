@@ -252,21 +252,29 @@ BOTTOM_ENV = AbstractEnv((), True)
 def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
     if env.bottom:
         return EMPTY
+    # BinOp trees from the parser are left-nested: the left spine is walked
+    # in a loop, so a long sum does not recurse.
+    spine: list[BinOp] = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Const):
-        return Interval.const(e.value)
-    if isinstance(e, Var):
-        return env.get(e.name)
-    if isinstance(e, Nondet):
-        return TOP
-    if isinstance(e, BinOp):
-        left = eval_expr(e.left, env)
-        right = eval_expr(e.right, env)
-        if left.is_empty or right.is_empty:
+        value = Interval.const(e.value)
+    elif isinstance(e, Var):
+        value = env.get(e.name)
+    elif isinstance(e, Nondet):
+        value = TOP
+    else:
+        raise TypeError(f"unknown expression {e!r}")
+    for node in reversed(spine):
+        right = eval_expr(node.right, env)
+        if value.is_empty or right.is_empty:
             return EMPTY
-        if e.op == "+":
-            return Interval(badd(left.lo, right.lo), badd(left.hi, right.hi))
-        return Interval(badd(left.lo, -right.hi), badd(left.hi, -right.lo))
-    raise TypeError(f"unknown expression {e!r}")
+        if node.op == "+":
+            value = Interval(badd(value.lo, right.lo), badd(value.hi, right.hi))
+        else:
+            value = Interval(badd(value.lo, -right.hi), badd(value.hi, -right.lo))
+    return value
 
 
 def _bound_for(op: str, other: Interval) -> Interval:
@@ -366,7 +374,7 @@ def _edge_transfer(label, env: AbstractEnv) -> AbstractEnv:
 
 
 def check_cache_free(cfg: Cfg) -> None:
-    if cfg.has_access():
+    if cfg.access_sites:
         raise ValueError("numeric analyses require a cache-free graph")
 
 

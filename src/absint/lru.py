@@ -38,6 +38,13 @@ class Classification(Enum):
     UNREACHABLE = "unreachable"
 
 
+def classification(hit: bool, miss: bool) -> Classification:
+    """The verdict of a site from whether a hit and a miss are possible there."""
+    if hit:
+        return Classification.VARIABLE if miss else Classification.ALWAYS_HIT
+    return Classification.ALWAYS_MISS if miss else Classification.UNREACHABLE
+
+
 class OracleBudgetError(Exception):
     """The explicit-state oracle would need more states than allowed."""
 
@@ -201,14 +208,8 @@ def classify_oracle(
     """Exact classification of every access site against `collect_states`."""
     reached = collect_states(cfg, n, init, budget)
     result: dict[int, Classification] = {}
-    for edge in cfg.access_edges():
-        block, states = edge.label.block, reached.get(edge.src, ())
-        hit = any(block in s for s in states)
-        miss = any(block not in s for s in states)
-        result[edge.label.site] = (
-            Classification.VARIABLE if hit and miss
-            else Classification.ALWAYS_HIT if hit
-            else Classification.ALWAYS_MISS if miss
-            else Classification.UNREACHABLE
-        )
+    for site, block, src in cfg.access_sites:
+        states = reached.get(src, ())
+        result[site] = classification(any(block in s for s in states),
+                                      any(block not in s for s in states))
     return result

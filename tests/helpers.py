@@ -113,7 +113,7 @@ def classify_per_focus(
     cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY, budget: int = 1_000_000
 ) -> dict[int, Classification]:
     """Per-site verdicts from one ``lru.explore`` search per focus block, with
-    no antichain, no subsumption and no symbolic seed.
+    no antichain and no subsumption.
 
     A state is ABSENT or the mask of the blocks younger than the focus; the
     fresh block of the unknown policy is one more block that no edge
@@ -147,8 +147,8 @@ def classify_per_focus(
             )
 
         reached = explore(cfg, seeds, step, budget)
-        for edge in cfg.access_edges():
-            if edge.label.block == focus:
+        for edge in cfg.edges:
+            if isinstance(edge.label, AccessLabel) and edge.label.block == focus:
                 states = reached.get(edge.src, ())
                 hit, miss = any(s != ABSENT for s in states), ABSENT in states
                 result[edge.label.site] = (

@@ -26,7 +26,7 @@ def test_straight_line_third_access_hit():
 
 def test_flag_program_join_loses_both(flag_program_cfg):
     bounds = analyze_approx(flag_program_cfg, 4)
-    src = next(e.src for e in flag_program_cfg.access_edges() if e.label.site == 2)
+    src = next(src for site, _, src in flag_program_cfg.access_sites if site == 2)
     assert "a" not in bounds[src].must
     assert "b" not in bounds[src].must
 

@@ -30,10 +30,10 @@ def labeled_edges(cfg):
 
 def test_flag_program_shape():
     cfg = build_cfg(parse_program(FLAG))
-    accesses = cfg.access_edges()
+    accesses = cfg.access_sites
     assert len(accesses) == 4
-    assert sorted(e.label.block for e in accesses) == ["a", "a", "b", "b"]
-    assert sorted(e.label.site for e in accesses) == [0, 1, 2, 3]
+    assert sorted(block for _, block, _ in accesses) == ["a", "a", "b", "b"]
+    assert sorted(site for site, _, _ in accesses) == [0, 1, 2, 3]
     # two diamonds: four assume edges
     assumes = [e for e in cfg.edges if isinstance(e.label, AssumeLabel)]
     assert len(assumes) == 4
@@ -85,14 +85,14 @@ def test_nondet_branch_produces_nop_edges():
 
 def test_site_ids_unique():
     cfg = build_cfg(parse_program(FLAG))
-    sites = [e.label.site for e in cfg.access_edges()]
+    sites = [site for site, _, _ in cfg.access_sites]
     assert len(sites) == len(set(sites))
 
 
 def test_access_graph_minimal():
     cfg = parse_access_graph("loc L0\nloc L1\nentry L0\nedge L0 L1 access a\n")
     assert cfg.entry == "L0"
-    assert len(cfg.access_edges()) == 1
+    assert cfg.access_sites == ((0, "a", "L0"),)
     assert cfg.blocks() == ("a",)
 
 
@@ -101,7 +101,7 @@ def test_access_graph_comments_and_plain_edges():
         "# a diamond\nloc s\nloc t\nloc u\nentry s\nedge s t\nedge s u access b\n"
     )
     assert len(cfg.edges) == 2
-    assert len(cfg.access_edges()) == 1
+    assert cfg.access_sites == ((0, "b", "s"),)
 
 
 def test_access_graph_dangling_target():
@@ -127,7 +127,7 @@ def test_access_graph_requires_entry():
 def test_erase_guards_keeps_accesses():
     cfg = build_cfg(parse_program(FLAG))
     erased = erase_guards(cfg)
-    assert len(erased.access_edges()) == 4
+    assert erased.access_sites == cfg.access_sites
     assert all(isinstance(e.label, (AccessLabel, Nop)) for e in erased.edges)
     assert erased.locations == cfg.locations
 

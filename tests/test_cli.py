@@ -96,8 +96,10 @@ def wide_access_graph(seed: int, n_locs: int = 48, n_blocks: int = 32) -> str:
 
 
 def test_cache_unknown_init_wide_graph_finishes(tmp_path):
-    """32 blocks at associativity 16: the unknown-contents seed stands for
-    C(32, 15) younger-sets, which must never be listed one by one."""
+    """32 blocks at associativity 16: unknown contents leave the focus
+    present under any of C(32, 15) younger-sets, which must never be listed
+    one by one.  The exact analysis seeds KEEP_MAX with the absent
+    configuration alone and KEEP_MIN with the empty younger-set."""
     graph = tmp_path / "wide.ag"
     graph.write_text(wide_access_graph(seed=5))
     verdicts = {}
@@ -398,15 +400,28 @@ def test_in_process_usage_errors_match_subprocess(demo_dir, capsys, args):
     "source",
     [
         "int x = 0;\n" + "if (*) {\n" * 2000 + "x = 1;\n" + "}\n" * 2000,
-        "int x = 0;\nx = " + " + ".join(["1"] * 3000) + ";\n",
     ],
-    ids=["nested-if-2000", "sum-3000-terms"],
+    ids=["nested-if-2000"],
 )
 def test_deeply_nested_input_is_one_line_exit_1(tmp_path, source):
     path = tmp_path / "deep.imp"
     path.write_text(source)
     code, out, err = run_cli("intervals", "--input", str(path))
     assert (code, out, err) == (1, "", "error: input nested too deeply\n")
+
+
+@pytest.mark.parametrize("method", ["widen", "widen-narrow", "compare"])
+def test_long_flat_sum_is_evaluated(tmp_path, method):
+    """A sum of 3,000 terms parses into a left-nested tree far deeper than
+    the recursion limit; without rewrites it is evaluated exactly."""
+    path = tmp_path / "sum.imp"
+    path.write_text("int x = 0;\nx = " + " + ".join(["1"] * 3000) + ";\n")
+    code, out, err = run_cli("intervals", "--input", str(path), "--method", method,
+                             "--rewrites", "off", "--format", "json")
+    assert (code, err) == (0, ""), err
+    last = json.loads(out)["results"][-1]
+    envs = [last["widen"], last["widen-narrow"]] if method == "compare" else [last["env"]]
+    assert envs == [{"x": [3000, 3000]}] * len(envs)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from absint.focused import (
     classify_pipeline,
     transfer,
 )
-from absint.lru import Classification, InitPolicy, OracleBudgetError, classify_oracle
+from absint.lru import Classification, InitPolicy, OracleBudgetError, classify_oracle, collect_states
 from helpers import classify_per_focus, random_cache_cfg, region_cache_cfg, shuffled_cfg
 from test_lru import chain
 
@@ -69,21 +69,6 @@ def test_transfer_size_bound():
         accessed = rng.choice([A, B, C, D, E])
         out = transfer(v, accessed, A, n)
         assert all(m.bit_count() <= n - 1 for m in out.younger)
-
-
-def test_transfer_on_a_symbolic_family():
-    """The core {B} stands for every full 3-set containing B."""
-    family = BlockView(False, Antichain.empty(Orientation.KEEP_MAX), (1 << B,))
-    assert transfer(family, B, A, 4) == family
-    grown = transfer(family, C, A, 4)  # evicts the members without C
-    assert grown == BlockView(True, Antichain.empty(Orientation.KEEP_MAX), (1 << B | 1 << C,))
-    full = transfer(grown, D, A, 4)
-    assert full == view(Orientation.KEEP_MAX, True, {B, C, D})
-    # a concrete set is dropped once a member of the family covers it
-    mixed = BlockView(True, Antichain.of(Orientation.KEEP_MAX, [{C}, {C, D, E}]), (1 << B,))
-    out = transfer(mixed, D, A, 4)
-    assert out.younger.sets() == [frozenset({C, D, E})]
-    assert out.cores == (1 << B | 1 << D,)
 
 
 def test_join_is_least_upper_bound_on_views():
@@ -144,7 +129,7 @@ def test_transfer_additive_on_the_queried_component():
 
 def test_analyze_block_flag_program(flag_program_cfg):
     cfg = erase_guards(flag_program_cfg)
-    src = next(e.src for e in cfg.access_edges() if e.label.site == 2)
+    src = next(src for site, _, src in cfg.access_sites if site == 2)
     for orientation in Orientation:
         views = analyze_block(cfg, "a", 4, orientation)
         got = views[src]
@@ -158,16 +143,35 @@ def test_analyze_block_single_access():
     assert views["p1"] == BlockView(False, Antichain(Orientation.KEEP_MAX, (0,)))
 
 
-def test_unknown_init_seed_is_symbolic_only_with_full_sets():
-    """Blocks a, b plus the fresh block: at N <= 3 full (N-1)-sets of the
-    other blocks exist and the KEEP_MAX seed is the core of the empty set;
-    at N = 4 there is none and the seed is the set of all other blocks."""
-    cfg = chain(["a", "b"])
-    for n in (2, 3):
-        seed = analyze_block(cfg, "a", n, Orientation.KEEP_MAX, InitPolicy.UNKNOWN)["p0"]
-        assert seed == BlockView(True, Antichain.empty(Orientation.KEEP_MAX), (0,))
-    seed = analyze_block(cfg, "a", 4, Orientation.KEEP_MAX, InitPolicy.UNKNOWN)["p0"]
-    assert seed == view(Orientation.KEEP_MAX, True, {1, 2})
+def test_oracle_may_miss_does_not_depend_on_initial_contents():
+    """The argument behind the KEEP_MAX seed, checked on the LRU oracle
+    alone: on a path without the focus an empty cache misses it too, and
+    after a focus access the initial contents are irrelevant, so a miss is
+    possible at a site under unknown contents iff it is from an empty cache."""
+    rng = random.Random(1313)
+    outcomes = set()
+    for _ in range(800):
+        cfg = random_cache_cfg(rng)
+        for n in range(1, 5):
+            empty = collect_states(cfg, n, InitPolicy.EMPTY)
+            unknown = collect_states(cfg, n, InitPolicy.UNKNOWN)
+            for site, block, src in cfg.access_sites:
+                may_miss = [any(block not in s for s in reached.get(src, ()))
+                            for reached in (empty, unknown)]
+                assert may_miss[0] == may_miss[1], (cfg, n, site)
+                outcomes.add(may_miss[0])
+    assert outcomes == {False, True}
+
+
+def test_keep_max_views_do_not_depend_on_initial_contents(cache_corpus_small):
+    """The KEEP_MAX run is seeded with the absent configuration alone under
+    either policy, so its whole result is the same."""
+    for cfg in cache_corpus_small[:100]:
+        for focus in cfg.blocks() + ("never-accessed",):
+            for n in (1, 2, 4):
+                empty = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, InitPolicy.EMPTY)
+                unknown = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, InitPolicy.UNKNOWN)
+                assert dict(unknown) == dict(empty), (cfg, focus, n)
 
 
 def test_analyze_block_no_accesses_keeps_init():
@@ -345,9 +349,9 @@ def test_wide_antichains_of_equal_size_stay_fast():
 
 
 def test_unknown_init_around_the_symbolic_seed_boundary():
-    """The KEEP_MAX seed is symbolic only when the universe (blocks plus the
-    fresh block) has at least N indices; check graphs just below, at and
-    above that size against the oracle."""
+    """Graphs whose blocks plus the oracle's fresh block number just below,
+    at and above N, so that the unknown initial contents do and do not fill
+    the cache, checked against the oracle."""
     rng = random.Random(4242)
     for n in range(2, 6):
         for n_blocks in range(max(1, n - 2), n + 2):
@@ -430,7 +434,7 @@ def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch
     lookups = 0
     for cfg, focus in blocks_analyzed:
         reached = reachable(cfg)
-        lookups += sum(e.src in reached for e in cfg.access_edges() if e.label.block == focus)
+        lookups += sum(src in reached for _, block, src in cfg.access_sites if block == focus)
     assert built == lookups > 0
     assert built < sum(len(cfg.locations) for cfg, _ in blocks_analyzed)
 

@@ -21,8 +21,11 @@ Three pins, checked against every later change of the fixpoint engine:
 * one SHA-256 over the whole result of ``focused.analyze_block`` (every
   location's view, in the order the result lists its locations) on random
   and region access graphs, for every block and one block no edge
-  accesses, at several associativities, both orientations and both
-  initial-content policies;
+  accesses, at several associativities, for both orientations with empty
+  contents and for KEEP_MIN with unknown contents;
+* one SHA-256 over the two facts the exact verdicts read, the KEEP_MAX
+  absent flag and whether the KEEP_MIN store is nonempty, at every location
+  of the same runs under both initial-content policies;
 * one SHA-256 over the hulls, or the error, of ``bounded_concrete_oracle``
   on fragment programs and on programs it must reject or that stray out of
   range;
@@ -258,24 +261,54 @@ def _agebounds_digest() -> str:
 FOCUSED_SEED = 20261022
 FOCUSED_RANDOM_GRAPHS = 40
 FOCUSED_REGIONS = ((20, 5), (40, 8), (60, 10))
-FOCUSED_GOLDEN = '1fbb3ba091a83440ad84ae5aa641d2919ffee9a55cb8af8dcf34206e709a6775'
+# The runs whose whole views are pinned.  KEEP_MAX under unknown contents is
+# pinned by its absent flag alone (the facts golden), the one part of its
+# views a verdict reads.
+FOCUSED_VIEW_RUNS = (
+    (Orientation.KEEP_MAX, InitPolicy.EMPTY),
+    (Orientation.KEEP_MIN, InitPolicy.EMPTY),
+    (Orientation.KEEP_MIN, InitPolicy.UNKNOWN),
+)
+FOCUSED_VIEWS_GOLDEN = 'b0a7dd7ce14a9a35da6032a483c8bc059882c3cd4e1d51ee9b91db5c32b615be'
+FOCUSED_FACTS_GOLDEN = '08b0578245596a86296c06b7f6b978ca37a30cc750c4e3a4908cec64d9e33b71'
 
 
-def _focused_digest() -> str:
+def _focused_cases():
+    """(index, graph, focus, N) for every block of each graph and one block
+    no edge accesses."""
     rng = random.Random(FOCUSED_SEED)
     graphs = helpers.cache_corpus(FOCUSED_SEED, FOCUSED_RANDOM_GRAPHS)
     graphs += [helpers.region_cache_cfg(rng, locs, blocks) for locs, blocks in FOCUSED_REGIONS]
-    h = hashlib.sha256()
     for index, cfg in enumerate(graphs):
-        locations = cfg.access_index.locations
         for focus in cfg.blocks() + ("never-accessed",):
             for n in (2, 4, 6):
-                for orientation in Orientation:
-                    for init in InitPolicy:
-                        views = analyze_block(cfg, focus, n, orientation, init)
-                        assert dict(views) == {loc: views[loc] for loc in locations}
-                        h.update(f"#{index} {focus} {n} {orientation.name} {init.value}\n".encode())
-                        h.update(f"{list(views.items())!r}\n".encode())
+                yield index, cfg, focus, n
+
+
+def _focused_views_digest() -> str:
+    h = hashlib.sha256()
+    for index, cfg, focus, n in _focused_cases():
+        locations = cfg.access_index.locations
+        for orientation, init in FOCUSED_VIEW_RUNS:
+            views = analyze_block(cfg, focus, n, orientation, init)
+            assert dict(views) == {loc: views[loc] for loc in locations}
+            h.update(f"#{index} {focus} {n} {orientation.name} {init.value}\n".encode())
+            shown = [(loc, v.may_absent, v.younger.orientation.value, v.younger.elements)
+                     for loc, v in views.items()]
+            h.update(f"{shown!r}\n".encode())
+    return h.hexdigest()
+
+
+def _focused_facts_digest() -> str:
+    h = hashlib.sha256()
+    for index, cfg, focus, n in _focused_cases():
+        for init in InitPolicy:
+            vmax = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, init)
+            vmin = analyze_block(cfg, focus, n, Orientation.KEEP_MIN, init)
+            h.update(f"#{index} {focus} {n} {init.value}\n".encode())
+            facts = [(loc, vmax[loc].may_absent, len(vmin[loc].younger) > 0)
+                     for loc in cfg.access_index.locations]
+            h.update(f"{facts!r}\n".encode())
     return h.hexdigest()
 
 
@@ -571,7 +604,11 @@ def test_agebounds_golden():
 
 
 def test_focused_views_golden():
-    assert _focused_digest() == FOCUSED_GOLDEN
+    assert _focused_views_digest() == FOCUSED_VIEWS_GOLDEN
+
+
+def test_focused_facts_golden():
+    assert _focused_facts_digest() == FOCUSED_FACTS_GOLDEN
 
 
 def test_numeric_oracle_golden(fragment_corpus_small):

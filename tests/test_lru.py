@@ -143,7 +143,7 @@ def test_collect_flag_program(flag_program_cfg):
     reached = collect_states(cfg, 4)
     # sources of the second diamond's accesses see both one-block states
     for site in (2, 3):
-        src = next(e.src for e in cfg.access_edges() if e.label.site == site)
+        src = next(src for s, _, src in cfg.access_sites if s == site)
         assert reached[src] == {("a",), ("b",)}
 
 
