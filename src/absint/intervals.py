@@ -1,8 +1,12 @@
 """Textbook interval analysis: evaluation, guard refinement, widening and
 narrowing over a labeled CFG.
 
-Bounds are mathematical integers extended with symbolic infinities (no
-floats anywhere).
+Bounds are mathematical integers extended with two symbolic infinities.
+Finite bounds are always ints.  The infinities ``POS_INF`` and ``NEG_INF``
+are the only two instances of a float subclass, so that every bound
+comparison runs in C; they print as ``+oo``/``-oo`` and refuse arithmetic
+(``badd`` is the one addition on bounds).  Intervals and environments are
+named tuples, so they compare and hash in C as well.
 
 Fixpoint engine: ``chaotic_iteration`` is the one worklist loop of the
 numeric analyses, generic in a value with ``join``, ``widen`` and
@@ -16,56 +20,54 @@ Simultaneous decreasing passes follow ("narrowing" in its simplest form:
 re-run the transfer from the stabilized state and add the entry
 contribution).  Each edge keeps its last transfer and reuses it while its
 source holds the same value object; joins and widenings reuse every
-interval that does not change and return the left operand itself when
-nothing grows, so a location whose value stays put keeps its object and
-its out-edges are not transferred again.  ``assert_verdicts`` reads
-verdicts off a final state: an assertion is proved when refining with its
-negation yields the unreachable environment.
+interval that does not change and return an operand itself when every
+interval equals that operand's, so a location whose value stays put keeps
+its object and its out-edges are not transferred again.
+``assert_verdicts`` reads verdicts off a final state: an assertion is
+proved when refining with its negation yields the unreachable environment.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from itertools import compress
+from operator import is_not
+from typing import Callable, Mapping, NamedTuple
 
 from .cfg import AssignLabel, AssumeLabel, Cfg, back_edge_targets
 from .lang import FLIPPED_OP, BinOp, Cond, CondNondet, Const, Expr, Nondet, Var, negate_cond
 
 
-class _Inf:
-    """Symbolic infinity, totally ordered against integers."""
+class _Inf(float):
+    """Symbolic infinity: exactly two instances, ``POS_INF`` and ``NEG_INF``.
 
-    __slots__ = ("sign",)
+    Float-backed so that ordering against ints (of any size) runs in C.  It
+    prints as ``+oo``/``-oo``, negates to the other instance and refuses
+    arithmetic, so it never turns into a plain float."""
 
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Inf):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __le__(self, other):
-        return self < other or self is other
-
-    def __gt__(self, other):
-        if isinstance(other, _Inf):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __ge__(self, other):
-        return self > other or self is other
+    __slots__ = ()
 
     def __neg__(self):
-        return NEG_INF if self.sign > 0 else POS_INF
+        return NEG_INF if self > 0 else POS_INF
 
     def __repr__(self):
-        return "+oo" if self.sign > 0 else "-oo"
+        return "+oo" if self > 0 else "-oo"
+
+    def __format__(self, spec):
+        return format(repr(self), spec)
+
+    def _no_arithmetic(self, *other):
+        raise TypeError("no arithmetic on symbolic infinities; use badd")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _no_arithmetic
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _no_arithmetic
+    __mod__ = __rmod__ = __divmod__ = __rdivmod__ = __pow__ = __rpow__ = _no_arithmetic
+    __pos__ = __abs__ = _no_arithmetic
 
 
-POS_INF = _Inf(1)
-NEG_INF = _Inf(-1)
+POS_INF = _Inf("inf")
+NEG_INF = _Inf("-inf")
 
 Bound = int | _Inf
 
@@ -73,7 +75,7 @@ Bound = int | _Inf
 def badd(a, b):
     """Extended addition; infinities absorb (never add opposite infinities)."""
     if isinstance(a, _Inf):
-        if isinstance(b, _Inf) and b.sign != a.sign:
+        if isinstance(b, _Inf) and b is not a:
             raise ValueError("adding opposite infinities")
         return a
     if isinstance(b, _Inf):
@@ -81,8 +83,7 @@ def badd(a, b):
     return a + b
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: Bound
     hi: Bound
 
@@ -139,13 +140,13 @@ TOP = Interval(NEG_INF, POS_INF)
 def _hull(a: Interval, b: Interval) -> Interval:
     """Join of two non-empty intervals; returns `a` itself (or `b`) when it
     already contains the other."""
-    lo = a.lo if a.lo <= b.lo else b.lo
-    hi = a.hi if a.hi >= b.hi else b.hi
-    if lo is a.lo and hi is a.hi:
-        return a
-    if lo is b.lo and hi is b.hi:
+    if a.lo <= b.lo:
+        if b.hi <= a.hi:
+            return a
+        return b if a.lo == b.lo else Interval(a.lo, b.hi)
+    if a.hi <= b.hi:
         return b
-    return Interval(lo, hi)
+    return Interval(b.lo, a.hi)
 
 
 def widen(old: Interval, new: Interval) -> Interval:
@@ -167,8 +168,7 @@ def widen(old: Interval, new: Interval) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbstractEnv:
+class AbstractEnv(NamedTuple):
     """Per-variable intervals; any empty component collapses to unreachable."""
 
     intervals: tuple[tuple[str, Interval], ...] = ()
@@ -225,23 +225,37 @@ class AbstractEnv:
 
     def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
         """`op` (join or widening of intervals) variable by variable; a
-        variable missing on one side is top there.  Returns `self` when no
-        interval changes.  Neither side is bottom, so neither holds an empty
-        interval (``of`` and ``set`` collapse those) and `op` may assume
-        non-empty operands."""
+        variable missing on one side is top there.  Returns `self`, or else
+        `other`, itself when every resulting interval equals that operand's.
+        Neither side is bottom, so neither holds an empty interval (``of``
+        and ``set`` collapse those) and `op` may assume non-empty operands."""
         mine, theirs = self.intervals, other.intervals
         if len(mine) == len(theirs):
-            # Every environment of one analysis lists the same variables.
-            out = []
-            changed = False
-            for (name, a), (other_name, b) in zip(mine, theirs):
+            # Every environment of one analysis lists the same variables, and
+            # results share every (name, interval) pair they keep, so only
+            # the positions whose pairs differ need a look.
+            out = None
+            all_theirs = True
+            for i in compress(range(len(mine)), map(is_not, mine, theirs)):
+                name, a = mine[i]
+                other_name, b = theirs[i]
                 if name != other_name:
                     break
-                c = a if a is b else op(a, b)
-                changed = changed or c is not a
-                out.append((name, c))
+                if a == b:
+                    continue
+                c = op(a, b)
+                if c is a:
+                    all_theirs = False
+                    continue
+                if c is not b:
+                    all_theirs = False
+                if out is None:
+                    out = list(mine)
+                out[i] = theirs[i] if c is b else (name, c)
             else:
-                return AbstractEnv(tuple(out)) if changed else self
+                if out is None:
+                    return self
+                return other if all_theirs else AbstractEnv(tuple(out))
         a, b = dict(mine), dict(theirs)
         return AbstractEnv.of({v: op(a.get(v, TOP), b.get(v, TOP)) for v in set(a) | set(b)})
 

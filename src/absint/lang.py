@@ -144,19 +144,23 @@ def negate_cond(c: Cond) -> Cond:
 
 
 def expr_vars(e: Expr) -> set[str]:
+    # The left spine of a sum is walked in a loop, so a long sum does not
+    # recurse (as in ``pretty_expr``).
+    out: set[str] = set()
+    while isinstance(e, BinOp):
+        out |= expr_vars(e.right)
+        e = e.left
     if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, BinOp):
-        return expr_vars(e.left) | expr_vars(e.right)
-    return set()
+        out.add(e.name)
+    return out
 
 
 def expr_has_nondet(e: Expr) -> bool:
-    if isinstance(e, Nondet):
-        return True
-    if isinstance(e, BinOp):
-        return expr_has_nondet(e.left) or expr_has_nondet(e.right)
-    return False
+    while isinstance(e, BinOp):
+        if expr_has_nondet(e.right):
+            return True
+        e = e.left
+    return isinstance(e, Nondet)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ symbolic information carried.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfg import AssignLabel, AssumeLabel, Cfg
 from .intervals import (
@@ -76,20 +77,26 @@ class RewriteMap:
 
 
 def _linear_form(e: Expr, sign: int, coeffs: dict[str, int], nondets: list[int]) -> int:
-    """Accumulate coefficients; returns the constant term contribution."""
+    """Accumulate coefficients; returns the constant term contribution.
+    Operands are visited left to right (the order of `nondets`), with the
+    left spine of a sum walked in a loop, so a long sum does not recurse."""
+    spine: list[BinOp] = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Const):
-        return sign * e.value
-    if isinstance(e, Var):
+        const = sign * e.value
+    elif isinstance(e, Var):
         coeffs[e.name] = coeffs.get(e.name, 0) + sign
-        return 0
-    if isinstance(e, Nondet):
+        const = 0
+    elif isinstance(e, Nondet):
         nondets.append(sign)
-        return 0
-    if isinstance(e, BinOp):
-        left = _linear_form(e.left, sign, coeffs, nondets)
-        right = _linear_form(e.right, sign if e.op == "+" else -sign, coeffs, nondets)
-        return left + right
-    raise TypeError(f"unknown expression {e!r}")
+        const = 0
+    else:
+        raise TypeError(f"unknown expression {e!r}")
+    for node in reversed(spine):
+        const += _linear_form(node.right, sign if node.op == "+" else -sign, coeffs, nondets)
+    return const
 
 
 def simplify(e: Expr) -> Expr:
@@ -121,18 +128,20 @@ def simplify(e: Expr) -> Expr:
 def _substitute(e: Expr, m: RewriteMap, budget: int | None) -> Expr:
     """Replace variables by their rules; a budget of k allows k successive
     rule applications along any chain (None is unlimited; acyclicity bounds
-    the recursion either way)."""
+    the recursion either way).  The left spine of a sum is walked in a
+    loop, so a long sum does not recurse."""
     if budget is not None and budget <= 0:
         return e
+    spine: list[BinOp] = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Var):
         rhs = m.lookup(e.name)
-        if rhs is None:
-            return e
-        return _substitute(rhs, m, None if budget is None else budget - 1)
-    if isinstance(e, BinOp):
-        return BinOp(
-            e.op, _substitute(e.left, m, budget), _substitute(e.right, m, budget)
-        )
+        if rhs is not None:
+            e = _substitute(rhs, m, None if budget is None else budget - 1)
+    for node in reversed(spine):
+        e = BinOp(node.op, e, _substitute(node.right, m, budget))
     return e
 
 
@@ -171,8 +180,7 @@ def _rewritten_cond(c: Cond, m: RewriteMap, max_chain: int | None) -> Cond:
     )
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     """The product value of the combined analysis: an environment and the
     rewrite map that holds along with it."""
 
@@ -187,6 +195,8 @@ class _State:
         env, rules = self.env.join(other.env), self.rules.join(other.rules)
         if env is self.env and rules is self.rules:
             return self
+        if env is other.env and rules is other.rules:
+            return other
         return _State(env, rules)
 
     def widen(self, other: "_State") -> "_State":
@@ -195,6 +205,8 @@ class _State:
         env = self.env.widen(other.env)
         if env is self.env and other.rules is self.rules:
             return self
+        if env is other.env:
+            return other
         return _State(env, other.rules)
 
 
@@ -224,21 +236,37 @@ def analyze_combined(
     """
     check_cache_free(cfg)
     depth = truncate_depth
+    # Per label (one per edge): the last rule map it saw, and what that map
+    # gives it, the rewritten expression and recorded map of an assignment
+    # or the rewritten condition of a guard.  Both are pure in the label
+    # and the map, and a map object often reaches a label again with a new
+    # environment.  Recording through the memo also hands the same map
+    # object on, so the next label's memo hits too.
+    rewritten: dict[int, tuple] = {}
 
     def transfer(label, state: _State) -> _State:
-        if state.env.bottom:
+        env, rules = state
+        if env.bottom:
             return _BOTTOM_STATE
-        env, rules = state.env, state.rules
         if isinstance(label, AssignLabel):
+            memo = rewritten.get(id(label))
+            if memo is None or memo[0] is not rules:
+                memo = rewritten[id(label)] = (
+                    rules,
+                    rewrite_and_simplify(rules, label.expr, depth),
+                    record(rules, label.var, label.expr, depth is None),
+                )
             plain = eval_expr(label.expr, env)
-            symbolic = eval_expr(rewrite_and_simplify(rules, label.expr, depth), env)
-            new_env = env.set(label.var, plain.meet(symbolic))
+            new_env = env.set(label.var, plain.meet(eval_expr(memo[1], env)))
             if new_env.bottom:
                 return _BOTTOM_STATE
-            return _State(new_env, record(rules, label.var, label.expr, depth is None))
+            return _State(new_env, memo[2])
         if isinstance(label, AssumeLabel):
+            memo = rewritten.get(id(label))
+            if memo is None or memo[0] is not rules:
+                memo = rewritten[id(label)] = (rules, _rewritten_cond(label.cond, rules, depth))
             env = filter_cond(label.cond, env)
-            env = filter_cond(_rewritten_cond(label.cond, rules, depth), env)
+            env = filter_cond(memo[1], env)
             return _State(env, rules) if not env.bottom else _BOTTOM_STATE
         return state
 

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -410,18 +412,101 @@ def test_deeply_nested_input_is_one_line_exit_1(tmp_path, source):
     assert (code, out, err) == (1, "", "error: input nested too deeply\n")
 
 
+LONG_SUMS = {
+    "constant": ("int x = 0;\nx = " + " + ".join(["1"] * 3000) + ";\n", {"x": [3000, 3000]}),
+    "variable": (
+        "int x = 0;\nint y = 2;\nint z = 0;\nx = " + " + ".join(["y"] * 3000) + ";\nz = x - y;\n",
+        {"x": [6000, 6000], "y": [2, 2], "z": [5998, 5998]},
+    ),
+}
+
+
 @pytest.mark.parametrize("method", ["widen", "widen-narrow", "compare"])
-def test_long_flat_sum_is_evaluated(tmp_path, method):
+def test_long_flat_sum_is_evaluated(tmp_path, capsys, method):
     """A sum of 3,000 terms parses into a left-nested tree far deeper than
-    the recursion limit; without rewrites it is evaluated exactly."""
-    path = tmp_path / "sum.imp"
-    path.write_text("int x = 0;\nx = " + " + ".join(["1"] * 3000) + ";\n")
-    code, out, err = run_cli("intervals", "--input", str(path), "--method", method,
-                             "--rewrites", "off", "--format", "json")
-    assert (code, err) == (0, ""), err
-    last = json.loads(out)["results"][-1]
-    envs = [last["widen"], last["widen-narrow"]] if method == "compare" else [last["env"]]
-    assert envs == [{"x": [3000, 3000]}] * len(envs)
+    the recursion limit.  It is evaluated exactly, and rewriting it, in
+    full or truncated, gives the same environments as not rewriting."""
+    for name, (text, want) in LONG_SUMS.items():
+        path = tmp_path / f"{name}.imp"
+        path.write_text(text)
+        results = {}
+        for rewrites in ("off", "full", "truncated:1"):
+            code = main(["intervals", "--input", str(path), "--method", method,
+                         "--rewrites", rewrites, "--format", "json"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), (name, rewrites, err)
+            results[rewrites] = json.loads(out)["results"]
+        last = results["off"][-1]
+        envs = [last["widen"], last["widen-narrow"]] if method == "compare" else [last["env"]]
+        assert envs == [want] * len(envs), name
+        assert results["full"] == results["off"] and results["truncated:1"] == results["off"], name
+
+
+FUZZ_TOKEN = re.compile(r"\s+|[A-Za-z_]\w*|[0-9]+|<=|>=|==|!=|\S")
+FUZZ_EXTRA = ("(", ")", "{", "}", ";", "*", "-", "+", "=", "<", "int", "if", "else", "while",
+              "assert", "access", "loc", "edge", "entry", "x", "0", "99999999999999999999",
+              "\n", "#", "\u00b2", "\u00e9", "$")
+
+
+def _fuzz_cases(demo_dir, rng):
+    """(kind, text, argv tail) triples: token mutations of every demo, then
+    long flat sums and deeply nested programs."""
+    runs = {
+        ".imp": (["intervals", "--method", "widen-narrow", "--rewrites", "full"],
+                 ["intervals", "--method", "compare", "--range", "-50:50"],
+                 ["cache", "--assoc", "2", "--method", "compare"]),
+        ".ag": (["cache", "--assoc", "2", "--method", "compare"],
+                ["cache", "--assoc", "3", "--method", "pipeline", "--init", "unknown"]),
+    }
+    demos = sorted(demo_dir.iterdir())
+    vocabulary = sorted({t for d in demos for t in FUZZ_TOKEN.findall(d.read_text())} | set(FUZZ_EXTRA))
+    for round_ in range(1000):
+        demo = demos[round_ % len(demos)]
+        tokens = FUZZ_TOKEN.findall(demo.read_text())
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(tokens))
+            roll = rng.random()
+            if roll < 0.3:
+                del tokens[i]
+            elif roll < 0.6:
+                tokens[i] = rng.choice(vocabulary)
+            elif roll < 0.8:
+                tokens.insert(i, rng.choice(vocabulary))
+            else:
+                tokens.insert(i, tokens[rng.randrange(len(tokens))])
+        yield "mutated", "".join(tokens), rng.choice(runs[demo.suffix])
+    for n in (1000, 4000):
+        for rewrites in ("off", "full", "truncated:1"):
+            text = "int x = 0;\nint y = 1;\nx = " + " - ".join(["y"] * n) + ";\nassert (x < 1);\n"
+            yield "flat", text, ["intervals", "--method", "widen-narrow", "--rewrites", rewrites]
+    for n in (1000, 3000):
+        loops = "int x = 0;\n" + "while (x < 1) {\n" * n + "x = x + 1;\n" + "}\n" * n
+        yield "nested", loops, ["intervals", "--method", "widen"]
+        branches = "int x = 0;\n" + "if (*) {\n" * n + "access(a);\n" + "}\n" * n
+        yield "nested", branches, ["cache", "--assoc", "2", "--method", "exact"]
+
+
+def test_cli_fuzz_ends_in_a_documented_exit(demo_dir, tmp_path, capsys):
+    """Seeded token mutations of the demos, long flat sums and deeply nested
+    programs: every run exits 0-3 with no traceback, prints nothing on an
+    error, and blames nesting only for nested input."""
+    rng = random.Random(20261019)
+    path = tmp_path / "fuzz.txt"
+    exits = Counter()
+    for kind, text, argv in _fuzz_cases(demo_dir, rng):
+        path.write_text(text, encoding="utf-8")
+        code = main([argv[0], "--input", str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        exits[kind, code] += 1
+        case = (kind, argv, text[:300])
+        assert code in (0, 1, 2, 3), case
+        assert "Traceback" not in err, case
+        if code in (1, 2):
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (case, err)
+        else:
+            assert err == "", (case, err)
+        assert ("nested too deeply" in err) == (kind == "nested"), (case, err)
+    assert {code for kind, code in exits if kind == "mutated"} >= {0, 1, 3}, exits
 
 
 @pytest.mark.parametrize(

@@ -35,8 +35,9 @@ Three pins, checked against every later change of the fixpoint engine:
   ``intervals`` and ``cache --method compare`` on demos copied to a file
   whose name holds a quote, a backslash, a non-ASCII letter and an astral
   code point (the report echoes it in its ``"input"`` field);
-* one SHA-256 over the lexer's tokens, or its error, for every BMP code
-  point at the start of a token, after a letter and after a digit;
+* one SHA-256 per Unicode version over the lexer's tokens, or its error,
+  for every BMP code point at the start of a token, after a letter and
+  after a digit;
 * one SHA-256 over the dump of each system and the result, or the error,
   of ``solve_exhaustive`` at a cap of 12 min/max nodes, on seeded corner
   systems and on the upper and negated systems of seeded fragment programs.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import unicodedata
 
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
@@ -548,7 +550,15 @@ LEXER_TEXTS = (
     "!x", "12ab", "x\x0by", "x\u00a0y", "_a1 __ a_", "-1+-2", "if(x){}else{}",
     "int\n  y\n    = 3 ;  # c\n\n z", "\u0663", "a\u00b2", "\u00b2a", "1\u0663",
 )
-LEXER_GOLDEN = '72e5e6ae1414236845f033df07f22e80f2ca2b5f2d976356b4288b9835edaf36'
+# Keyed by `unicodedata.unidata_version`: which code points are letters,
+# digits or word characters changes with the Unicode version, and Python
+# 3.10, 3.11, 3.12 and 3.13 ship 13.0, 14.0, 15.0 and 15.1.
+LEXER_GOLDEN = {
+    '13.0.0': 'bf89de54fb81f0084ee3f4d2003e19782eac3e0260368704ae970e1668d81879',
+    '14.0.0': '72e5e6ae1414236845f033df07f22e80f2ca2b5f2d976356b4288b9835edaf36',
+    '15.0.0': '67aceaea768d0187b534fb18eb921e7dd9abb32c83c8fa74dd5f2b79e26e963b',
+    '15.1.0': '1d4db36605771a06660506296f111c1833c8d2c1eb651aeb4809fb6fc5897bc8',
+}
 
 
 def _lex_outcome(text: str):
@@ -620,7 +630,12 @@ def test_cache_cli_stdout_goldens(demo_dir, capsys, monkeypatch):
 
 
 def test_lexer_golden():
-    assert _lexer_digest() == LEXER_GOLDEN
+    version = unicodedata.unidata_version
+    assert version in LEXER_GOLDEN, (
+        f"no lexer digest recorded for Unicode {version}; record _lexer_digest() "
+        f"under {version!r} after checking the tokens of the new letters and digits"
+    )
+    assert _lexer_digest() == LEXER_GOLDEN[version]
 
 
 def test_odd_input_name_json_golden(demo_dir, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import operator
 import random
 
 import pytest
@@ -200,11 +202,44 @@ def test_env_join_and_widen_match_pointwise_reference():
             assert widened == _reference_widen(x, y) and repr(widened) == repr(_reference_widen(x, y))
             if _below_same_vars(y, x):
                 assert joined is x and widened is x
+            elif _below_same_vars(x, y):
+                assert joined is y
         # both operands below their join, which then absorbs each of them
         upper = _reference_join(a, b)
         for lower in (a, b):
             if _below_same_vars(lower, upper):
                 assert upper.join(lower) is upper and upper.widen(lower) is upper
+
+
+def test_infinities_compare_print_and_refuse_arithmetic():
+    big = 10**400
+    for n in (-big, -1, 0, 1, big):
+        assert NEG_INF < n < POS_INF and POS_INF > n > NEG_INF
+        assert NEG_INF <= n <= POS_INF and POS_INF >= n >= NEG_INF
+        assert not (POS_INF < n or n > POS_INF or NEG_INF > n or n < NEG_INF)
+        assert POS_INF != n != NEG_INF
+    assert NEG_INF < POS_INF and POS_INF <= POS_INF and not POS_INF < POS_INF
+    assert -POS_INF is NEG_INF and -NEG_INF is POS_INF
+    for inf, text in ((POS_INF, "+oo"), (NEG_INF, "-oo")):
+        assert repr(inf) == str(inf) == f"{inf}" == f"{inf!r}" == text
+        assert f"[{inf:>4}]" == f"[ {text}]"
+        assert not isinstance(inf, int)
+        for other in (1, big, POS_INF, NEG_INF):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for left, right in ((inf, other), (other, inf)):
+                    with pytest.raises(TypeError):
+                        op(left, right)
+    assert repr(TOP) == "[-oo, +oo]" and repr(Interval(0, POS_INF)) == "[0, +oo]"
+
+
+def test_infinities_are_strings_in_json_reports(tmp_path, capsys):
+    from absint.cli import main
+
+    path = tmp_path / "top.imp"
+    path.write_text("int x;\nint y = 0;\nwhile (*) { y = y + 1; }\n")
+    assert main(["intervals", "--input", str(path), "--format", "json"]) == 0
+    envs = [r["env"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert {"x": ["-oo", "+oo"], "y": [0, "+oo"]} in envs  # the loop head
 
 
 def _reference_set(env, var, iv):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+from absint import intervals as intervals_module
+from absint import rewrite as rewrite_module
 from absint.cfg import AssignLabel, build_cfg
 from absint.intervals import (
     POS_INF,
@@ -18,7 +20,7 @@ from absint.rewrite import (
     rewrite_and_simplify,
     simplify,
 )
-from helpers import RangeBlown, concrete_stores, random_program
+from helpers import RangeBlown, concrete_stores, random_long_program, random_program
 
 COPY_DIFF = """
 int x;
@@ -177,3 +179,58 @@ def test_combined_sound_against_concrete_enumeration():
                     for who, value in zip(cfg.variables, t):
                         assert envl.get(who).contains(value), (loc, who, value, depth)
     assert checked >= 60
+
+
+def test_combined_rewrites_each_label_and_map_once(monkeypatch):
+    """A label's rewritten expression or condition and its recorded map are
+    computed once per rule-map object that reaches it: no (label, map
+    object) pair calls `rewrite_and_simplify` on the same expression, or
+    `record`, twice."""
+    seen: set = set()
+    held: list = []  # keeps every map and label alive, so ids stay unique
+    current: list = []  # the label being transferred, and whether inside record
+    engine = intervals_module.chaotic_iteration
+    rewrite, record_ = rewrite_module.rewrite_and_simplify, rewrite_module.record
+
+    def counting_engine(cfg, entry, bottom, transfer, *knobs):
+        def labelled(label, value):
+            current[:] = [label, False]
+            return transfer(label, value)
+
+        return engine(cfg, entry, bottom, labelled, *knobs)
+
+    def note(key, *alive):
+        assert key not in seen, key
+        seen.add(key)
+        held.append(alive)
+
+    def counted_rewrite(m, e, max_chain=None):
+        if not current[1]:
+            note(("rewrite", id(current[0]), id(m), id(e)), current[0], m, e)
+        return rewrite(m, e, max_chain)
+
+    def counted_record(m, var, e, flatten=True):
+        note(("record", id(current[0]), id(m)), current[0], m)
+        current[1] = True
+        try:
+            return record_(m, var, e, flatten)
+        finally:
+            current[1] = False
+
+    monkeypatch.setattr(rewrite_module, "chaotic_iteration", counting_engine)
+    monkeypatch.setattr(rewrite_module, "rewrite_and_simplify", counted_rewrite)
+    monkeypatch.setattr(rewrite_module, "record", counted_record)
+    rng = random.Random(9091)
+    programs = [random_program(rng) for _ in range(60)]
+    programs += [random_long_program(rng, 6, 40) for _ in range(3)]
+    computed = 0
+    for program in programs:
+        cfg = build_cfg(program)
+        env = entry_environment(program)
+        for depth in (None, 1):
+            for passes in (0, 2):
+                seen.clear()
+                held.clear()
+                analyze_combined(cfg, env, depth, 0, passes)
+                computed += len(seen)
+    assert computed
