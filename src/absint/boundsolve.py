@@ -48,11 +48,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg
-from .intervals import NEG_INF, POS_INF, _Inf, Interval
+from .intervals import NEG_INF, POS_INF, Bound, Interval, _Inf, badd
 from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, pretty_cond, pretty_expr
 from .lru import explore
-
-Value = int | _Inf
 
 
 class UnsupportedConstructError(Exception):
@@ -74,7 +72,7 @@ class RangeExceededError(Exception):
 
 @dataclass(frozen=True)
 class BConst:
-    value: Value
+    value: Bound
 
 
 @dataclass(frozen=True)
@@ -103,15 +101,11 @@ class BMax:
 BoundExpr = BConst | BRef | BAdd | BMin | BMax
 
 
-def vadd(a: Value, c: int) -> Value:
-    return a if isinstance(a, _Inf) else a + c
-
-
 def badd_expr(e: BoundExpr, c: int) -> BoundExpr:
     if c == 0:
         return e
     if isinstance(e, BConst):
-        return BConst(vadd(e.value, c))
+        return BConst(badd(e.value, c))
     if isinstance(e, BAdd):
         return badd_expr(e.expr, e.offset + c)
     return BAdd(e, c)
@@ -166,13 +160,13 @@ class BoundSystem:
         return tuple(name for name, _ in self.equations)
 
 
-def eval_bexpr(e: BoundExpr, valuation: Mapping[str, Value]) -> Value:
+def eval_bexpr(e: BoundExpr, valuation: Mapping[str, Bound]) -> Bound:
     if isinstance(e, BConst):
         return e.value
     if isinstance(e, BRef):
         return valuation[e.name]
     if isinstance(e, BAdd):
-        return vadd(eval_bexpr(e.expr, valuation), e.offset)
+        return badd(eval_bexpr(e.expr, valuation), e.offset)
     if isinstance(e, BMin):
         return min(eval_bexpr(e.left, valuation), eval_bexpr(e.right, valuation))
     if isinstance(e, BMax):
@@ -180,7 +174,7 @@ def eval_bexpr(e: BoundExpr, valuation: Mapping[str, Value]) -> Value:
     raise TypeError(f"unknown bound expression {e!r}")
 
 
-def is_fixpoint(system: BoundSystem, valuation: Mapping[str, Value]) -> bool:
+def is_fixpoint(system: BoundSystem, valuation: Mapping[str, Bound]) -> bool:
     return all(eval_bexpr(rhs, valuation) == valuation[name] for name, rhs in system.equations)
 
 
@@ -240,7 +234,7 @@ def _edge_shape(label, var: str, graph: str) -> tuple[str, int]:
 
 
 def extract_upper_bounds(
-    cfg: Cfg, var: str, entry_bound: Value, negate: bool = False
+    cfg: Cfg, var: str, entry_bound: Bound, negate: bool = False
 ) -> BoundSystem:
     """One equation per location for the least upper bound of `var`.
 
@@ -400,23 +394,18 @@ def parse_system(text: str) -> BoundSystem:
 # ---------------------------------------------------------------------------
 
 
-def _selector_nodes(system: BoundSystem) -> list[tuple[str, tuple[int, ...]]]:
-    nodes: list[tuple[str, tuple[int, ...]]] = []
+def _selector_nodes(system: BoundSystem) -> int:
+    """The number of min/max nodes in `system`."""
 
-    def walk(e: BoundExpr, name: str, path: tuple[int, ...]) -> None:
+    def count(e: BoundExpr) -> int:
         if isinstance(e, (BMin, BMax)):
-            nodes.append((name, path))
-            walk(e.left, name, path + (0,))
-            walk(e.right, name, path + (1,))
-        elif isinstance(e, BAdd):
-            walk(e.expr, name, path + (0,))
+            return 1 + count(e.left) + count(e.right)
+        return count(e.expr) if isinstance(e, BAdd) else 0
 
-    for name, rhs in system.equations:
-        walk(rhs, name, ())
-    return nodes
+    return sum(count(rhs) for _, rhs in system.equations)
 
 
-def _links(e: BoundExpr) -> list[tuple[str, Value | str, int]]:
+def _links(e: BoundExpr) -> list[tuple[str, Bound | str, int]]:
     """Every ("const", v, 0) or ("ref", w, offset) that `e` reduces to under
     some choice of argument at each of its min/max nodes."""
     if isinstance(e, BConst):
@@ -425,13 +414,13 @@ def _links(e: BoundExpr) -> list[tuple[str, Value | str, int]]:
         return [("ref", e.name, 0)]
     if isinstance(e, BAdd):
         return [
-            ("const", vadd(payload, e.offset), 0) if kind == "const" else ("ref", payload, off + e.offset)
+            ("const", badd(payload, e.offset), 0) if kind == "const" else ("ref", payload, off + e.offset)
             for kind, payload, off in _links(e.expr)
         ]
     return _links(e.left) + _links(e.right)
 
 
-def _resolve_links(links: dict[str, tuple[str, Value | str, int]]) -> tuple[dict[str, tuple], int]:
+def _resolve_links(links: dict[str, tuple[str, Bound | str, int]]) -> tuple[dict[str, tuple], int]:
     """Resolve the functional graph of one link per variable.
 
     Returns per variable either ("const", value) or ("cycle", k): the
@@ -460,11 +449,11 @@ def _resolve_links(links: dict[str, tuple[str, Value | str, int]]) -> tuple[dict
             if v not in resolution:  # only a cycle's entry is resolved already
                 _, w, off = links[v]
                 res = resolution[w]
-                resolution[v] = ("const", vadd(res[1], off)) if res[0] == "const" else res
+                resolution[v] = ("const", badd(res[1], off)) if res[0] == "const" else res
     return resolution, n_cycles
 
 
-def solve_exhaustive(system: BoundSystem, cap: int = 20) -> dict[str, Value]:
+def solve_exhaustive(system: BoundSystem, cap: int = 20) -> dict[str, Bound]:
     """Least solution by enumerating every combination of the equations'
     links (``_links``), with at most `cap` min/max nodes in the system.
 
@@ -483,10 +472,10 @@ def solve_exhaustive(system: BoundSystem, cap: int = 20) -> dict[str, Value]:
     itself be a survivor.
     """
     nodes = _selector_nodes(system)
-    if len(nodes) > cap:
-        raise CapExceededError(f"{len(nodes)} min/max nodes exceed the cap of {cap}")
+    if nodes > cap:
+        raise CapExceededError(f"{nodes} min/max nodes exceed the cap of {cap}")
     names = system.names()
-    candidates: list[dict[str, Value]] = []
+    candidates: list[dict[str, Bound]] = []
     seen: set[tuple] = set()
     for choice in itertools.product(*(_links(rhs) for _, rhs in system.equations)):
         resolution, n_cycles = _resolve_links(dict(zip(names, choice)))
@@ -536,7 +525,7 @@ def _compile(system: BoundSystem) -> tuple[list[tuple], list[int]]:
     return [walk(rhs, i) for i, (_, rhs) in enumerate(system.equations)], owner
 
 
-def _evaluate_and_switch(e: tuple, rho: list[Value], policy: list[int]) -> Value:
+def _evaluate_and_switch(e: tuple, rho: list[Bound], policy: list[int]) -> Bound:
     """Value of `e` at `rho`; every max node below `e` whose unselected
     argument is strictly larger there switches to it."""
     tag = e[0]
@@ -545,7 +534,7 @@ def _evaluate_and_switch(e: tuple, rho: list[Value], policy: list[int]) -> Value
     if tag == "ref":
         return rho[e[1]]
     if tag == "add":
-        return vadd(_evaluate_and_switch(e[1], rho, policy), e[2])
+        return badd(_evaluate_and_switch(e[1], rho, policy), e[2])
     left = _evaluate_and_switch(e[-2], rho, policy)
     right = _evaluate_and_switch(e[-1], rho, policy)
     if tag == "min":
@@ -558,17 +547,17 @@ def _evaluate_and_switch(e: tuple, rho: list[Value], policy: list[int]) -> Value
     return max(left, right)
 
 
-def _flatten(e: tuple, policy: list[int]) -> tuple[Value, list[tuple[int, int]]]:
+def _flatten(e: tuple, policy: list[int]) -> tuple[Bound, list[tuple[int, int]]]:
     """`e` under `policy` as a min over terms: the least constant term (+oo
     if there is none) and the (variable index, offset) references."""
-    least: Value = POS_INF
+    least: Bound = POS_INF
     refs: list[tuple[int, int]] = []
     stack = [(e, 0)]
     while stack:
         sub, off = stack.pop()
         tag = sub[0]
         if tag == "const":
-            least = min(least, vadd(sub[1], off))
+            least = min(least, badd(sub[1], off))
         elif tag == "ref":
             refs.append((sub[1], off))
         elif tag == "add":
@@ -582,8 +571,8 @@ def _flatten(e: tuple, policy: list[int]) -> tuple[Value, list[tuple[int, int]]]
 
 
 def _solve_min_system(
-    flat: list[tuple[Value, list[tuple[int, int]]]], rho: list[Value]
-) -> list[Value]:
+    flat: list[tuple[Bound, list[tuple[int, int]]]], rho: list[Bound]
+) -> list[Bound]:
     """Least solution above `rho` of ``x_i = min(k, x_j + c for (j, c) in
     refs)`` with ``(k, refs) = flat[i]``, given that `rho` is feasible (see
     solve_policy_iteration).
@@ -641,7 +630,7 @@ def _solve_min_system(
                     queued[i] = True
                     queue.append(i)
 
-    out: list[Value] = []
+    out: list[Bound] = []
     for i in range(n):
         value = NEG_INF if not live[i] else POS_INF if dist[i] is None else dist[i]
         if value < rho[i]:
@@ -650,7 +639,7 @@ def _solve_min_system(
     return out
 
 
-def solve_policy_iteration(system: BoundSystem) -> dict[str, Value]:
+def solve_policy_iteration(system: BoundSystem) -> dict[str, Bound]:
     """Ascending policy iteration over the max nodes.
 
     Starts from the all--oo valuation and the policy that selects, at each
@@ -675,7 +664,7 @@ def solve_policy_iteration(system: BoundSystem) -> dict[str, Value]:
     """
     rhs, owner = _compile(system)
     switching = sorted(set(owner))  # the equations that hold a max node
-    rho: list[Value] = [NEG_INF] * len(rhs)
+    rho: list[Bound] = [NEG_INF] * len(rhs)
     policy = [0] * len(owner)
     for i in switching:
         _evaluate_and_switch(rhs[i], rho, policy)

@@ -291,71 +291,56 @@ def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
     return value
 
 
-def _bound_for(op: str, other: Interval) -> Interval:
-    """States satisfying `x op other` for some value of `other`."""
-    if op == "<":
-        return Interval(NEG_INF, badd(other.hi, -1))
-    if op == "<=":
-        return Interval(NEG_INF, other.hi)
-    if op == ">":
-        return Interval(badd(other.lo, 1), POS_INF)
-    if op == ">=":
-        return Interval(other.lo, POS_INF)
-    if op == "==":
-        return other
-    return TOP  # != handled separately
-
-
-def _refine_var(env: AbstractEnv, var: str, op: str, other: Interval) -> AbstractEnv:
-    cur = env.get(var)
+def _narrow(cur: Interval, op: str, other: Interval) -> Interval:
+    """The values of `cur` that satisfy `x op y` for some `y` in `other`
+    (with integer tightening of strict bounds); empty when none does."""
+    if cur.is_empty or other.is_empty:
+        return EMPTY
     if op == "!=":
-        # Only a definite single value can shave an endpoint.
-        if not other.is_empty and other.lo == other.hi:
-            c = other.lo
-            if cur.lo == c:
-                return env.set(var, Interval.make(badd(c, 1), cur.hi))
-            if cur.hi == c:
-                return env.set(var, Interval.make(cur.lo, badd(c, -1)))
-        return env
-    return env.set(var, cur.meet(_bound_for(op, other)))
-
-
-def _feasible(op: str, left: Interval, right: Interval) -> bool:
-    if left.is_empty or right.is_empty:
-        return False
+        # Only a definite single value can shave an endpoint, and only two
+        # equal singletons shave to empty.
+        if other.lo == other.hi:
+            if cur.lo == other.lo:
+                return Interval.make(badd(other.lo, 1), cur.hi)
+            if cur.hi == other.lo:
+                return Interval.make(cur.lo, badd(other.lo, -1))
+        return cur
     if op == "<":
-        return left.lo < right.hi
+        return Interval.make(cur.lo, min(cur.hi, badd(other.hi, -1)))
     if op == "<=":
-        return left.lo <= right.hi
+        return Interval.make(cur.lo, min(cur.hi, other.hi))
     if op == ">":
-        return left.hi > right.lo
+        return Interval.make(max(cur.lo, badd(other.lo, 1)), cur.hi)
     if op == ">=":
-        return left.hi >= right.lo
-    if op == "==":
-        return not left.meet(right).is_empty
-    # !=: only two equal singletons are definitely equal
-    return not (left.lo == left.hi == right.lo == right.hi)
+        return Interval.make(max(cur.lo, other.lo), cur.hi)
+    return cur.meet(other)  # ==
 
 
 def filter_cond(c: Cond, env: AbstractEnv) -> AbstractEnv:
     """Sound refinement by a condition.
 
-    Keeps every state of `env` satisfying the condition.  Comparisons refine
-    bare-variable sides exactly (with integer tightening of strict bounds);
-    compound sides only contribute the feasibility check.  `*` filters
-    nothing.
+    Keeps every state of `env` satisfying the condition.  The result is
+    unreachable exactly when narrowing the left side's interval by the
+    right side's leaves nothing; otherwise each bare-variable side is
+    narrowed by the other side.  That is exact for a variable against a
+    constant or against another variable; compound sides only contribute
+    the unreachability check.  `*` filters nothing.
     """
     if env.bottom or isinstance(c, CondNondet):
         return env
     left = eval_expr(c.left, env)
     right = eval_expr(c.right, env)
-    if not _feasible(c.op, left, right):
+    narrowed = _narrow(left, c.op, right)
+    if narrowed.is_empty:
         return BOTTOM_ENV
     out = env
-    if isinstance(c.left, Var):
-        out = _refine_var(out, c.left.name, c.op, right)
-    if isinstance(c.right, Var) and not out.bottom:
-        out = _refine_var(out, c.right.name, FLIPPED_OP[c.op], left)
+    if isinstance(c.left, Var) and narrowed is not left:
+        out = out.set(c.left.name, narrowed)
+    if isinstance(c.right, Var):
+        cur = out.get(c.right.name)
+        narrowed = _narrow(cur, FLIPPED_OP[c.op], left)
+        if narrowed is not cur:
+            out = out.set(c.right.name, narrowed)
     return out
 
 

@@ -6,6 +6,12 @@ and after rewriting and simplification, then intersecting the two interval
 results, recovers relational facts a non-relational domain loses (the classic
 ``y = x; z = x - y`` gives z = [0, 0] instead of [-1, 1]).
 
+Rewriting and simplification are one walk (``rewrite_and_simplify``): rules
+are substituted while the expression's linear form is collected, so no
+intermediate tree is built, and ``simplify`` is the same walk with no rules.
+A recorded rule is the right-hand side as the assignment's transfer already
+put it in canonical form, so an assignment is rewritten once.
+
 The combination is deliberately kept in its plain form: guards are filtered
 through original and rewritten conditions but rules are never inverted, and
 the map join at control-flow merges keeps syntactically common rules only.
@@ -69,17 +75,41 @@ class RewriteMap:
         )
 
     def join(self, other: "RewriteMap") -> "RewriteMap":
-        if self.rules == other.rules:
+        """The rules both maps hold.  A map holds at most one rule per
+        variable, so each rule is compared with the other map's rule for
+        the same variable only."""
+        if self.rules is other.rules:
             return self
-        common = set(other.rules)
-        kept = tuple(r for r in self.rules if r in common)
+        theirs = dict(other.rules)
+        kept = tuple(r for r in self.rules if _same_expr(r[1], theirs.get(r[0])))
         return self if len(kept) == len(self.rules) else RewriteMap(kept)
 
 
-def _linear_form(e: Expr, sign: int, coeffs: dict[str, int], nondets: list[int]) -> int:
-    """Accumulate coefficients; returns the constant term contribution.
-    Operands are visited left to right (the order of `nondets`), with the
-    left spine of a sum walked in a loop, so a long sum does not recurse."""
+_NO_RULES = RewriteMap()
+
+
+def _same_expr(a: Expr, b: Expr | None) -> bool:
+    """Structural equality that walks the left spines of two sums in a loop,
+    so comparing two long rules does not recurse (rules are canonical sums,
+    with a single term on every right)."""
+    while a is not b:
+        if not (isinstance(a, BinOp) and isinstance(b, BinOp)):
+            return a == b
+        if a.op != b.op or a.right != b.right:
+            return False
+        a, b = a.left, b.left
+    return True
+
+
+def _linear_form(
+    e: Expr, sign: int, coeffs: dict[str, int], nondets: list[int], m: RewriteMap, budget: int | None
+) -> int:
+    """Accumulate the coefficients of `e` with its variables replaced by
+    their rules; returns the constant term contribution.  A budget of k
+    allows k successive rule applications along any chain (None is
+    unlimited; acyclicity bounds the recursion either way).  Operands are
+    visited left to right (the order of `nondets`), with the left spine of
+    a sum walked in a loop, so a long sum does not recurse."""
     spine: list[BinOp] = []
     while isinstance(e, BinOp):
         spine.append(e)
@@ -87,24 +117,29 @@ def _linear_form(e: Expr, sign: int, coeffs: dict[str, int], nondets: list[int])
     if isinstance(e, Const):
         const = sign * e.value
     elif isinstance(e, Var):
-        coeffs[e.name] = coeffs.get(e.name, 0) + sign
-        const = 0
+        rhs = m.lookup(e.name) if budget is None or budget > 0 else None
+        if rhs is None:
+            coeffs[e.name] = coeffs.get(e.name, 0) + sign
+            const = 0
+        else:
+            const = _linear_form(rhs, sign, coeffs, nondets, m, None if budget is None else budget - 1)
     elif isinstance(e, Nondet):
         nondets.append(sign)
         const = 0
     else:
         raise TypeError(f"unknown expression {e!r}")
     for node in reversed(spine):
-        const += _linear_form(node.right, sign if node.op == "+" else -sign, coeffs, nondets)
+        const += _linear_form(node.right, sign if node.op == "+" else -sign, coeffs, nondets, m, budget)
     return const
 
 
-def simplify(e: Expr) -> Expr:
-    """Canonical linear form: variables in name order (with multiplicity),
-    then any nondeterministic occurrences, then the constant term."""
+def _canonical(e: Expr, m: RewriteMap, budget: int | None) -> Expr:
+    """Canonical linear form of `e` rewritten by `m`, in one walk:
+    variables in name order (with multiplicity), then any nondeterministic
+    occurrences, then the constant term."""
     coeffs: dict[str, int] = {}
     nondets: list[int] = []
-    const = _linear_form(e, 1, coeffs, nondets)
+    const = _linear_form(e, 1, coeffs, nondets, m, budget)
     terms: list[tuple[int, Expr]] = []
     for name in sorted(coeffs):
         c = coeffs[name]
@@ -125,49 +160,32 @@ def simplify(e: Expr) -> Expr:
     return out
 
 
-def _substitute(e: Expr, m: RewriteMap, budget: int | None) -> Expr:
-    """Replace variables by their rules; a budget of k allows k successive
-    rule applications along any chain (None is unlimited; acyclicity bounds
-    the recursion either way).  The left spine of a sum is walked in a
-    loop, so a long sum does not recurse."""
-    if budget is not None and budget <= 0:
-        return e
-    spine: list[BinOp] = []
-    while isinstance(e, BinOp):
-        spine.append(e)
-        e = e.left
-    if isinstance(e, Var):
-        rhs = m.lookup(e.name)
-        if rhs is not None:
-            e = _substitute(rhs, m, None if budget is None else budget - 1)
-    for node in reversed(spine):
-        e = BinOp(node.op, e, _substitute(node.right, m, budget))
-    return e
+def simplify(e: Expr) -> Expr:
+    """Canonical linear form of `e` as written (no rules applied)."""
+    return _canonical(e, _NO_RULES, 0)
 
 
 def rewrite_and_simplify(m: RewriteMap, e: Expr, max_chain: int | None = None) -> Expr:
-    return simplify(_substitute(e, m, max_chain))
+    """Canonical linear form of `e` with at most `max_chain` successive rule
+    applications along any chain (None follows chains to the end)."""
+    return _canonical(e, m, max_chain)
 
 
-def record(m: RewriteMap, var: str, e: Expr, flatten: bool = True) -> RewriteMap:
-    """Chronological recording of an assignment.
+def record(m: RewriteMap, var: str, rhs: Expr) -> RewriteMap:
+    """Chronological recording of an assignment to `var` whose right-hand
+    side the caller has put in canonical form as `rhs`: rewritten through
+    `m`, so the rule refers to current values only, or only simplified when
+    chains are truncated at evaluation time instead.
 
     The old value of `var` is dead: rules mentioning it on either side are
-    dropped.  A deterministic right-hand side is stored fully rewritten
-    through the pre-assignment map (so it refers to current values only);
-    with ``flatten=False`` (truncated mode) it is stored only simplified,
-    and chains are capped at evaluation time instead.  A nondeterministic
-    right-hand side merely invalidates, and so does a self-referential
-    residue (e.g. ``x = x + 1`` with no rule for x), which cannot be
-    expressed as a rule about current values.
+    dropped.  A nondeterministic right-hand side merely invalidates, and so
+    does a self-referential one (e.g. ``x = x + 1`` with no rule for x),
+    which cannot be expressed as a rule about current values.
     """
-    if expr_has_nondet(e):
-        return m.drop_mentioning(var)
-    flat = rewrite_and_simplify(m, e) if flatten else simplify(e)
     out = m.drop_mentioning(var)
-    if var in expr_vars(flat):
+    if expr_has_nondet(rhs) or var in expr_vars(rhs):
         return out
-    return RewriteMap(out.rules + ((var, flat),))
+    return RewriteMap(out.rules + ((var, rhs),))
 
 
 def _rewritten_cond(c: Cond, m: RewriteMap, max_chain: int | None) -> Cond:
@@ -210,7 +228,7 @@ class _State(NamedTuple):
         return _State(env, other.rules)
 
 
-_BOTTOM_STATE = _State(BOTTOM_ENV, RewriteMap())
+_BOTTOM_STATE = _State(BOTTOM_ENV, _NO_RULES)
 
 
 def analyze_combined(
@@ -228,11 +246,13 @@ def analyze_combined(
     both maps share, and widening acts on the environment only.
     Assignments and guards are evaluated on the original expression and on
     its rewritten, simplified form; the meet of the two interval results is
-    used.  With ``truncate_depth=d``, stored rules keep their raw right-hand
-    sides and evaluation follows at most ``d`` rule applications along any
-    chain; the default follows chains exhaustively with rules stored
-    pre-flattened.  Truncation is not monotone: a shallower depth can give
-    strictly more precise intervals (see the module docstring).
+    used.  By default chains are followed exhaustively, and an assignment
+    records the rewritten expression it was just evaluated on, so stored
+    rules refer to current values only.  With ``truncate_depth=d``, an
+    assignment records only ``simplify`` of its right-hand side, and
+    evaluation follows at most ``d`` rule applications along any chain.
+    Truncation is not monotone: a shallower depth can give strictly more
+    precise intervals (see the module docstring).
     """
     check_cache_free(cfg)
     depth = truncate_depth
@@ -251,11 +271,9 @@ def analyze_combined(
         if isinstance(label, AssignLabel):
             memo = rewritten.get(id(label))
             if memo is None or memo[0] is not rules:
-                memo = rewritten[id(label)] = (
-                    rules,
-                    rewrite_and_simplify(rules, label.expr, depth),
-                    record(rules, label.var, label.expr, depth is None),
-                )
+                rhs = rewrite_and_simplify(rules, label.expr, depth)
+                stored = rhs if depth is None else simplify(label.expr)
+                memo = rewritten[id(label)] = (rules, rhs, record(rules, label.var, stored))
             plain = eval_expr(label.expr, env)
             new_env = env.set(label.var, plain.meet(eval_expr(memo[1], env)))
             if new_env.bottom:
@@ -271,7 +289,7 @@ def analyze_combined(
         return state
 
     states = chaotic_iteration(
-        cfg, _State(entry_env, RewriteMap()), _BOTTOM_STATE, transfer, widen_delay, narrow_passes
+        cfg, _State(entry_env, _NO_RULES), _BOTTOM_STATE, transfer, widen_delay, narrow_passes
     )
     envs = {loc: s.env for loc, s in states.items()}
     return AnalysisResult(envs, assert_verdicts(cfg, envs))

@@ -520,7 +520,7 @@ def build_fragment_corpus(seed: int, count: int, max_nodes: int = 10):
         except RangeBlown:
             continue
         upper = extract_upper_bounds(cfg, FRAGMENT_VAR, init)
-        if len(_selector_nodes(upper)) > max_nodes:
+        if _selector_nodes(upper) > max_nodes:
             continue
         lower = extract_upper_bounds(cfg, FRAGMENT_VAR, -init, negate=True)
         if not hulls_are_postfixpoint(cfg, upper, lower, values):

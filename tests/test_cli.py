@@ -418,6 +418,17 @@ LONG_SUMS = {
         "int x = 0;\nint y = 2;\nint z = 0;\nx = " + " + ".join(["y"] * 3000) + ";\nz = x - y;\n",
         {"x": [6000, 6000], "y": [2, 2], "z": [5998, 5998]},
     ),
+    # A rule this long reaches a join, kept on one branch only or on both.
+    "rule-on-one-branch": (
+        "int x = 0;\nint y = 2;\nif (*) { x = " + " + ".join(["y"] * 3000)
+        + "; } else { x = 1; }\nx = x + 1;\n",
+        {"x": [2, 6001], "y": [2, 2]},
+    ),
+    "rule-on-both-branches": (
+        "int x = 0;\nint y = 2;\nif (*) { x = " + " + ".join(["y"] * 3000)
+        + "; } else { x = " + " + ".join(["y"] * 3000) + "; }\nx = x + 1;\n",
+        {"x": [6001, 6001], "y": [2, 2]},
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
@@ -99,6 +100,62 @@ def test_filter_equality_and_disequality():
     assert filter_cond(Cmp("==", Var("x"), Const(4)), env).get("x") == Interval(4, 4)
     assert filter_cond(Cmp("!=", Var("x"), Const(0)), env).get("x") == Interval(1, 9)
     assert filter_cond(Cmp("!=", Var("x"), Const(5)), env).get("x") == Interval(0, 9)
+
+
+RELOPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+          "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+
+
+def _side(rng, names):
+    roll = rng.random()
+    if roll < 0.4:
+        return Var(rng.choice(names))
+    if roll < 0.6:
+        return Const(rng.randint(-4, 4))
+    return BinOp(rng.choice("+-"), _side(rng, names), _side(rng, names))
+
+
+def _value(e, point):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return point[e.name]
+    right = _value(e.right, point)
+    return _value(e.left, point) + (right if e.op == "+" else -right)
+
+
+def test_filter_cond_against_brute_force():
+    """Every point of a small box that satisfies the condition is kept.
+    When the sides are a variable and a constant, or two distinct
+    variables, the result is exact: unreachable if and only if no point
+    satisfies, and each variable side is the hull of its satisfying
+    values."""
+    rng = random.Random(1515)
+    names = ["x", "y", "z"]
+    exact = 0
+    for _ in range(3000):
+        box = {}
+        for v in names:
+            lo = rng.randint(-3, 3)
+            box[v] = Interval(lo, lo + rng.randint(0, 3))
+        op = rng.choice(sorted(RELOPS))
+        c = Cmp(op, _side(rng, names), _side(rng, names))
+        out = filter_cond(c, AbstractEnv.of(box))
+        points = [dict(zip(names, p)) for p in itertools.product(
+            *(range(box[v].lo, box[v].hi + 1) for v in names))]
+        sat = [p for p in points if RELOPS[op](_value(c.left, p), _value(c.right, p))]
+        for p in sat:
+            assert not out.bottom, c
+            assert all(out.get(v).contains(p[v]) for v in names), (c, box, p)
+        kinds = sorted(type(side).__name__ for side in (c.left, c.right))
+        if kinds == ["Const", "Var"] or (kinds == ["Var", "Var"] and c.left != c.right):
+            exact += 1
+            assert out.bottom == (not sat), (c, box)
+            for side in (c.left, c.right):
+                if isinstance(side, Var) and sat:
+                    values = [p[side.name] for p in sat]
+                    assert out.get(side.name) == Interval(min(values), max(values)), (c, box)
+    assert exact > 500
 
 
 def test_widen_unstable_upper():

@@ -54,7 +54,7 @@ def test_record_copy():
 
 def test_record_chains_through_existing_rules():
     m = RewriteMap((("j", BinOp("+", Var("i"), Const(1))),))
-    out = record(m, "k", BinOp("+", Var("j"), Const(1)))
+    out = record(m, "k", rewrite_and_simplify(m, BinOp("+", Var("j"), Const(1))))
     assert out.lookup("k") == BinOp("+", Var("i"), Const(2))
     assert out.lookup("j") == BinOp("+", Var("i"), Const(1))
 
@@ -101,7 +101,7 @@ def test_rewrite_and_simplify_idempotent():
         variables = ["a", "b", "c"]
         m = RewriteMap()
         for v in variables[: rng.randint(0, 3)]:
-            m = record(m, v, random_expr(rng, ["p", "q"]))
+            m = record(m, v, rewrite_and_simplify(m, random_expr(rng, ["p", "q"])))
         e = random_expr(rng, variables + ["p"])
         once = rewrite_and_simplify(m, e)
         assert rewrite_and_simplify(m, once) == once
@@ -185,7 +185,8 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
     """A label's rewritten expression or condition and its recorded map are
     computed once per rule-map object that reaches it: no (label, map
     object) pair calls `rewrite_and_simplify` on the same expression, or
-    `record`, twice."""
+    `record`, twice, and `record` stores what the transfer rewrote without
+    rewriting it again."""
     seen: set = set()
     held: list = []  # keeps every map and label alive, so ids stay unique
     current: list = []  # the label being transferred, and whether inside record
@@ -205,15 +206,15 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
         held.append(alive)
 
     def counted_rewrite(m, e, max_chain=None):
-        if not current[1]:
-            note(("rewrite", id(current[0]), id(m), id(e)), current[0], m, e)
+        assert not current[1], "record rewrote its right-hand side"
+        note(("rewrite", id(current[0]), id(m), id(e)), current[0], m, e)
         return rewrite(m, e, max_chain)
 
-    def counted_record(m, var, e, flatten=True):
+    def counted_record(m, var, rhs):
         note(("record", id(current[0]), id(m)), current[0], m)
         current[1] = True
         try:
-            return record_(m, var, e, flatten)
+            return record_(m, var, rhs)
         finally:
             current[1] = False
 
