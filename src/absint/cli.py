@@ -74,7 +74,7 @@ def _load_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path!r}: {exc}")
 
 
@@ -381,23 +381,29 @@ def run_intervals(args) -> int:
     if args.timings:
         timings["total"] = round(sum(timings.values()), 6)
     verdicts = {m: {v.sid: v.proved for v in outcomes[m].asserts} for m in methods}
-    if args.format == "json":
-        report = {
-            "schema": SCHEMA_VERSION,
-            "tool": TOOL,
-            "version": VERSION,
-            "method": args.method,
-            "rewrites": args.rewrites,
-            "input": args.input,
-            "results": _interval_results(cfg, program, outcomes, methods, args.method == "compare"),
-            "asserts": _assert_results(cfg, verdicts, methods, args.method == "compare"),
-            "timings": timings,
-        }
-        if args.method == "compare":
-            report["skipped"] = skipped
-        _write_json(report)
-    else:
-        _write_rows(_interval_rows(cfg, program, outcomes, methods, verdicts))
+    # str() of an int stops at sys.get_int_max_str_digits() digits, and a
+    # sum of literals within the limit can pass it.  Either report is built
+    # in full before it is written, so stdout stays empty.
+    try:
+        if args.format == "json":
+            report = {
+                "schema": SCHEMA_VERSION,
+                "tool": TOOL,
+                "version": VERSION,
+                "method": args.method,
+                "rewrites": args.rewrites,
+                "input": args.input,
+                "results": _interval_results(cfg, program, outcomes, methods, args.method == "compare"),
+                "asserts": _assert_results(cfg, verdicts, methods, args.method == "compare"),
+                "timings": timings,
+            }
+            if args.method == "compare":
+                report["skipped"] = skipped
+            _write_json(report)
+        else:
+            _write_rows(_interval_rows(cfg, program, outcomes, methods, verdicts))
+    except ValueError:
+        raise _CliError(f"{args.input}: a bound is longer than {sys.get_int_max_str_digits()} digits")
     if args.method != "compare":
         unproved = not all(verdicts[args.method].values())
         return EXIT_UNPROVED if unproved else EXIT_OK

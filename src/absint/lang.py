@@ -19,12 +19,23 @@ Comments start with ``#`` and run to end of line.  Values are mathematical
 integers; ``*`` denotes a nondeterministic integer (in expressions) or a
 nondeterministic boolean (in conditions).  Variables must be declared before
 use.  ``access(b)`` names a memory block, which lives in a separate namespace
-from integer variables and needs no declaration.
+from integer variables and needs no declaration.  A literal longer than
+``sys.get_int_max_str_digits()`` digits, which ``int()`` refuses, is a parse
+error.
+
+Tokens are plain texts: one ``findall`` of ``_TOKEN`` lists them, skipping
+blanks and comments, and ends with the empty text at the end of the input.
+``_kind`` tells a text's kind from the text alone (an ASCII digit starts an
+integer, a letter or ``_`` an identifier, and the empty text is the end), so
+the parser looks each distinct text up once and compares texts directly.
+Lines and columns are computed only when an error is raised: ``_tokenize``
+runs the same pattern again and builds the ``_Token`` list with positions.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,6 +179,8 @@ def expr_has_nondet(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = {"int", "if", "else", "while", "assert", "access"}
+_PUNCT = frozenset(("<=", ">=", "==", "!=", *"<>=+-*(){};"))
+_RELOPS = frozenset(("<", "<=", "==", "=", "!=", ">=", ">"))
 
 
 class _Token(NamedTuple):
@@ -177,45 +190,53 @@ class _Token(NamedTuple):
     col: int
 
 
-# Each match is a run of blanks and then one alternative, tried in this
-# order.  Integer literals are ASCII digits only: \d also takes other
+# Each match skips blanks, newlines and comments, then captures one token
+# text, trying the alternatives in this order; the empty text is the end of
+# the input.  Integer literals are ASCII digits only: \d also takes other
 # scripts' digits, which int() reads as numbers.  An identifier starts with
 # a letter or "_" and goes on with what str.isalnum takes or "_" (which is
 # \w); [^\W\d] is the letters plus numeric characters such as "²", so a
-# non-ASCII start is checked with str.isalpha.
+# non-ASCII start is checked with str.isalpha (in `_kind`).
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<int>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_]\w*)|(?P<other_ident>[^\W\d]\w*)"
-    r"|(?P<punct><=|>=|==|!=|[<>=+\-*(){};])|(?P<bad>.)|\Z)",
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([0-9]+|[A-Za-z_]\w*|[^\W\d]\w*|<=|>=|==|!=|[<>=+\-*(){};]|.|\Z)",
     re.DOTALL,
 )
 
 
+def _kind(text: str) -> str:
+    """The kind of a token text: "eof", "int", "ident", "punct" or "bad"."""
+    if not text:
+        return "eof"
+    c = text[0]
+    if "0" <= c <= "9":
+        return "int"
+    if c == "_" or c.isalpha():
+        return "ident"
+    return "punct" if text in _PUNCT else "bad"
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text` with their positions, up to and including the
+    end of input; raises ParseError at the first bad character."""
     tokens: list[_Token] = []
     line, line_start = 1, 0
-    end = eof = len(text)
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # blanks up to the end
+        start = m.start(1)
+        newlines = text.count("\n", m.start(), start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", 0, start) + 1
+        word = m[1]
+        if not word:
             break
-        start = m.start(kind)
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-        elif kind == "comment":
-            # A comment does not move the column: when it ends the input,
-            # the end-of-input token sits where it starts.
-            if m.end() == end:
-                eof = start
-        else:
-            word = m[kind]
-            if kind == "other_ident":
-                kind = "ident" if word[0].isalpha() else "bad"
-            if kind == "bad":
-                raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
-            tokens.append(_Token(kind, word, line, start - line_start + 1))
-    tokens.append(_Token("eof", "", line, eof - line_start + 1))
+        kind = _kind(word)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word[0]!r}", line, start - line_start + 1)
+        tokens.append(_Token(kind, word, line, start - line_start + 1))
+    # A comment does not move the column: when one ends the input, the
+    # end-of-input token sits where it starts.
+    comment = text.find("#", line_start)
+    tokens.append(_Token("eof", "", line, (start if comment < 0 else comment) - line_start + 1))
     return tokens
 
 
@@ -225,168 +246,152 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the token texts; `pos` indexes the next one."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.kinds = {word: _kind(word) for word in set(self.toks)}
+        if "bad" in self.kinds.values():
+            _tokenize(text)  # raises at the first bad character
         self.pos = 0
         self.declared: set[str] = set()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, pos: int) -> ParseError:
+        t = _tokenize(self.text)[pos]
+        return ParseError(message, t.line, t.col)
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
+    def fail(self, message: str) -> ParseError:
+        shown = self.toks[self.pos] or "end of input"
+        return self.error(f"{message} (at {shown!r})", self.pos)
+
+    def expect(self, text: str) -> None:
+        if self.toks[self.pos] != text:
+            raise self.fail(f"expected {text!r}")
+        self.pos += 1
+
+    def ident(self, what: str) -> str:
+        t = self.toks[self.pos]
+        if self.kinds[t] != "ident" or t in _KEYWORDS:
+            raise self.fail(f"expected {what}")
         self.pos += 1
         return t
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        shown = t.text if t.kind != "eof" else "end of input"
-        return ParseError(f"{message} (at {shown!r})", t.line, t.col)
-
-    def expect(self, text: str) -> _Token:
-        t = self.peek()
-        if t.kind == "punct" and t.text == text:
-            return self.next()
-        raise self.fail(f"expected {text!r}")
-
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
-
-    def ident(self, what: str) -> _Token:
-        t = self.peek()
-        if t.kind != "ident" or t.text in _KEYWORDS:
-            raise self.fail(f"expected {what}")
-        return self.next()
-
     def program(self) -> Program:
+        toks = self.toks
         decls = []
-        while self.at_keyword("int"):
+        while toks[self.pos] == "int":
             decls.append(self.decl())
         body = []
-        while self.peek().kind != "eof":
+        while toks[self.pos]:
             body.append(self.stmt())
         return Program(tuple(decls), tuple(body))
 
     def decl(self) -> Decl:
-        self.next()  # "int"
-        name = self.ident("variable name").text
+        self.pos += 1  # "int"
+        name = self.ident("variable name")
         if name in self.declared:
             raise self.fail(f"variable {name!r} already declared")
         self.declared.add(name)
         init = None
-        if self.at_punct("="):
-            self.next()
-            t = self.peek()
+        if self.toks[self.pos] == "=":
+            self.pos += 1
+            pos = self.pos
             e = self.expr()
             if not isinstance(e, Const):
-                raise ParseError("declaration initializer must be a constant", t.line, t.col)
+                raise self.error("declaration initializer must be a constant", pos)
             init = e
         self.expect(";")
         return Decl(name, init)
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("{")
+        toks = self.toks
         stmts = []
-        while not self.at_punct("}"):
-            if self.peek().kind == "eof":
+        while toks[self.pos] != "}":
+            if not toks[self.pos]:
                 raise self.fail("unterminated block")
             stmts.append(self.stmt())
-        self.expect("}")
+        self.pos += 1
         return tuple(stmts)
 
     def stmt(self) -> Stmt:
-        if self.at_keyword("if"):
-            self.next()
+        pos = self.pos
+        t = self.toks[pos]
+        if t in self.declared:  # an assignment; no keyword is ever declared
+            self.pos += 1
+            self.expect("=")
+            e = self.expr()
+            self.expect(";")
+            return Assign(t, e)
+        if t in ("if", "while", "assert"):
+            self.pos += 1
             self.expect("(")
             cond = self.cond()
             self.expect(")")
-            then = self.block()
-            orelse: tuple[Stmt, ...] = ()
-            if self.at_keyword("else"):
-                self.next()
-                orelse = self.block()
-            return If(cond, then, orelse)
-        if self.at_keyword("while"):
-            self.next()
-            self.expect("(")
-            cond = self.cond()
-            self.expect(")")
-            return While(cond, self.block())
-        if self.at_keyword("assert"):
-            t = self.peek()
-            self.next()
-            self.expect("(")
-            cond = self.cond()
-            self.expect(")")
+            if t == "while":
+                return While(cond, self.block())
+            if t == "if":
+                then = self.block()
+                if self.toks[self.pos] != "else":
+                    return If(cond, then, ())
+                self.pos += 1
+                return If(cond, then, self.block())
             self.expect(";")
             if isinstance(cond, CondNondet):
-                raise ParseError("assert condition must not be '*'", t.line, t.col)
+                raise self.error("assert condition must not be '*'", pos)
             return Assert(cond)
-        if self.at_keyword("access"):
-            self.next()
+        if t == "access":
+            self.pos += 1
             self.expect("(")
-            block = self.ident("block name").text
+            block = self.ident("block name")
             self.expect(")")
             self.expect(";")
             return AccessStmt(block)
-        name_tok = self.ident("statement")
-        if name_tok.text not in self.declared:
-            raise ParseError(
-                f"use of undeclared variable {name_tok.text!r}", name_tok.line, name_tok.col
-            )
-        self.expect("=")
-        e = self.expr()
-        self.expect(";")
-        return Assign(name_tok.text, e)
+        name = self.ident("statement")
+        raise self.error(f"use of undeclared variable {name!r}", pos)
 
     def cond(self) -> Cond:
-        if self.at_punct("*") and self._next_is_close_paren():
-            self.next()
+        toks = self.toks
+        if toks[self.pos] == "*" and toks[self.pos + 1] == ")":
+            self.pos += 1
             return CondNondet()
         left = self.expr()
-        t = self.peek()
-        if t.kind == "punct" and t.text in ("<", "<=", "==", "=", "!=", ">=", ">"):
-            self.next()
-            op = "==" if t.text == "=" else t.text
-            right = self.expr()
-            return Cmp(op, left, right)
-        raise self.fail("expected comparison operator")
-
-    def _next_is_close_paren(self) -> bool:
-        t = self.tokens[self.pos + 1]
-        return t.kind == "punct" and t.text == ")"
+        op = toks[self.pos]
+        if op not in _RELOPS:
+            raise self.fail("expected comparison operator")
+        self.pos += 1
+        return Cmp("==" if op == "=" else op, left, self.expr())
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next().text
+        toks = self.toks
+        while (op := toks[self.pos]) in ("+", "-"):
+            self.pos += 1
             e = BinOp(op, e, self.term())
         return e
 
     def term(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Const(int(t.text))
-        if t.kind == "punct" and t.text == "-":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "int":
-                self.next()
-                self.next()
-                return Const(-int(nxt.text))
-        if t.kind == "punct" and t.text == "*":
-            self.next()
+        toks, pos = self.toks, self.pos
+        t = toks[pos]
+        if t in self.declared:
+            self.pos = pos + 1
+            return Var(t)
+        kind = self.kinds[t]
+        negative = t == "-" and self.kinds[toks[pos + 1]] == "int"
+        if kind == "int" or negative:
+            pos += negative
+            try:
+                value = int(toks[pos])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise self.error(f"integer literal longer than {sys.get_int_max_str_digits()} digits", pos)
+            self.pos = pos + 1
+            return Const(-value if negative else value)
+        if t == "*":
+            self.pos = pos + 1
             return Nondet()
-        if t.kind == "ident" and t.text not in _KEYWORDS:
-            self.next()
-            if t.text not in self.declared:
-                raise ParseError(f"use of undeclared variable {t.text!r}", t.line, t.col)
-            return Var(t.text)
+        if kind == "ident" and t not in _KEYWORDS:
+            raise self.error(f"use of undeclared variable {t!r}", pos)
         raise self.fail("expected expression")
 
 

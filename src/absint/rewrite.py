@@ -263,6 +263,9 @@ def analyze_combined(
     # environment.  Recording through the memo also hands the same map
     # object on, so the next label's memo hits too.
     rewritten: dict[int, tuple] = {}
+    # Per assignment label, what a truncated run records: `simplify` of its
+    # right-hand side, which depends on the label alone.
+    simplified: dict[int, Expr] = {}
 
     def transfer(label, state: _State) -> _State:
         env, rules = state
@@ -272,7 +275,9 @@ def analyze_combined(
             memo = rewritten.get(id(label))
             if memo is None or memo[0] is not rules:
                 rhs = rewrite_and_simplify(rules, label.expr, depth)
-                stored = rhs if depth is None else simplify(label.expr)
+                stored = rhs if depth is None else simplified.get(id(label))
+                if stored is None:
+                    stored = simplified[id(label)] = simplify(label.expr)
                 memo = rewritten[id(label)] = (rules, rhs, record(rules, label.var, stored))
             plain = eval_expr(label.expr, env)
             new_env = env.set(label.var, plain.meet(eval_expr(memo[1], env)))

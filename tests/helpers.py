@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 from absint.cfg import (
     AccessLabel,
@@ -256,6 +257,30 @@ def _guard_asserts(s):
     if isinstance(s, While):
         return While(s.cond, tuple(map(_guard_asserts, s.body)))
     return s
+
+
+# Token mutations, shared by the CLI fuzz test and the parse golden.
+FUZZ_TOKEN = re.compile(r"\s+|[A-Za-z_]\w*|[0-9]+|<=|>=|==|!=|\S")
+FUZZ_EXTRA = ("(", ")", "{", "}", ";", "*", "-", "+", "=", "<", "int", "if", "else", "while",
+              "assert", "access", "loc", "edge", "entry", "x", "0", "99999999999999999999",
+              "\n", "#", "\u00b2", "\u00e9", "$")
+
+
+def mutate_tokens(rng: random.Random, tokens: list[str], vocabulary: list[str]) -> str:
+    """The text of `tokens` after one or two random deletions, replacements
+    or insertions (`tokens` is changed in place)."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(tokens))
+        roll = rng.random()
+        if roll < 0.3:
+            del tokens[i]
+        elif roll < 0.6:
+            tokens[i] = rng.choice(vocabulary)
+        elif roll < 0.8:
+            tokens.insert(i, rng.choice(vocabulary))
+        else:
+            tokens.insert(i, tokens[rng.randrange(len(tokens))])
+    return "".join(tokens)
 
 
 def random_long_program(rng: random.Random, n_vars: int, n_stmts: int) -> Program:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +10,7 @@ import pytest
 
 from absint import boundsolve
 from absint.cli import _Encoded, _json_text, main
+from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens
 
 PY = [sys.executable, "-m", "absint.cli"]
 
@@ -135,6 +135,24 @@ def test_missing_input_is_exit_1(demo_dir):
     code, _, err = run_cli("cache", "--input", str(demo_dir / "nope.imp"), "--assoc", "4")
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "name, data, argv",
+    [
+        ("bad.imp", b"int x = 1;\xff\n", ["intervals"]),
+        ("bad.ag", b"loc a\xff\n", ["cache", "--assoc", "2"]),
+    ],
+    ids=["intervals", "cache"],
+)
+def test_invalid_utf8_input_is_one_line_exit_1(tmp_path, capsys, name, data, argv):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code = main([argv[0], "--input", str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 def test_unknown_method_is_exit_1(demo_dir):
@@ -453,12 +471,6 @@ def test_long_flat_sum_is_evaluated(tmp_path, capsys, method):
         assert results["full"] == results["off"] and results["truncated:1"] == results["off"], name
 
 
-FUZZ_TOKEN = re.compile(r"\s+|[A-Za-z_]\w*|[0-9]+|<=|>=|==|!=|\S")
-FUZZ_EXTRA = ("(", ")", "{", "}", ";", "*", "-", "+", "=", "<", "int", "if", "else", "while",
-              "assert", "access", "loc", "edge", "entry", "x", "0", "99999999999999999999",
-              "\n", "#", "\u00b2", "\u00e9", "$")
-
-
 def _fuzz_cases(demo_dir, rng):
     """(kind, text, argv tail) triples: token mutations of every demo, then
     long flat sums and deeply nested programs."""
@@ -473,19 +485,8 @@ def _fuzz_cases(demo_dir, rng):
     vocabulary = sorted({t for d in demos for t in FUZZ_TOKEN.findall(d.read_text())} | set(FUZZ_EXTRA))
     for round_ in range(1000):
         demo = demos[round_ % len(demos)]
-        tokens = FUZZ_TOKEN.findall(demo.read_text())
-        for _ in range(rng.randint(1, 2)):
-            i = rng.randrange(len(tokens))
-            roll = rng.random()
-            if roll < 0.3:
-                del tokens[i]
-            elif roll < 0.6:
-                tokens[i] = rng.choice(vocabulary)
-            elif roll < 0.8:
-                tokens.insert(i, rng.choice(vocabulary))
-            else:
-                tokens.insert(i, tokens[rng.randrange(len(tokens))])
-        yield "mutated", "".join(tokens), rng.choice(runs[demo.suffix])
+        text = mutate_tokens(rng, FUZZ_TOKEN.findall(demo.read_text()), vocabulary)
+        yield "mutated", text, rng.choice(runs[demo.suffix])
     for n in (1000, 4000):
         for rewrites in ("off", "full", "truncated:1"):
             text = "int x = 0;\nint y = 1;\nx = " + " - ".join(["y"] * n) + ";\nassert (x < 1);\n"
@@ -532,6 +533,38 @@ def test_non_ascii_digit_is_unexpected_character(tmp_path, literal):
     code, out, err = run_cli("intervals", "--input", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: 1:9: unexpected character {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "prefix, position",
+    [("int v = ", "1:9"), ("int v;\nv = v - -", "2:10")],
+    ids=["initializer", "negative-operand"],
+)
+def test_literal_past_the_int_digit_limit_is_one_line_exit_1(tmp_path, capsys, prefix, position):
+    # int() of a longer decimal text raises ValueError (CPython's guard
+    # against quadratic conversions), which the parser reports as its own.
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "literal.imp"
+    path.write_text(prefix + "9" * (limit + 1) + ";\n")
+    code = main(["intervals", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {position}: integer literal longer than {limit} digits\n"
+
+
+@pytest.mark.parametrize(
+    "method, fmt",
+    [("widen", "text"), ("widen", "json"), ("policy", "text"), ("policy", "json"), ("compare", "json")],
+)
+def test_bound_past_the_int_digit_limit_is_one_line_exit_1(tmp_path, capsys, method, fmt):
+    # Each literal is within the limit, but their sum has one digit more.
+    nines = "9" * sys.get_int_max_str_digits()
+    path = tmp_path / "bound.imp"
+    path.write_text(f"int v = {nines};\nv = v + {nines};\n")
+    code = main(["intervals", "--input", str(path), "--method", method, "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: a bound is longer than {len(nines)} digits\n"
 
 
 @pytest.mark.parametrize("method", ["oracle", "compare"])

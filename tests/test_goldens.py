@@ -38,6 +38,9 @@ Three pins, checked against every later change of the fixpoint engine:
 * one SHA-256 per Unicode version over the lexer's tokens, or its error,
   for every BMP code point at the start of a token, after a letter and
   after a digit;
+* one SHA-256 over the AST, or the error with its line and column, of
+  ``parse_program`` on the demos, seeded long and fragment programs, token
+  mutations of all of them and the lexer's odd texts;
 * one SHA-256 over the dump of each system and the result, or the error,
   of ``solve_exhaustive`` at a cap of 12 min/max nodes, on seeded corner
   systems and on the upper and negated systems of seeded fragment programs.
@@ -576,6 +579,37 @@ def _lexer_digest() -> str:
     return h.hexdigest()
 
 
+PARSE_SEED = 20261024
+PARSE_LONG_PROGRAMS = 6
+PARSE_FRAGMENT_PROGRAMS = 60
+PARSE_MUTATIONS = 1000
+PARSE_GOLDEN = 'bdfa4e0c4266101442b32c094aee4695b9f42c6772d85ac33c48fc59739098e0'
+
+
+def _parse_outcome(text: str):
+    try:
+        return repr(parse_program(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def _parse_digest(demo_dir) -> str:
+    rng = random.Random(PARSE_SEED)
+    sources = [d.read_text() for d in sorted(demo_dir.iterdir())]
+    sources += [pretty(helpers.random_long_program(rng, rng.randint(2, 8), rng.randint(10, 40)))
+                for _ in range(PARSE_LONG_PROGRAMS)]
+    sources += [helpers.random_fragment_program(rng)[0] for _ in range(PARSE_FRAGMENT_PROGRAMS)]
+    vocabulary = sorted({t for s in sources for t in helpers.FUZZ_TOKEN.findall(s)} | set(helpers.FUZZ_EXTRA))
+    texts = sources + [
+        helpers.mutate_tokens(rng, helpers.FUZZ_TOKEN.findall(sources[i % len(sources)]), vocabulary)
+        for i in range(PARSE_MUTATIONS)
+    ]
+    h = hashlib.sha256()
+    for text in texts + list(LEXER_TEXTS):
+        h.update(repr((text, _parse_outcome(text))).encode("utf-8", "backslashreplace"))
+    return h.hexdigest()
+
+
 EXHAUSTIVE_SEED = 20261023
 EXHAUSTIVE_CORNER_SYSTEMS = 250
 EXHAUSTIVE_FRAGMENT_PROGRAMS = 125
@@ -636,6 +670,10 @@ def test_lexer_golden():
         f"under {version!r} after checking the tokens of the new letters and digits"
     )
     assert _lexer_digest() == LEXER_GOLDEN[version]
+
+
+def test_parse_golden(demo_dir):
+    assert _parse_digest(demo_dir) == PARSE_GOLDEN
 
 
 def test_odd_input_name_json_golden(demo_dir, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from absint import lang
 from absint.lang import (
     Assign,
     BinOp,
@@ -116,3 +117,35 @@ def test_pretty_round_trip_random():
     for _ in range(200):
         parsed = parse_program(pretty(random_program(rng, cache_mode=rng.random() < 0.3)))
         assert parse_program(pretty(parsed)) == parsed
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("int x; x = 1 # c", "expected ';' (at 'end of input')", 1, 14),
+        ("int x; x = 1 # c\n", "expected ';' (at 'end of input')", 2, 1),
+        ("int x; int x;", "variable 'x' already declared (at ';')", 1, 13),
+        ("int y = 1;\nint x = y;", "declaration initializer must be a constant", 2, 9),
+        ("int x;\nif (x) {}", "expected comparison operator (at ')')", 2, 6),
+        ("int x;\nwhile (x < 1) {\n  x = 1;  # c", "unterminated block (at 'end of input')", 3, 11),
+        ("int x;\nx = y;", "use of undeclared variable 'y'", 2, 5),
+        ("int x; x = 1 + ; $", "unexpected character '$'", 1, 18),
+        ("assert (*);", "assert condition must not be '*'", 1, 1),
+        ("\n\n  foo = 1;", "use of undeclared variable 'foo'", 3, 3),
+        ("int x;\nx = x - -;", "expected expression (at '-')", 2, 9),
+        ("int x; if (x < 1) { } else x = 1;", "expected '{' (at 'x')", 1, 28),
+    ],
+)
+def test_parse_error_positions(text, message, line, col):
+    # A trailing comment does not move the end of input, and a bad
+    # character anywhere is reported before any syntax error.
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}", line, col)
+
+
+def test_valid_input_is_parsed_without_positions(monkeypatch):
+    # Lines and columns are computed only for an error.
+    expected = parse_program(RING)
+    monkeypatch.setattr(lang, "_tokenize", None)
+    assert parse_program(RING) == expected

@@ -186,12 +186,14 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
     computed once per rule-map object that reaches it: no (label, map
     object) pair calls `rewrite_and_simplify` on the same expression, or
     `record`, twice, and `record` stores what the transfer rewrote without
-    rewriting it again."""
+    rewriting it again.  A truncated run simplifies each right-hand side
+    once, whatever maps reach its label."""
     seen: set = set()
     held: list = []  # keeps every map and label alive, so ids stay unique
     current: list = []  # the label being transferred, and whether inside record
     engine = intervals_module.chaotic_iteration
     rewrite, record_ = rewrite_module.rewrite_and_simplify, rewrite_module.record
+    simplify = rewrite_module.simplify
 
     def counting_engine(cfg, entry, bottom, transfer, *knobs):
         def labelled(label, value):
@@ -210,6 +212,10 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
         note(("rewrite", id(current[0]), id(m), id(e)), current[0], m, e)
         return rewrite(m, e, max_chain)
 
+    def counted_simplify(e):
+        note(("simplify", id(e)), e)
+        return simplify(e)
+
     def counted_record(m, var, rhs):
         note(("record", id(current[0]), id(m)), current[0], m)
         current[1] = True
@@ -221,6 +227,7 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
     monkeypatch.setattr(rewrite_module, "chaotic_iteration", counting_engine)
     monkeypatch.setattr(rewrite_module, "rewrite_and_simplify", counted_rewrite)
     monkeypatch.setattr(rewrite_module, "record", counted_record)
+    monkeypatch.setattr(rewrite_module, "simplify", counted_simplify)
     rng = random.Random(9091)
     programs = [random_program(rng) for _ in range(60)]
     programs += [random_long_program(rng, 6, 40) for _ in range(3)]
