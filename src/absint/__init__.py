@@ -41,7 +41,6 @@ from .boundsolve import (
     bounded_concrete_oracle,
     solve_intervals_exact,
     dump_system,
-    parse_system,
 )
 from .rewrite import RewriteMap, record, rewrite_and_simplify, analyze_combined
 

@@ -118,7 +118,7 @@ def analyze_approx(
     return {loc: bounds[where[loc]] for loc in cfg.locations}
 
 
-def classify_approx(bounds: AgeBounds | None, block: str, n: int) -> ApproxClass:
+def classify_approx(bounds: AgeBounds | None, block: str) -> ApproxClass:
     """Classify one access from the bounds at its source location."""
     if bounds is None:
         return ApproxClass.UNKNOWN
@@ -133,4 +133,4 @@ def classify_all_approx(
     cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY
 ) -> dict[int, ApproxClass]:
     bounds = analyze_approx(cfg, n, init)
-    return {site: classify_approx(bounds[src], block, n) for site, block, src in cfg.access_sites}
+    return {site: classify_approx(bounds[src], block) for site, block, src in cfg.access_sites}

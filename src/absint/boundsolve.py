@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -153,9 +153,6 @@ class BoundSystem:
 
     equations: tuple[tuple[str, BoundExpr], ...]
 
-    def as_dict(self) -> dict[str, BoundExpr]:
-        return dict(self.equations)
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.equations)
 
@@ -183,9 +180,14 @@ def is_fixpoint(system: BoundSystem, valuation: Mapping[str, Bound]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _excerpt(text: str, width: int = 60) -> str:
-    """`text` quoted, cut to its first `width` characters, for a one-line error."""
-    return repr(text if len(text) <= width else text[:width] + "...")
+def _excerpt(value, width: int = 60) -> str:
+    """`value` as text cut to its first `width` characters, for a one-line
+    error.  An int past str()'s digit limit is described, not converted."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, int) and limit and abs(value) >= 10**limit:
+        return f"<an integer of more than {limit} digits>"
+    text = str(value)
+    return text if len(text) <= width else text[:width] + "..."
 
 
 def _expr_shape(e: Expr, var: str) -> tuple[str, int]:
@@ -199,7 +201,7 @@ def _expr_shape(e: Expr, var: str) -> tuple[str, int]:
     if isinstance(e, BinOp) and e.op == "+" and isinstance(e.right, Var) and e.right.name == var and isinstance(e.left, Const):
         return ("inc", e.left.value)
     shown = _excerpt(pretty_expr(e))
-    raise UnsupportedConstructError(f"assignment to {var!r} outside the fragment: {shown}")
+    raise UnsupportedConstructError(f"assignment to {var!r} outside the fragment: {shown!r}")
 
 
 _COMPARE = {
@@ -227,9 +229,9 @@ def _edge_shape(label, var: str, graph: str) -> tuple[str, int]:
     if isinstance(left, Const) and isinstance(right, Var):
         left, op, right = right, FLIPPED_OP[op], left
     if not (isinstance(left, Var) and isinstance(right, Const)):
-        raise UnsupportedConstructError(f"guard outside the fragment: {_excerpt(pretty_cond(cond))}")
+        raise UnsupportedConstructError(f"guard outside the fragment: {_excerpt(pretty_cond(cond))!r}")
     if left.name != var:
-        raise UnsupportedConstructError(f"guard on foreign variable: {_excerpt(pretty_cond(cond))}")
+        raise UnsupportedConstructError(f"guard on foreign variable: {_excerpt(pretty_cond(cond))!r}")
     return (op, right.value)
 
 
@@ -260,7 +262,7 @@ def extract_upper_bounds(
             # An equality's complement shaves one endpoint, which no
             # min/max/plus-constant expression can do exactly.
             raise UnsupportedConstructError(
-                f"(dis)equality guard outside the fragment: {_excerpt(pretty_cond(edge.label.cond))}"
+                f"(dis)equality guard outside the fragment: {_excerpt(pretty_cond(edge.label.cond))!r}"
             )
         else:
             if negate:
@@ -308,85 +310,6 @@ def dump_expr(e: BoundExpr) -> str:
 
 def dump_system(system: BoundSystem) -> str:
     return "".join(f"{name} = {dump_expr(rhs)}\n" for name, rhs in system.equations)
-
-
-_TOKEN_RE = re.compile(r"\s*(min\(|max\(|[+-]?\d+|\+oo|-oo|[A-Za-z_][A-Za-z0-9_]*|[(),+-])")
-
-
-class _ExprParser:
-    def __init__(self, text: str):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ValueError(f"cannot tokenize bound expression at {text[pos:]!r}")
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, t: str) -> None:
-        got = self.next()
-        if got != t:
-            raise ValueError(f"expected {t!r}, got {got!r}")
-
-    def expr(self) -> BoundExpr:
-        e = self.primary()
-        while True:
-            nxt = self.peek()
-            if nxt in ("+", "-"):
-                op = self.next()
-                t = self.next()
-                if not re.fullmatch(r"[+-]?\d+", t):
-                    raise ValueError(f"expected integer offset, got {t!r}")
-                off = int(t)
-                e = badd_expr(e, off if op == "+" else -off)
-            elif nxt is not None and re.fullmatch(r"[+-]\d+", nxt):
-                # unspaced offsets tokenize as one signed number
-                e = badd_expr(e, int(self.next()))
-            else:
-                return e
-
-    def primary(self) -> BoundExpr:
-        t = self.next()
-        if t in ("min(", "max("):
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return BMin(left, right) if t == "min(" else BMax(left, right)
-        if t == "+oo":
-            return BConst(POS_INF)
-        if t == "-oo":
-            return BConst(NEG_INF)
-        if re.fullmatch(r"[+-]?\d+", t):
-            return BConst(int(t))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
-            return BRef(t)
-        raise ValueError(f"unexpected token {t!r}")
-
-
-def parse_system(text: str) -> BoundSystem:
-    equations = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, _, rhs = line.partition("=")
-        p = _ExprParser(rhs)
-        e = p.expr()
-        if p.peek() is not None:
-            raise ValueError(f"trailing tokens in {raw!r}")
-        equations.append((name.strip(), e))
-    return BoundSystem(tuple(equations))
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +641,11 @@ def bounded_concrete_oracle(
     if isinstance(entry.lo, _Inf) or isinstance(entry.hi, _Inf):
         raise RangeExceededError("entry interval must be finite for enumeration")
     if entry.lo < lo or entry.hi > hi:
-        raise RangeExceededError(f"entry interval {entry} outside {value_range}")
+        raise RangeExceededError(f"entry interval {_excerpt(entry)} outside {_excerpt(value_range)}")
 
     def check(value: int) -> int:
         if value < lo or value > hi:
-            raise RangeExceededError(f"value {value} outside {value_range}")
+            raise RangeExceededError(f"value {_excerpt(value)} outside {_excerpt(value_range)}")
         return value
 
     def step(label):
@@ -768,7 +691,7 @@ def inline_equation(system: BoundSystem, target: str) -> BoundExpr:
     Works when every cycle of the system passes through `target` (a single
     loop); references to other locations on a second cycle raise ValueError.
     """
-    rhs_map = system.as_dict()
+    rhs_map = dict(system.equations)
 
     def expand(e: BoundExpr, stack: tuple[str, ...]) -> BoundExpr:
         if isinstance(e, BConst):

@@ -31,6 +31,7 @@ from . import boundsolve, focused, rewrite
 from .agebounds import classify_all_approx
 from .cfg import Cfg, build_cfg, parse_access_graph
 from .intervals import (
+    BOTTOM_ENV,
     TOP,
     AbstractEnv,
     AnalysisResult,
@@ -279,11 +280,11 @@ def _parse_rewrites(value: str) -> int | None | str:
         try:
             depth = int(value.split(":", 1)[1])
         except ValueError:
-            raise _CliError(f"bad rewrites depth in {value!r}")
+            raise _CliError(f"bad rewrites depth in {boundsolve._excerpt(value)!r}")
         if depth < 1:
             raise _CliError("rewrites truncation depth must be >= 1")
         return depth
-    raise _CliError(f"unknown rewrites mode {value!r} (off, full, truncated:<d>)")
+    raise _CliError(f"unknown rewrites mode {boundsolve._excerpt(value)!r} (off, full, truncated:<d>)")
 
 
 def _engine_result(cfg, env, method, rewrites, widen_delay, narrow_passes) -> AnalysisResult:
@@ -297,7 +298,7 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
     solver = boundsolve.solve_policy_iteration if method == "policy" else boundsolve.solve_exhaustive
     per_var: dict[str, dict[str, Interval]] = {}
     for decl in program.decls:
-        entry = Interval.const(decl.init.value) if decl.init is not None else Interval.top()
+        entry = Interval.const(decl.init.value) if decl.init is not None else TOP
         try:
             per_var[decl.name] = boundsolve.solve_intervals_exact(cfg, decl.name, entry, solver)
         except boundsolve.UnsupportedConstructError as exc:
@@ -330,7 +331,7 @@ def _oracle_result(cfg, program, value_range) -> AnalysisResult:
             raise _CliError(str(exc), EXIT_BUDGET)
     for loc in cfg.locations:
         cells = {v: table[loc] for v, table in hulls.items()}
-        envs[loc] = (AbstractEnv.unreachable() if None in cells.values()
+        envs[loc] = (BOTTOM_ENV if None in cells.values()
                      else AbstractEnv.of({v: Interval(*hull) for v, hull in cells.items()}))
     return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
@@ -476,9 +477,9 @@ def _parse_range(value: str) -> tuple[int, int]:
         lo_text, hi_text = value.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise _CliError(f"bad range {value!r}, expected lo:hi")
+        raise _CliError(f"bad range {boundsolve._excerpt(value)!r}, expected lo:hi")
     if lo > hi:
-        raise _CliError(f"bad range {value!r}, lo exceeds hi")
+        raise _CliError(f"bad range {boundsolve._excerpt(value)!r}, lo exceeds hi")
     return lo, hi
 
 
@@ -525,7 +526,9 @@ def main(argv=None) -> int:
                 raise _CliError(f"--{dest.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # Values and flag texts are quoted as excerpts where a message is
+        # built; what argparse and open() quote in full is cut here.
+        sys.stderr.write(f"error: {boundsolve._excerpt(exc, 190)}\n")
         return exc.code
     except OracleBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -94,10 +94,6 @@ class Interval(NamedTuple):
         return Interval(lo, hi)
 
     @staticmethod
-    def top() -> "Interval":
-        return TOP
-
-    @staticmethod
     def const(c: int) -> "Interval":
         return Interval(c, c)
 
@@ -173,10 +169,6 @@ class AbstractEnv(NamedTuple):
 
     intervals: tuple[tuple[str, Interval], ...] = ()
     bottom: bool = False
-
-    @staticmethod
-    def unreachable() -> "AbstractEnv":
-        return BOTTOM_ENV
 
     @staticmethod
     def of(mapping: Mapping[str, Interval]) -> "AbstractEnv":

@@ -29,6 +29,7 @@ from absint.focused import classify_exact
 from absint.intervals import (
     NEG_INF,
     POS_INF,
+    TOP,
     AbstractEnv,
     Interval,
     analyze,
@@ -196,7 +197,7 @@ def test_criterion_7_rewrite_combination_goldens(demo_dir):
     lloc = next(e.dst for e in gcfg.edges if isinstance(e.label, AssignLabel) and e.label.var == "l")
     full = analyze_combined(gcfg, genv).envs[lloc].get("l")
     truncated = analyze_combined(gcfg, genv, truncate_depth=1).envs[lloc].get("l")
-    assert full == Interval.top()
+    assert full == TOP
     assert truncated == Interval(2, POS_INF)
     ok(7, "z = [0,0] with rewriting ([-1,1] without); l unconstrained full vs [2,+oo) truncated")
 

@@ -19,7 +19,7 @@ def test_straight_line_third_access_hit():
     bounds = analyze_approx(cfg, 2)
     before_third = bounds["p2"]
     assert before_third.must["a"] == 1
-    assert classify_approx(before_third, "a", 2) is ApproxClass.ALWAYS_HIT
+    assert classify_approx(before_third, "a") is ApproxClass.ALWAYS_HIT
     # and that agrees with the oracle
     assert classify_oracle(cfg, 2)[2] is Classification.ALWAYS_HIT
 
@@ -35,7 +35,7 @@ def test_first_access_always_miss_under_empty_init():
     cfg = chain(["a"])
     bounds = analyze_approx(cfg, 2)
     assert bounds["p0"].may == {}
-    assert classify_approx(bounds["p0"], "a", 2) is ApproxClass.ALWAYS_MISS
+    assert classify_approx(bounds["p0"], "a") is ApproxClass.ALWAYS_MISS
 
 
 def test_unknown_init_suppresses_always_miss():
@@ -45,8 +45,8 @@ def test_unknown_init_suppresses_always_miss():
 
 
 def test_classify_unknown_without_bounds():
-    assert classify_approx(None, "a", 2) is ApproxClass.UNKNOWN
-    assert classify_approx(AgeBounds({}, {"a": 0}), "a", 2) is ApproxClass.UNKNOWN
+    assert classify_approx(None, "a") is ApproxClass.UNKNOWN
+    assert classify_approx(AgeBounds({}, {"a": 0}), "a") is ApproxClass.UNKNOWN
 
 
 def test_soundness_against_oracle(cache_corpus_small):

@@ -10,6 +10,7 @@ from absint.boundsolve import (
     BMax,
     BMin,
     BRef,
+    BoundExpr,
     BoundSystem,
     CapExceededError,
     RangeExceededError,
@@ -20,7 +21,6 @@ from absint.boundsolve import (
     extract_upper_bounds,
     inline_equation,
     is_fixpoint,
-    parse_system,
     solve_exhaustive,
     solve_intervals_exact,
     solve_policy_iteration,
@@ -44,6 +44,14 @@ while (0 < 1) {
   assert (i < 1000);
 }
 """
+
+
+H = BRef("h")
+
+
+def single(rhs: BoundExpr) -> BoundSystem:
+    """The one-equation system ``h = rhs``."""
+    return BoundSystem((("h", rhs),))
 
 
 def ring_system():
@@ -113,7 +121,7 @@ def test_unreachable_location_solves_to_bottom():
 
 
 def test_exhaustive_entry_already_stable():
-    system = parse_system("h = min(10, max(0, h))")
+    system = single(BMin(BConst(10), BMax(BConst(0), H)))
     assert solve_exhaustive(system)["h"] == 0
 
 
@@ -128,26 +136,26 @@ def test_exhaustive_modified_threshold():
 
 
 def test_policy_iteration_min_only_with_entry():
-    system = parse_system("h = max(0, min(5, h + 1))")
+    system = single(BMax(BConst(0), BMin(BConst(5), BAdd(H, 1))))
     assert solve_policy_iteration(system)["h"] == 5
     assert solve_exhaustive(system)["h"] == 5
 
 
 def test_policy_iteration_constant_system():
-    system = parse_system("h = 3")
+    system = single(BConst(3))
     assert solve_policy_iteration(system) == {"h": 3}
 
 
 def test_raw_loop_equation_without_entry_bottoms_out():
     # Without the entry contribution the least solution over the extended
     # integers is -oo; the entry join is what makes 42 least.
-    system = parse_system("h = min(max(min(42, h + 1), h), 999)")
+    system = single(BMin(BMax(BMin(BConst(42), BAdd(H, 1)), H), BConst(999)))
     assert solve_exhaustive(system)["h"] is NEG_INF
     assert solve_policy_iteration(system)["h"] is NEG_INF
 
 
 def test_divergent_counter_goes_to_infinity():
-    system = parse_system("h = max(0, h + 1)")
+    system = single(BMax(BConst(0), BAdd(H, 1)))
     assert solve_exhaustive(system)["h"] is POS_INF
     assert solve_policy_iteration(system)["h"] is POS_INF
 
@@ -168,21 +176,34 @@ def test_policy_iteration_cost_does_not_depend_on_constants(k):
 
 
 def test_cap_exceeded():
-    eqs = " ".join(f"max(x + {i}," for i in range(21)) + " x" + ")" * 21
-    system = parse_system(f"x = {eqs}")
+    # x = max(x, max(x + 1, ... max(x + 20, x)))
+    x = BRef("x")
+    rhs = x
+    for i in reversed(range(21)):
+        rhs = BMax(BAdd(x, i) if i else x, rhs)
+    system = BoundSystem((("x", rhs),))
+    assert _selector_nodes(system) == 21
     with pytest.raises(CapExceededError):
         solve_exhaustive(system)
 
 
 def test_dump_round_trip_ring():
     system, _, _ = ring_system()
-    assert parse_system(dump_system(system)) == system
+    assert dump_system(system) == (
+        "L0 = 0\nL1 = max(L0, L12)\nL2 = -oo\nL3 = L1\nL4 = max(L8, L6)\nL5 = L3\n"
+        "L6 = L3\nL7 = L5 + 1\nL8 = max(L11, L10)\nL9 = L7\nL10 = min(L7, 42)\n"
+        "L11 = 0\nL12 = min(L4, 999)\n"
+    )
 
 
 def test_dump_round_trip_infinities_and_offsets():
-    text = "a = -oo\nb = max(a - 3, min(+oo, b + 2))\nc = 7\n"
-    system = parse_system(text)
-    assert dump_system(system) == text
+    a, b = BRef("a"), BRef("b")
+    system = BoundSystem((
+        ("a", BConst(NEG_INF)),
+        ("b", BMax(BAdd(a, -3), BMin(BConst(POS_INF), BAdd(b, 2)))),
+        ("c", BConst(7)),
+    ))
+    assert dump_system(system) == "a = -oo\nb = max(a - 3, min(+oo, b + 2))\nc = 7\n"
 
 
 def random_system(rng: random.Random, n_vars: int = 4) -> BoundSystem:

@@ -580,6 +580,95 @@ def test_unknown_init_seed_overflow_is_exit_2(tmp_path, method):
     assert (code, out, err) == (2, "", "error: state budget 1000000 exceeded at entry\n")
 
 
+LONG_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (["--method", "oracle"], 2, "outside (-1024, 1100)"),
+        (["--method", "oracle", "--range=0:{nines}"], 2,
+         "value <an integer of more than {limit} digits> outside (0, 999"),
+        (["--method", "compare", "--range=0:{nines}"], 1, "a bound is longer than {limit} digits"),
+        ([f"--range=0:{LONG_DIGITS}"], 1, "...', expected lo:hi"),
+        (["--rewrites", f"truncated:{LONG_DIGITS}"], 1, "bad rewrites depth in 'truncated:999"),
+        (["--method", LONG_DIGITS], 1, "argument --method: invalid choice: '999"),
+        (["--widen-delay", LONG_DIGITS], 1, "argument --widen-delay: invalid int value: '999"),
+    ],
+    ids=["oracle-entry", "oracle-value", "compare-value", "range", "rewrites", "method", "widen-delay"],
+)
+def test_long_values_and_flags_are_one_bounded_line(tmp_path, capsys, argv, code, shown):
+    """An oracle error quotes the value, interval and range as excerpts, an
+    int past the digit limit is described rather than converted, and a
+    long flag text is cut: one line of at most 200 characters."""
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    path = tmp_path / "bound.imp"
+    path.write_text(f"int v = {nines};\nv = v + {nines};\n")
+    argv = [a.format(nines=nines) for a in argv]
+    assert main(["intervals", "--input", str(path), *argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201, err
+    assert "Traceback" not in err
+    assert shown.format(limit=limit) in err
+
+
+@pytest.mark.parametrize(
+    "source, argv, code, message",
+    [
+        ("int i = 0;\nwhile (0 < 1) { i = i + 1; }\n", ["--method", "oracle", "--range=-64:64"], 2,
+         "value 65 outside (-64, 64)"),
+        ("int i = 2000;\n", ["--method", "oracle"], 2, "entry interval [2000, 2000] outside (-1024, 1100)"),
+        ("int i = 0;\n", ["--range=5:1"], 1, "bad range '5:1', lo exceeds hi"),
+        ("int i = 0;\n", ["--range=5"], 1, "bad range '5', expected lo:hi"),
+        ("int i = 0;\n", ["--rewrites", "truncated:x"], 1, "bad rewrites depth in 'truncated:x'"),
+        ("int i = 0;\n", ["--rewrites", "some"], 1, "unknown rewrites mode 'some' (off, full, truncated:<d>)"),
+    ],
+)
+def test_short_values_and_flags_are_quoted_whole(tmp_path, capsys, source, argv, code, message):
+    path = tmp_path / "p.imp"
+    path.write_text(source)
+    assert main(["intervals", "--input", str(path), *argv]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cache", "--input", "{demo}/flag_reuse.imp", "--assoc", "4", "--method", "exact", "--format", "{fmt}"),
+        ("cache", "--input", "{demo}/flag_reuse.imp", "--assoc", "4", "--method", "compare", "--format", "{fmt}"),
+        ("intervals", "--input", "{demo}/ring_index.imp", "--method", "policy", "--format", "{fmt}"),
+        ("intervals", "--input", "{demo}/ring_index.imp", "--method", "compare", "--format", "{fmt}"),
+    ],
+    ids=["cache-exact", "cache-compare", "intervals-policy", "intervals-compare"],
+)
+def test_timings_add_only_the_timings_object(demo_dir, capsys, argv):
+    def run(fmt, *extra):
+        code = main([a.format(demo=demo_dir, fmt=fmt) for a in argv] + list(extra))
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out
+
+    plain_code, plain = run("json")
+    timed_code, timed = run("json", "--timings")
+    assert timed_code == plain_code
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert plain["timings"] == {}
+    timings = timed.pop("timings")
+    del plain["timings"]
+    assert timed == plain
+    method = argv[argv.index("--method") + 1]
+    if method == "compare":
+        methods = {"approx", "exact", "oracle"} if argv[0] == "cache" else {
+            "widen", "widen-narrow", "policy", "exhaustive", "oracle"}
+    else:
+        methods = {method}
+    assert set(timings) == methods | {"total"}
+    assert all(type(t) is float and t >= 0 for t in timings.values())
+    assert run("text", "--timings") == run("text")
+
+
 # Characters the writer must escape or pass through exactly as json.dumps
 # does: quotes, backslashes, every control character, DEL, non-ASCII, line
 # and paragraph separators, a lone surrogate and astral code points.

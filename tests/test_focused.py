@@ -313,6 +313,20 @@ def test_exact_matches_per_focus_search_past_the_oracle():
         classify_per_focus(cfg, 16, InitPolicy.UNKNOWN, budget=1_000)
 
 
+def test_exact_matches_per_focus_search_on_1000_locations():
+    """1,000 locations over 24 blocks at N=8, empty contents, twice the
+    largest graph the LRU oracle is checked on (about 1 s per method).
+    Unknown contents do not fit: the per-focus search passes its 1M-state
+    budget already at 500 locations."""
+    cfg = region_cache_cfg(random.Random(2019), 1000, 24, extra=0.8)
+    expected = classify_per_focus(cfg, 8)
+    assert classify_exact(cfg, 8) == expected
+    assert {site: v for site, (v, _tag) in classify_pipeline(cfg, 8).items()} == expected
+    assert set(expected.values()) == {
+        Classification.ALWAYS_HIT, Classification.ALWAYS_MISS, Classification.VARIABLE
+    }
+
+
 def wide_antichain_cfg(k: int) -> Cfg:
     """`s -f-> p0`, then for each i < k two branches `p_i -a_i-> x_i -> p_i+1`
     and `p_i -b_i-> y_i -> p_i+1`, then `p_k -f-> p0`: 2^k younger-sets of

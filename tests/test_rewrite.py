@@ -7,6 +7,7 @@ from absint import rewrite as rewrite_module
 from absint.cfg import AssignLabel, build_cfg
 from absint.intervals import (
     POS_INF,
+    TOP,
     AbstractEnv,
     Interval,
     analyze,
@@ -128,7 +129,7 @@ def test_guarded_copy_full_vs_truncated():
     lloc = after_assign(cfg, "l")
     full = analyze_combined(cfg, env)
     truncated = analyze_combined(cfg, env, truncate_depth=1)
-    assert full.envs[lloc].get("l") == Interval.top()
+    assert full.envs[lloc].get("l") == TOP
     assert truncated.envs[lloc].get("l") == Interval(2, POS_INF)
     # strict refinement: the non-monotonicity witness
     assert truncated.envs[lloc].get("l").subset(full.envs[lloc].get("l"))
