@@ -7,12 +7,13 @@ ones.  Elements are bitmasks over block indices interned at graph-load time.
 
 ``Antichain`` is the immutable value: its elements are kept in sorted order so
 that structurally equal antichains compare equal.  A fixpoint updates a
-``Store`` in place instead: a plain dict from popcount to the set of masks of
-that size, holding only the sizes present.  Two distinct masks of equal size
-are never comparable, so a mask meets its own size only through a membership
-test, and only the sizes on the side that can subsume it (larger for
-KEEP_MAX, smaller for KEEP_MIN) are scanned.  ``store_add`` is the one
-insertion routine; ``Antichain.insert`` and ``union`` go through it too.
+``Store`` in place instead: a plain set of masks.  ``store_add`` is the one
+insertion routine; ``Antichain.insert`` and ``union`` go through it too.  It
+makes one pass over the store that looks for a subsumer and collects the
+masks the new one subsumes.  A store that grows past ``INDEX_THRESHOLD``
+masks can also be given an ``Index``, from popcount to the masks of that
+size.  Two distinct masks of equal size are never comparable, so with an
+index the pass skips the mask's own size and scans only the other buckets.
 """
 
 from __future__ import annotations
@@ -45,35 +46,59 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-#: A mutable antichain: popcount -> the masks of that size, sizes present only.
-Store = dict[int, set[int]]
+#: A mutable antichain: the set of its masks.
+Store = set[int]
+#: Popcount -> the masks of that size in a store, sizes present only.
+Index = dict[int, set[int]]
+
+#: A fixpoint keeps an ``Index`` for a store once it holds more masks than
+#: this.  Scanning the whole set is cheapest while stores are small (the
+#: cache benchmarks' stores average about one mask).  Timing
+#: ``classify_exact`` on a 500-location region graph at N = 16 and on a
+#: wide graph with 10,240 sets of two sizes at one location (shared 2-vCPU
+#: x86-64 VM), thresholds from 32 to 128 tied; 16 and below were slower on
+#: the first graph, 512 and no index on the second.
+INDEX_THRESHOLD = 32
 
 
-def store_of(masks: Iterable[int]) -> Store:
-    """A store holding `masks`, which must already be pairwise incomparable."""
-    store: Store = {}
-    for mask in masks:
-        store.setdefault(mask.bit_count(), set()).add(mask)
-    return store
+def index_of(store: Store) -> Index:
+    """The popcount index of `store`."""
+    index: Index = {}
+    for mask in store:
+        index.setdefault(mask.bit_count(), set()).add(mask)
+    return index
 
 
 def store_masks(store: Store) -> tuple[int, ...]:
     """The masks of `store` in the sorted order ``Antichain`` keeps."""
-    return tuple(sorted([mask for bucket in store.values() for mask in bucket]))
+    return tuple(sorted(store))
 
 
-def store_add(store: Store, mask: int, keep_max: bool) -> bool:
+def store_add(store: Store, mask: int, keep_max: bool, index: Index | None = None) -> bool:
     """Add a set to `store` unless subsumed, dropping the elements it
-    subsumes; True when the store changed.
+    subsumes; True when the store changed.  `index`, if given, is the
+    store's popcount index and is kept in step with it.
 
     An element that subsumes the mask rules out one that the mask subsumes
-    (the two elements would be comparable), so a single pass over the other
-    sizes both looks for a subsumer and drops what the mask subsumes."""
-    size = mask.bit_count()
-    own = store.get(size)
-    if own is not None and mask in own:
+    (the two elements would be comparable), so a single pass both looks for
+    a subsumer and collects what the mask subsumes.  Without an index the
+    pass covers the whole set; with one, only the buckets of other sizes,
+    since two distinct masks of equal size are never comparable."""
+    if mask in store:
         return False
-    for other, bucket in list(store.items()):
+    if index is None:
+        hits = []
+        for e in store:
+            both = mask & e
+            if both == mask or both == e:
+                if (both == mask) is keep_max:
+                    return False
+                hits.append(e)
+        store.difference_update(hits)
+        store.add(mask)
+        return True
+    size = mask.bit_count()
+    for other, bucket in list(index.items()):
         if other != size:
             larger = other > size
             hits = ([e for e in bucket if mask & e == mask] if larger
@@ -82,12 +107,15 @@ def store_add(store: Store, mask: int, keep_max: bool) -> bool:
                 if larger is keep_max:
                     return False
                 bucket.difference_update(hits)
+                store.difference_update(hits)
                 if not bucket:
-                    del store[other]
+                    del index[other]
+    own = index.get(size)
     if own is None:
-        store[size] = {mask}
+        index[size] = {mask}
     else:
         own.add(mask)
+    store.add(mask)
     return True
 
 
@@ -118,7 +146,7 @@ class Antichain:
 
     def insert(self, mask: int) -> "Antichain":
         """Add a set unless subsumed; drop the elements it subsumes."""
-        store = store_of(self.elements)
+        store = set(self.elements)
         if store_add(store, mask, self.orientation is Orientation.KEEP_MAX):
             return Antichain(self.orientation, store_masks(store))
         return self
@@ -128,7 +156,7 @@ class Antichain:
         if self.orientation is not other.orientation:
             raise ValueError("cannot union antichains of different orientations")
         big, small = (self, other) if len(self) >= len(other) else (other, self)
-        store = store_of(big.elements)
+        store = set(big.elements)
         keep_max = big.orientation is Orientation.KEEP_MAX
         changed = False
         for m in small.elements:

@@ -203,7 +203,8 @@ def run_cache(args) -> int:
     sites = sorted(cfg.access_sites)
     timings: dict[str, float] = {}
     started = time.perf_counter()
-    methods = ("approx", "exact", "oracle") if args.method == "compare" else (args.method,)
+    compare = args.method == "compare"
+    methods = ("approx", "exact", "oracle") if compare else (args.method,)
     tables: dict[str, dict[int, tuple[str, str]]] = {}
     for m in methods:
         t0 = time.perf_counter()
@@ -213,29 +214,48 @@ def run_cache(args) -> int:
     if args.timings:
         timings["total"] = round(time.perf_counter() - started, 6)
 
-    results = []
-    rows = [f"{'site':>4}  {'block':<8} {'location':<12} " + " ".join(f"{m:<12}" for m in methods)]
-    for site, block, loc in sites:
-        entry = {"site": site, "block": block, "location": loc}
-        for m in methods:
-            verdict, tag = tables[m][site]
-            if args.method == "compare":
-                entry[m] = verdict
-            else:
-                entry["verdict"] = verdict
-                entry["method"] = tag
-        results.append(entry)
-        cells = " ".join(f"{tables[m][site][0]:<12}" for m in methods)
-        rows.append(f"{site:>4}  {block:<8} {loc:<12} {cells}")
-
     disagreements = []
-    if args.method == "compare":
+    if compare:
         for site, block, loc in sites:
             a, e, o = tables["approx"][site][0], tables["exact"][site][0], tables["oracle"][site][0]
             if e != o:
                 disagreements.append({"site": site, "kind": "exact-vs-oracle", "exact": e, "oracle": o})
             if a != "unknown" and a != e:
                 disagreements.append({"site": site, "kind": "approx-vs-exact", "approx": a, "exact": e})
+
+    if args.format == "json":
+        results = []
+        for site, block, loc in sites:
+            entry = {"site": site, "block": block, "location": loc}
+            for m in methods:
+                verdict, tag = tables[m][site]
+                if compare:
+                    entry[m] = verdict
+                else:
+                    entry["verdict"] = verdict
+                    entry["method"] = tag
+            results.append(entry)
+        report = {
+            "schema": SCHEMA_VERSION,
+            "tool": TOOL,
+            "version": VERSION,
+            "method": args.method,
+            "input": args.input,
+            "assoc": args.assoc,
+            "init": init.value,
+            "results": results,
+            "timings": timings,
+        }
+        if compare:
+            report["disagreements"] = disagreements
+        _write_json(report)
+        return EXIT_OK
+
+    rows = [f"{'site':>4}  {'block':<8} {'location':<12} " + " ".join(f"{m:<12}" for m in methods)]
+    for site, block, loc in sites:
+        cells = " ".join(f"{tables[m][site][0]:<12}" for m in methods)
+        rows.append(f"{site:>4}  {block:<8} {loc:<12} {cells}")
+    if compare:
         rows.append("")
         if disagreements:
             rows.append("disagreements:")
@@ -243,24 +263,7 @@ def run_cache(args) -> int:
                 rows.append(f"  site {d['site']}: {d['kind']} {json.dumps(d, sort_keys=True)}")
         else:
             rows.append("disagreements: none")
-
-    report = {
-        "schema": SCHEMA_VERSION,
-        "tool": TOOL,
-        "version": VERSION,
-        "method": args.method,
-        "input": args.input,
-        "assoc": args.assoc,
-        "init": init.value,
-        "results": results,
-        "timings": timings,
-    }
-    if args.method == "compare":
-        report["disagreements"] = disagreements
-    if args.format == "json":
-        _write_json(report)
-    else:
-        _write_rows(rows)
+    _write_rows(rows)
     return EXIT_OK
 
 

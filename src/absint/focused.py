@@ -15,15 +15,17 @@ concrete instance demonstrating this lives in the regression tests).
 
 Delta propagation.  One run keeps its state in per-graph lists and dicts
 keyed by location number: each reached location's store of younger-sets (a
-popcount-keyed ``antichain.Store``) and absent flag, and what arrived there
-since its previous visit.  A visit pushes along the location's out-edges
-only that: the absent flag the first time it is set, and the younger-sets
-that arrived since and are still there.  A set subsumed before its location
+plain set of masks, ``antichain.Store``, with a popcount ``antichain.Index``
+built once the store passes ``antichain.INDEX_THRESHOLD`` masks) and absent
+flag, and what arrived there since its previous visit.  A visit pushes
+along the location's out-edges only that: the absent flag the first time
+it is set, and the younger-sets that arrived since and are still there.  A set subsumed before its location
 is visited is never pushed.  The worklist always visits the waiting location
 that comes first in reverse postorder from the entry (``Cfg.access_index``),
 so outside loops a location is visited once, after all its predecessors,
-and pushes their sets on in one batch.  ``_Run.receive`` is the one per-edge step; ``transfer`` applies it
-to a whole view, so the semantics live in one place.
+and pushes their sets on in one batch.  ``_Run.receive`` is the one per-edge
+step; ``transfer`` applies it to a whole view, so the semantics live in one
+place.
 
 Initial contents.  Both runs are seeded with the absent configuration, the
 empty cache's.  With unknown initial contents the KEEP_MIN run is also
@@ -62,7 +64,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .agebounds import ApproxClass, classify_all_approx
-from .antichain import Antichain, Orientation, Store, store_add, store_masks
+from .antichain import (
+    INDEX_THRESHOLD, Antichain, Index, Orientation, Store, index_of, store_add, store_masks,
+)
 from .cfg import AccessIndex, Cfg
 from .lru import Classification, InitPolicy, classification
 
@@ -86,17 +90,19 @@ class BlockView:
 class _Run(Mapping):
     """One fixpoint run, held in per-graph state indexed by location number:
     the store of each location an edge has reached (None before that), its
-    absent flag, and the absent flag and masks that arrived there since its
-    last visit.  Read as a mapping, it is the result of `analyze_block`: the
-    view of each location of ``graph``."""
+    popcount index once it has one, its absent flag, and the absent flag
+    and masks that arrived there since its last visit.  Read as a mapping,
+    it is the result of `analyze_block`: the view of each location of
+    ``graph``."""
 
-    __slots__ = ("graph", "orientation", "keep_max", "limit", "stores", "absent",
+    __slots__ = ("graph", "orientation", "keep_max", "limit", "stores", "indexes", "absent",
                  "new_absent", "new_masks")
 
     def __init__(self, orientation: Orientation, n: int, size: int, graph: AccessIndex | None = None):
         self.graph, self.orientation, self.limit = graph, orientation, n - 1
         self.keep_max = orientation is Orientation.KEEP_MAX
         self.stores: list[Store | None] = [None] * size
+        self.indexes: list[Index | None] = [None] * size
         self.absent = [False] * size
         self.new_absent = [False] * size
         self.new_masks: dict[int, list[int]] = {}
@@ -105,27 +111,30 @@ class _Run(Mapping):
         """The per-edge step: join the image of (absent, masks) under one
         edge into `loc`; `bit` is the accessed block's bit, never the
         focus's, or 0 on an edge that accesses nothing.  True when the view
-        at `loc` grew."""
+        at `loc` grew.  The store at `loc` gets its popcount index here,
+        once it holds more than ``INDEX_THRESHOLD`` masks."""
         store = self.stores[loc]
         if store is None:
-            store = self.stores[loc] = {}
-        if bit and masks:
-            limit = self.limit
-            images = []
-            for mask in masks:
-                if mask & bit:
-                    images.append(mask)
-                elif mask.bit_count() < limit:
-                    images.append(mask | bit)
-                else:
-                    absent = True
-            masks = images
+            store = self.stores[loc] = set()
         changed = False
-        keep_max = self.keep_max
         for mask in masks:
-            if store_add(store, mask, keep_max):
-                self.new_masks.setdefault(loc, []).append(mask)
-                changed = True
+            if bit and not mask & bit:
+                if mask.bit_count() >= self.limit:
+                    absent = True
+                    continue
+                mask |= bit
+            if mask in store:
+                continue
+            if store:
+                index = self.indexes[loc]
+                if index is None and len(store) > INDEX_THRESHOLD:
+                    index = self.indexes[loc] = index_of(store)
+                if not store_add(store, mask, self.keep_max, index):
+                    continue
+            else:
+                store.add(mask)
+            self.new_masks.setdefault(loc, []).append(mask)
+            changed = True
         if absent and not self.absent[loc]:
             self.absent[loc] = self.new_absent[loc] = changed = True
         return changed
@@ -205,7 +214,7 @@ def analyze_block(
         masks = new_masks.pop(loc, ())
         if masks:
             store = stores[loc]
-            masks = [m for m in masks if m in store.get(m.bit_count(), ())]
+            masks = [m for m in masks if m in store]
         for dst, bit in succ[loc]:
             if bit == focus_bit:
                 changed = receive(dst, False, (0,), 0)

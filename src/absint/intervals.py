@@ -378,7 +378,8 @@ def chaotic_iteration(
     narrow_passes: int = 0,
 ) -> dict:
     """Post-fixpoint of ``transfer(label, value)`` over `cfg` from `entry`,
-    then `narrow_passes` simultaneous decreasing passes.
+    then up to `narrow_passes` simultaneous decreasing passes, stopping
+    after the first pass that changes nothing.
 
     `widen_delay` counts actual updates at a widening point, not visits.
     """
@@ -432,8 +433,14 @@ def chaotic_iteration(
                     queued.add(e.dst)
                     work.append(e.dst)
 
+    # A pass that changes nothing leaves every later pass the same, so the
+    # passes stop there.  Dict equality tests each value's identity before
+    # comparing it, and an unchanged value is usually the same object.
     for _ in range(narrow_passes):
-        values = {loc: candidate(loc, values) for loc in cfg.locations}
+        narrowed = {loc: candidate(loc, values) for loc in cfg.locations}
+        if narrowed == values:
+            break
+        values = narrowed
     return values
 
 

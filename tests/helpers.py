@@ -92,6 +92,30 @@ def region_cache_cfg(rng: random.Random, n_locs: int, n_blocks: int, extra: floa
     return Cfg(locs, locs[0], tuple(edges))
 
 
+def wide_antichain_cfg(k: int, mixed: bool = False) -> Cfg:
+    """`s -f-> p0`, then for each i < k two branches `p_i -a_i-> x_i -> p_i+1`
+    and `p_i -b_i-> y_i -> p_i+1`, then `p_k -f-> p0`: 2^k younger-sets of
+    size k reach `p_k`, pairwise incomparable.  With `mixed` (k >= 2), an
+    edge `p_k-2 -z-> p_k` also brings 2^(k-2) sets of size k - 1 there,
+    each incomparable with every set of size k."""
+    locs, edges = ["s"], []
+
+    def access(src, block, dst):
+        edges.append(Edge(src, AccessLabel(block, len(edges)), dst))
+
+    access("s", "f", "p0")
+    for i in range(k):
+        locs += [f"p{i}", f"x{i}", f"y{i}"]
+        access(f"p{i}", f"a{i:02d}", f"x{i}")
+        access(f"p{i}", f"b{i:02d}", f"y{i}")
+        edges += [Edge(f"x{i}", Nop(), f"p{i + 1}"), Edge(f"y{i}", Nop(), f"p{i + 1}")]
+    locs.append(f"p{k}")
+    if mixed:
+        access(f"p{k - 2}", "z", f"p{k}")
+    access(f"p{k}", "f", "p0")
+    return Cfg(tuple(locs), "s", tuple(edges))
+
+
 def shuffled_cfg(rng: random.Random, cfg: Cfg) -> Cfg:
     """The same graph with its locations and its edges listed in a random
     order (the entry stays the entry), so every location's out-edges come

@@ -88,23 +88,30 @@ def test_matches_naive_extremes_oracle():
 
 def test_store_add_keeps_the_extremes_in_nonempty_size_buckets():
     """The fixpoint's in-place insertion agrees with the naive oracle after
-    every step, reports exactly the steps that change the store, and keeps
-    a key only for a size that still has masks."""
+    every step, reports exactly the steps that change the store, and never
+    keeps two comparable masks.  The same rounds run through the indexed
+    path too, whose popcount index must hold exactly the store's masks
+    under their sizes, with a key only for a size that still has masks."""
     rng = random.Random(99)
     for _ in range(300):
         masks = random_masks(rng)
         for orientation in Orientation:
             keep_max = orientation is Orientation.KEEP_MAX
-            store, seen = {}, []
-            for m in masks:
-                before = store_masks(store)
-                changed = store_add(store, m, keep_max)
-                seen.append(frozenset(indices_of(m)))
-                after = store_masks(store)
-                assert {frozenset(indices_of(e)) for e in after} == naive_extremes(seen, keep_max)
-                assert changed == (after != before)
-                assert all(bucket and {e.bit_count() for e in bucket} == {size}
-                           for size, bucket in store.items())
+            for index in (None, {}):
+                store, seen = set(), []
+                for m in masks:
+                    before = store_masks(store)
+                    changed = store_add(store, m, keep_max, index)
+                    seen.append(frozenset(indices_of(m)))
+                    after = store_masks(store)
+                    assert {frozenset(indices_of(e)) for e in after} == naive_extremes(seen, keep_max)
+                    assert changed == (after != before)
+                    for x, y in itertools.combinations(after, 2):
+                        assert x & y != x and x & y != y, (x, y)
+                    if index is not None:
+                        sizes = {e.bit_count() for e in store}
+                        assert index == {size: {e for e in store if e.bit_count() == size}
+                                         for size in sizes}
 
 
 def test_no_two_elements_comparable():

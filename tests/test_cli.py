@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -469,6 +470,30 @@ def test_long_flat_sum_is_evaluated(tmp_path, capsys, method):
         envs = [last["widen"], last["widen-narrow"]] if method == "compare" else [last["env"]]
         assert envs == [want] * len(envs), name
         assert results["full"] == results["off"] and results["truncated:1"] == results["off"], name
+
+
+@pytest.mark.parametrize("method", ["widen-narrow", "compare"])
+def test_narrowing_stops_at_a_pass_that_changes_nothing(demo_dir, tmp_path, capsys, method):
+    """The narrowing passes stop at the first one that leaves every value
+    as it was, so 10^12 passes end at once with the output of 100: on every
+    cache-free demo, and on a 3,000-term rule that reaches a join under
+    full rewriting."""
+    long_rule = tmp_path / "long-rule.imp"
+    long_rule.write_text(LONG_SUMS["rule-on-one-branch"][0])
+    runs = [(path, fmt, ()) for path in sorted(demo_dir.glob("*.imp"))
+            if "access" not in path.read_text() for fmt in ("text", "json")]
+    runs.append((long_rule, "json", ("--rewrites", "full")))
+    assert len(runs) > 3
+    for path, fmt, extra in runs:
+        outputs = []
+        for passes in ("100", "1000000000000"):
+            start = time.perf_counter()
+            code = main(["intervals", "--input", str(path), "--method", method,
+                         "--narrow-passes", passes, "--format", fmt, *extra])
+            elapsed = time.perf_counter() - start
+            assert code == 0 and elapsed < 10, (path.name, passes, code, elapsed)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1], (path.name, fmt)
 
 
 def _fuzz_cases(demo_dir, rng):

@@ -18,7 +18,7 @@ from absint.focused import (
     transfer,
 )
 from absint.lru import Classification, InitPolicy, OracleBudgetError, classify_oracle, collect_states
-from helpers import classify_per_focus, random_cache_cfg, region_cache_cfg, shuffled_cfg
+from helpers import classify_per_focus, random_cache_cfg, region_cache_cfg, shuffled_cfg, wide_antichain_cfg
 from test_lru import chain
 
 A, B, C, D, E = range(5)
@@ -327,30 +327,11 @@ def test_exact_matches_per_focus_search_on_1000_locations():
     }
 
 
-def wide_antichain_cfg(k: int) -> Cfg:
-    """`s -f-> p0`, then for each i < k two branches `p_i -a_i-> x_i -> p_i+1`
-    and `p_i -b_i-> y_i -> p_i+1`, then `p_k -f-> p0`: 2^k younger-sets of
-    size k reach `p_k`, pairwise incomparable."""
-    locs, edges = ["s"], []
-
-    def access(src, block, dst):
-        edges.append(Edge(src, AccessLabel(block, len(edges)), dst))
-
-    access("s", "f", "p0")
-    for i in range(k):
-        locs += [f"p{i}", f"x{i}", f"y{i}"]
-        access(f"p{i}", f"a{i:02d}", f"x{i}")
-        access(f"p{i}", f"b{i:02d}", f"y{i}")
-        edges += [Edge(f"x{i}", Nop(), f"p{i + 1}"), Edge(f"y{i}", Nop(), f"p{i + 1}")]
-    locs.append(f"p{k}")
-    access(f"p{k}", "f", "p0")
-    return Cfg(tuple(locs), "s", tuple(edges))
-
-
 def test_wide_antichains_of_equal_size_stay_fast():
-    """8,192 incomparable sets of one size meet at `p13`; a store that scans
-    every set on insertion, rather than only the other sizes, is quadratic
-    here (3.6 s already at k = 12, against about 0.1 s bucketed)."""
+    """8,192 incomparable sets of one size meet at `p13`.  A store that
+    scanned every set on insertion would be quadratic here (3.6 s already
+    at k = 12); past `antichain.INDEX_THRESHOLD` masks a store gets a
+    popcount index and skips its own size (about 0.05 s)."""
     cfg = wide_antichain_cfg(13)
     last = cfg.edges[-1].label.site
     for init, first in ((InitPolicy.EMPTY, Classification.ALWAYS_MISS),
@@ -360,6 +341,33 @@ def test_wide_antichains_of_equal_size_stay_fast():
         elapsed = time.perf_counter() - start
         assert verdicts == {0: first, last: Classification.ALWAYS_HIT}, init
         assert elapsed < 2.0, (init, elapsed)
+
+
+def test_wide_antichains_of_mixed_sizes_stay_fast():
+    """The same graph with 2,048 more incomparable sets, one smaller, at
+    `p13`: an indexed store scans only the other size's bucket, a store
+    without the index the whole set (1.3-2 s against about 8 s on a shared
+    2-vCPU x86-64 VM)."""
+    cfg = wide_antichain_cfg(13, mixed=True)
+    last = cfg.edges[-1].label.site
+    for init, first in ((InitPolicy.EMPTY, Classification.ALWAYS_MISS),
+                        (InitPolicy.UNKNOWN, Classification.VARIABLE)):
+        start = time.perf_counter()
+        verdicts = classify_exact(cfg, 17, init, foci={"f"})
+        elapsed = time.perf_counter() - start
+        assert verdicts == {0: first, last: Classification.ALWAYS_HIT}, init
+        assert elapsed < 5.0, (init, elapsed)
+
+
+def test_exact_matches_per_focus_search_on_the_mixed_wide_graph():
+    """Every block of the mixed wide graph at k = 10, at associativities
+    that evict and at N = 11, where 1,280 sets of two sizes reach `p10` for
+    the focus `f`, far past the index threshold.  At N = 17 the per-focus
+    search passes its budget."""
+    cfg = wide_antichain_cfg(10, mixed=True)
+    for n, init in ((4, InitPolicy.EMPTY), (6, InitPolicy.EMPTY), (11, InitPolicy.EMPTY),
+                    (3, InitPolicy.UNKNOWN), (4, InitPolicy.UNKNOWN)):
+        assert classify_exact(cfg, n, init) == classify_per_focus(cfg, n, init), (n, init)
 
 
 def test_unknown_init_around_the_symbolic_seed_boundary():
@@ -454,8 +462,9 @@ def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch
 
 
 def test_store_memory_does_not_grow_with_associativity(demo_dir):
-    """A store holds buckets only for the set sizes it has seen, so a huge
-    N costs what a small one does once the graph has fewer blocks than N."""
+    """A store holds only the sets it keeps, and an index only the sizes
+    present, so a huge N costs what a small one does once the graph has
+    fewer blocks than N."""
     cfg = parse_access_graph((demo_dir / "flag_reuse.ag").read_text())
     runs = ((classify_exact, InitPolicy.EMPTY), (classify_pipeline, InitPolicy.UNKNOWN))
     for classify, init in runs:

@@ -26,6 +26,11 @@ Three pins, checked against every later change of the fixpoint engine:
 * one SHA-256 over the two facts the exact verdicts read, the KEEP_MAX
   absent flag and whether the KEEP_MIN store is nonempty, at every location
   of the same runs under both initial-content policies;
+* one SHA-256 over the whole result of ``focused.analyze_block`` where
+  stores hold hundreds of sets: wide graphs with 2^k incomparable sets at
+  one location, with and without a second set size, and a 250-location
+  region graph at N = 16, for every block, both orientations and both
+  initial-content policies (recorded before stores became flat sets);
 * one SHA-256 over the hulls, or the error, of ``bounded_concrete_oracle``
   on fragment programs and on programs it must reject or that stray out of
   range;
@@ -314,6 +319,39 @@ def _focused_facts_digest() -> str:
             facts = [(loc, vmax[loc].may_absent, len(vmin[loc].younger) > 0)
                      for loc in cfg.access_index.locations]
             h.update(f"{facts!r}\n".encode())
+    return h.hexdigest()
+
+
+WIDE_SEED = 20261019
+# Runs whose stores hold many masks at once: the wide graphs put 2^k
+# pairwise incomparable sets of one size (and, mixed, 2^(k-2) more of the
+# next size down) at one location, at an associativity that fits them and
+# at one that evicts; the region graph is as large as the mid-size oracle
+# cross-checks, at N = 16.  Both orientations under both inits.
+WIDE_VIEWS_GOLDEN = 'a46e77898b93f08017b5eef330c9a230e5982d999cfd61a48f945304aea30a84'
+
+
+def _wide_cases():
+    """(name, graph, N) for the wide graphs for k <= 10, mixed for
+    2 <= k <= 9, and one region graph of 250 locations over 12 blocks."""
+    for k in range(1, 11):
+        for mixed in (False, True) if 2 <= k <= 9 else (False,):
+            cfg = helpers.wide_antichain_cfg(k, mixed)
+            for n in (k // 2 + 1, k + 1):
+                yield f"wide {k} {mixed}", cfg, n
+    yield "region", helpers.region_cache_cfg(random.Random(WIDE_SEED), 250, 12, extra=0.8), 16
+
+
+def _wide_views_digest() -> str:
+    h = hashlib.sha256()
+    for name, cfg, n in _wide_cases():
+        for focus in cfg.blocks() + ("never-accessed",):
+            for orientation in Orientation:
+                for init in InitPolicy:
+                    views = analyze_block(cfg, focus, n, orientation, init)
+                    h.update(f"#{name} {focus} {n} {orientation.name} {init.value}\n".encode())
+                    shown = [(loc, v.may_absent, v.younger.elements) for loc, v in views.items()]
+                    h.update(f"{shown!r}\n".encode())
     return h.hexdigest()
 
 
@@ -653,6 +691,10 @@ def test_focused_views_golden():
 
 def test_focused_facts_golden():
     assert _focused_facts_digest() == FOCUSED_FACTS_GOLDEN
+
+
+def test_wide_views_golden():
+    assert _wide_views_digest() == WIDE_VIEWS_GOLDEN
 
 
 def test_numeric_oracle_golden(fragment_corpus_small):
