@@ -14,8 +14,9 @@ encodes each distinct environment and interval once and reuses the text
 wherever the value appears again.
 
 Exit codes: 0 success, 1 input or usage error (or a failed internal
-consistency check), 2 oracle budget or value range exceeded, 3 (intervals, single-method runs) at least one assertion
-unproved.
+consistency check), 2 oracle budget (including more distinct blocks than
+the cache oracle can name), value range or widening-delay budget exceeded,
+3 (intervals, single-method runs) at least one assertion unproved.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .intervals import (
     TOP,
     AbstractEnv,
     AnalysisResult,
+    DelayBudgetError,
     Interval,
     analyze,
     assert_verdicts,
@@ -533,7 +535,7 @@ def main(argv=None) -> int:
         # built; what argparse and open() quote in full is cut here.
         sys.stderr.write(f"error: {boundsolve._excerpt(exc, 190)}\n")
         return exc.code
-    except OracleBudgetError as exc:
+    except (OracleBudgetError, DelayBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
     except RecursionError:

@@ -15,7 +15,9 @@ equality; ``analyze`` runs it over environments and
 iterate identically.  A location pulls its candidate from the entry value
 and the transfers of all its incoming edges; locations leave a FIFO
 worklist (seeded in ``cfg.locations`` order, each queued at most once) and
-widen at back-edge targets after a configurable number of plain updates.
+widen at back-edge targets after a configurable number of plain updates;
+more than ``DELAY_BUDGET`` plain updates there over a whole run raise
+``DelayBudgetError`` (a loop that never stabilises would climb for ever).
 Simultaneous decreasing passes follow ("narrowing" in its simplest form:
 re-run the transfer from the stabilized state and add the entry
 contribution).  Each edge keeps its last transfer and reuses it while its
@@ -369,6 +371,15 @@ def check_cache_free(cfg: Cfg) -> None:
         raise ValueError("numeric analyses require a cache-free graph")
 
 
+#: Most plain (not widened) updates at back-edge targets in one run of
+#: ``chaotic_iteration``, summed over all of them.
+DELAY_BUDGET = 10_000
+
+
+class DelayBudgetError(Exception):
+    """A widening delay would need more plain updates than ``DELAY_BUDGET``."""
+
+
 def chaotic_iteration(
     cfg: Cfg,
     entry,
@@ -382,6 +393,8 @@ def chaotic_iteration(
     after the first pass that changes nothing.
 
     `widen_delay` counts actual updates at a widening point, not visits.
+    More than ``DELAY_BUDGET`` plain updates at widening points in all
+    raise ``DelayBudgetError``: an error, never an approximation.
     """
     # Pull-style: a visit joins the transfers of every incoming edge,
     # unchanged predecessors included, because widening and the narrowing
@@ -418,14 +431,23 @@ def chaotic_iteration(
     updates = dict.fromkeys(cfg.locations, 0)
     work = deque(cfg.locations)
     queued = set(cfg.locations)
+    plain_updates = 0
     while work:
         loc = work.popleft()
         queued.discard(loc)
         old = values[loc]
         new = old.join(candidate(loc, values))
-        if loc in widen_points and updates[loc] > widen_delay:
+        delayed = loc in widen_points
+        if delayed and updates[loc] > widen_delay:
             new = old.widen(new)
+            delayed = False
         if new is not old and new != old:
+            if delayed:
+                plain_updates += 1
+                if plain_updates > DELAY_BUDGET:
+                    raise DelayBudgetError(
+                        f"widening delay budget exceeded: more than {DELAY_BUDGET} "
+                        "plain updates at loop heads")
             updates[loc] += 1
             values[loc] = new
             for e in cfg.out(loc):
@@ -482,6 +504,8 @@ __all__ = [
     "eval_expr",
     "filter_cond",
     "chaotic_iteration",
+    "DELAY_BUDGET",
+    "DelayBudgetError",
     "assert_verdicts",
     "analyze",
     "AnalysisResult",

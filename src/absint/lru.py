@@ -1,12 +1,14 @@
 """Ground-truth LRU semantics for one cache set.
 
-A cache-set state is a sequence of at most N distinct block ids, youngest
-first.  ``explore`` is the package's one trusted search: an explicit-state
-exploration of a graph under a state budget, free of any abstract domain.
-``collect_states`` runs it with the LRU transfer to get the exact collecting
-semantics (the set of reachable states per location), ``classify_oracle``
-derives per-site hit/miss classifications from that, and
-``boundsolve.bounded_concrete_oracle`` runs it over integer values.  This
+A cache-set state is a sequence of at most N distinct blocks, youngest
+first: a tuple of block names wherever a state is passed in or read out,
+and inside the search a `str` with one character per block, assigned per
+graph by an `Alphabet`.  ``explore`` is the package's one trusted search:
+an explicit-state exploration of a graph under a state budget, free of any
+abstract domain.  ``collect_states`` runs it with the LRU transfer to get
+the exact collecting semantics (the set of reachable states per location),
+``classify_oracle`` derives per-site hit/miss classifications from that,
+and ``boundsolve.bounded_concrete_oracle`` runs it over integer values.  This
 is the reference every other analysis is validated against, so it must
 stay exact: exceeding the state budget is an error, never an approximation.
 """
@@ -15,14 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections.abc import Set
 from enum import Enum
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .cfg import AccessLabel, Cfg
 
 CacheState = tuple[str, ...]
 
-#: Name used for the extra block of the "unknown initial contents" policy.
+#: Name used for the extra block of the "unknown initial contents" policy,
+#: lengthened by "~" where a block of the graph has it.
 OTHER_BLOCK = "~other"
 
 
@@ -49,20 +54,46 @@ class OracleBudgetError(Exception):
     """The explicit-state oracle would need more states than allowed."""
 
 
-def _update(block: str, n: int) -> Callable[[CacheState], CacheState]:
-    """The LRU update of an access to `block` at associativity `n`, on states
-    of at most `n` blocks, unchecked: the block becomes youngest; on a fill,
-    the oldest is evicted.  The one definition behind `access` and the
-    oracle's successors."""
-    head, keep = (block,), n - 1
+#: How many distinct blocks an `Alphabet` can name: one per code point.
+CODE_POINTS = sys.maxunicode + 1
 
-    def update(state: CacheState) -> CacheState:
-        if block in state:
-            if state[0] == block:
+
+class Alphabet:
+    """One character per block, in the order the blocks are given, so that
+    the search can hold a state as a `str`: it caches its hash, and an
+    access rebuilds it with two string operations instead of splicing a
+    tuple.  More blocks than there are code points are a budget error."""
+
+    __slots__ = ("letter", "block")
+
+    def __init__(self, blocks: Iterable[str]):
+        names = tuple(dict.fromkeys(blocks))
+        if len(names) > CODE_POINTS:
+            raise OracleBudgetError(
+                f"oracle names at most {CODE_POINTS} distinct blocks, got {len(names)}")
+        self.letter = {block: chr(i) for i, block in enumerate(names)}
+        self.block = dict(zip(self.letter.values(), names))
+
+    def encode(self, state: CacheState) -> str:
+        return "".join(map(self.letter.__getitem__, state))
+
+    def decode(self, word: str) -> CacheState:
+        return tuple(map(self.block.__getitem__, word))
+
+
+def _update(letter: str, n: int) -> Callable[[str], str]:
+    """The LRU update of an access to the block that `letter` names, at
+    associativity `n`, on encoded states of at most `n` blocks, unchecked:
+    the block becomes youngest; on a fill, the oldest is evicted.  The one
+    definition behind `access` and the oracle's successors."""
+    keep = n - 1
+
+    def update(state: str) -> str:
+        if letter in state:
+            if state[0] == letter:
                 return state
-            i = state.index(block)
-            return head + state[:i] + state[i + 1:]
-        return head + state[:keep]
+            return letter + state.replace(letter, "")
+        return letter + state[:keep]
 
     return update
 
@@ -73,7 +104,8 @@ def access(state: CacheState, block: str, n: int) -> CacheState:
         raise ValueError("associativity must be at least 1")
     if len(state) > n:
         raise ValueError("state longer than associativity")
-    return _update(block, n)(state)
+    alphabet = Alphabet(state + (block,))
+    return alphabet.decode(_update(alphabet.letter[block], n)(alphabet.encode(state)))
 
 
 def is_hit(state: CacheState, block: str) -> bool:
@@ -81,26 +113,35 @@ def is_hit(state: CacheState, block: str) -> bool:
 
 
 class _InitialStates:
-    """Every state of at most `longest` distinct blocks of `universe`, each
-    once: counted without being built, built one at a time."""
+    """Every state of at most `longest` distinct elements of `universe`, each
+    once, as `make` builds it from a tuple: counted without being built,
+    built one at a time."""
 
-    def __init__(self, universe: tuple[str, ...], longest: int):
-        self.universe, self.longest = universe, longest
+    def __init__(self, universe: Sequence, n: int, init: InitPolicy, make: Callable):
+        self.universe, self.make = universe, make
+        self.longest = 0 if init is InitPolicy.EMPTY else min(n, len(universe))
 
     def __len__(self) -> int:
         return sum(math.perm(len(self.universe), r) for r in range(self.longest + 1))
 
-    def __iter__(self) -> Iterator[CacheState]:
-        return itertools.chain.from_iterable(
+    def __iter__(self) -> Iterator:
+        return map(self.make, itertools.chain.from_iterable(
             itertools.permutations(self.universe, r) for r in range(self.longest + 1)
-        )
+        ))
+
+
+def _fresh_block(blocks: Collection[str]) -> str:
+    """`OTHER_BLOCK`, lengthened by "~" until no block of `blocks` has it."""
+    name = OTHER_BLOCK
+    while name in blocks:
+        name += "~"
+    return name
 
 
 def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> _InitialStates:
     """The empty state, or with unknown contents every state over `blocks`
-    and one fresh block."""
-    universe = tuple(blocks) + (OTHER_BLOCK,)
-    return _InitialStates(universe, 0 if init is InitPolicy.EMPTY else min(n, len(universe)))
+    and one fresh block, a name no block of `blocks` has."""
+    return _InitialStates(tuple(blocks) + (_fresh_block(blocks),), n, init, tuple)
 
 
 def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[str, set]:
@@ -153,21 +194,50 @@ def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[st
     raise OracleBudgetError(f"state budget {budget} exceeded{where}")
 
 
-def lru_step(n: int) -> Callable:
-    """`explore`'s step for the LRU transfer at associativity `n`: an access
-    edge's successor is its block's update, built once per edge; any other
-    edge is a no-op."""
+def lru_step(n: int, alphabet: Alphabet) -> Callable:
+    """`explore`'s step for the LRU transfer at associativity `n` on states
+    encoded by `alphabet`: an access edge's successor is its block's update,
+    built once per edge; any other edge is a no-op."""
 
     def step(label):
         if isinstance(label, AccessLabel):
-            return _update(label.block, n)
+            return _update(alphabet.letter[label.block], n)
         return _unchanged
 
     return step
 
 
-def _unchanged(state: CacheState) -> CacheState:
+def _unchanged(state: str) -> str:
     return state
+
+
+class _States(Set):
+    """The states `collect_states` reached at one location, read as a set of
+    tuples: the search's set of encoded states (`words`) with its alphabet.
+    Its length is that set's; iteration decodes one state at a time, and
+    membership encodes the state asked for."""
+
+    __slots__ = ("words", "alphabet")
+
+    def __init__(self, words: set[str], alphabet: Alphabet):
+        self.words, self.alphabet = words, alphabet
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self) -> Iterator[CacheState]:
+        return map(self.alphabet.decode, self.words)
+
+    def __contains__(self, state) -> bool:
+        if not isinstance(state, tuple):
+            return False
+        try:
+            return self.alphabet.encode(state) in self.words
+        except (KeyError, TypeError):  # a block the alphabet does not name
+            return False
+
+    def __repr__(self) -> str:
+        return repr(set(self))
 
 
 def collect_states(
@@ -176,7 +246,7 @@ def collect_states(
     init: InitPolicy = InitPolicy.EMPTY,
     budget: int = 1_000_000,
     seed_states: set[CacheState] | None = None,
-) -> dict[str, set[CacheState]]:
+) -> dict[str, Set[CacheState]]:
     """Least fixpoint of the concrete transfer over sets of cache states.
 
     Non-access edges are treated as no-ops (guard erasure), so graphs built
@@ -184,19 +254,29 @@ def collect_states(
     entry seeding derived from `init`.  The associativity and the seeds'
     lengths are checked once, before the search; each access edge then
     applies the unchecked update of ``lru_step`` to every state that reaches
-    it.  There is no memo: over the benchmark's graphs fewer than one update
-    in five met a state its block had already seen, so hashing every state
-    into a memo cost more than it saved.
+    it.  The search runs on states encoded by one `Alphabet`: the graph's
+    sorted blocks, then any other blocks the seeds name, then the fresh
+    block of the unknown policy.  Each location's states come back as a
+    read-only set view that decodes them only when iterated.  There is no
+    memo: over the benchmark's graphs fewer than one update in five met a
+    state its block had already seen, so hashing every state into a memo
+    cost more than it saved.
     """
     if n < 1:
         raise ValueError("associativity must be at least 1")
+    blocks = cfg.blocks()
     if seed_states is None:
-        seeds = initial_states(cfg.blocks(), n, init)
+        if init is InitPolicy.UNKNOWN:
+            blocks += (_fresh_block(blocks),)
+        alphabet = Alphabet(blocks)
+        seeds = _InitialStates("".join(alphabet.letter.values()), n, init, "".join)
     elif any(len(state) > n for state in seed_states):
         raise ValueError("seed state longer than associativity")
     else:
-        seeds = seed_states
-    return explore(cfg, seeds, lru_step(n), budget)
+        alphabet = Alphabet(blocks + tuple(sorted({b for state in seed_states for b in state})))
+        seeds = [alphabet.encode(state) for state in seed_states]
+    reached = explore(cfg, seeds, lru_step(n, alphabet), budget)
+    return {loc: _States(words, alphabet) for loc, words in reached.items()}
 
 
 def classify_oracle(
@@ -205,11 +285,13 @@ def classify_oracle(
     init: InitPolicy = InitPolicy.EMPTY,
     budget: int = 1_000_000,
 ) -> dict[int, Classification]:
-    """Exact classification of every access site against `collect_states`."""
+    """Exact classification of every access site against `collect_states`,
+    read from the encoded states."""
     reached = collect_states(cfg, n, init, budget)
+    letter = reached[cfg.entry].alphabet.letter
     result: dict[int, Classification] = {}
     for site, block, src in cfg.access_sites:
-        states = reached.get(src, ())
-        result[site] = classification(any(block in s for s in states),
-                                      any(block not in s for s in states))
+        words = reached[src].words if src in reached else ()
+        c = letter[block]
+        result[site] = classification(any(c in w for w in words), any(c not in w for w in words))
     return result

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from absint import boundsolve
+from absint import boundsolve, lru
 from absint.cli import _Encoded, _json_text, main
 from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens
 
@@ -235,6 +235,31 @@ def test_intervals_oracle_range_violation_is_exit_2(tmp_path):
     )
     assert code == 2
     assert "outside" in err or "range" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [["--method", "widen"], ["--method", "compare", "--rewrites", "full"]],
+                         ids=["widen", "compare-rewrites"])
+def test_huge_widen_delay_is_exit_2_within_the_update_budget(tmp_path, argv):
+    # The loop never stabilises, so without a budget the delay would run
+    # 10^8 plain updates before the first widening.
+    runaway = tmp_path / "runaway.imp"
+    runaway.write_text("int i = 0;\nwhile (0 < 1) { i = i + 1; }\n")
+    proc = subprocess.run(PY + ["intervals", "--input", str(runaway), "--widen-delay", "100000000"] + argv,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: widening delay budget exceeded: more than 10000 plain updates at loop heads\n")
+
+
+def test_more_blocks_than_the_oracle_can_name_is_exit_2(tmp_path, capsys, monkeypatch):
+    # Inside its search the oracle names each block by one code point;
+    # with three blocks and room for two it stops before any state.
+    monkeypatch.setattr(lru, "CODE_POINTS", 2)
+    path = tmp_path / "three.ag"
+    path.write_text("loc n0\nloc n1\nloc n2\nloc n3\nentry n0\n"
+                    "edge n0 n1 access a\nedge n1 n2 access b\nedge n2 n3 access c\n")
+    for method in ("oracle", "compare"):
+        assert main(["cache", "--input", str(path), "--assoc", "2", "--method", method]) == 2
+        assert capsys.readouterr() == ("", "error: oracle names at most 2 distinct blocks, got 3\n")
 
 
 def test_fragment_violation_is_exit_1(tmp_path):

@@ -17,7 +17,14 @@ from absint.focused import (
     classify_pipeline,
     transfer,
 )
-from absint.lru import Classification, InitPolicy, OracleBudgetError, classify_oracle, collect_states
+from absint.lru import (
+    Classification,
+    InitPolicy,
+    OracleBudgetError,
+    classification,
+    classify_oracle,
+    collect_states,
+)
 from helpers import classify_per_focus, random_cache_cfg, region_cache_cfg, shuffled_cfg, wide_antichain_cfg
 from test_lru import chain
 
@@ -284,13 +291,24 @@ def test_mid_size_exact_matches_oracle():
 
 def test_per_focus_search_matches_the_oracle():
     """The per-focus explicit search in the test helpers is checked against
-    the LRU oracle before it stands in for it."""
+    the LRU oracle before it stands in for it.  The oracle reads its
+    verdicts from encoded states; they also equal the verdicts read from
+    the tuples `collect_states` decodes."""
     rng = random.Random(400)
     for _ in range(400):
         cfg = random_cache_cfg(rng)
         for n in range(1, 5):
             for init in InitPolicy:
-                assert classify_per_focus(cfg, n, init) == classify_oracle(cfg, n, init), (cfg, n)
+                oracle = classify_oracle(cfg, n, init)
+                reached = {loc: set(states) for loc, states in collect_states(cfg, n, init).items()}
+                assert all(type(s) is tuple and len(set(s)) == len(s) <= n
+                           for states in reached.values() for s in states)
+                decoded = {
+                    site: classification(any(block in s for s in reached.get(src, ())),
+                                         any(block not in s for s in reached.get(src, ())))
+                    for site, block, src in cfg.access_sites
+                }
+                assert oracle == decoded == classify_per_focus(cfg, n, init), (cfg, n)
 
 
 def test_exact_matches_per_focus_search_past_the_oracle():

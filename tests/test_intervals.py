@@ -415,6 +415,25 @@ def test_widen_delay_recovers_exact_two_phase_loop():
     assert eager.envs[head].get("i").hi is POS_INF
 
 
+def test_widen_delay_budget_is_an_error_not_an_approximation(monkeypatch):
+    # The loop head takes i in [0,0], [0,1], ..., [0,5]: six plain updates
+    # under a delay that never runs out, for either engine client.
+    program = parse_program("int i = 0; while (i < 5) { i = i + 1; }")
+    cfg = build_cfg(program)
+    env = entry_environment(program)
+    monkeypatch.setattr(intervals_module, "DELAY_BUDGET", 6)
+    assert analyze(cfg, env, widen_delay=100).envs[loop_head(cfg)].get("i") == Interval(0, 5)
+    assert analyze_combined(cfg, env, widen_delay=100).envs[loop_head(cfg)].get("i") == Interval(0, 5)
+    monkeypatch.setattr(intervals_module, "DELAY_BUDGET", 5)
+    message = "^widening delay budget exceeded: more than 5 plain updates at loop heads$"
+    with pytest.raises(intervals_module.DelayBudgetError, match=message):
+        analyze(cfg, env, widen_delay=100)
+    with pytest.raises(intervals_module.DelayBudgetError, match=message):
+        analyze_combined(cfg, env, widen_delay=100)
+    # Widened updates do not count.
+    assert analyze(cfg, env, widen_delay=0, narrow_passes=1).envs[loop_head(cfg)].get("i") == Interval(0, 5)
+
+
 def test_assert_in_unreachable_code_is_vacuously_proved():
     text = "int i = 0; if (i > 5) { assert (i < 0); }"
     cfg = build_cfg(parse_program(text))

@@ -7,8 +7,10 @@ import tracemalloc
 
 import pytest
 
+from absint import lru
 from absint.cfg import AccessLabel, Cfg, Edge, Nop
 from absint.lru import (
+    Alphabet,
     Classification,
     InitPolicy,
     OracleBudgetError,
@@ -93,19 +95,22 @@ def test_access_matches_the_rebuild_formula_exhaustively():
 
 def test_oracle_successor_matches_the_rebuild_formula_exhaustively():
     # The successor `collect_states` hands to `explore` for an access edge,
-    # built once per edge and applied without checks.
+    # built once per edge and applied without checks to encoded states.
     blocks = ("a", "b", "c", "d", "e")
+    alphabet = Alphabet(blocks)
     checked = 0
     for n in range(1, 5):
-        step = lru_step(n)
+        step = lru_step(n, alphabet)
         for block in blocks:
             succ = step(AccessLabel(block, 0))
             for r in range(n + 1):
                 for state in itertools.permutations(blocks, r):
-                    assert succ(state) == _access_by_rebuild(state, block, n), (state, block, n)
+                    word = succ(alphabet.encode(state))
+                    assert type(word) is str and len(word) <= n
+                    assert alphabet.decode(word) == _access_by_rebuild(state, block, n), (state, block, n)
                     checked += 1
     assert checked == 5 * sum(math.perm(5, r) for n in range(1, 5) for r in range(n + 1))
-    assert lru_step(2)(Nop())(("a", "b")) == ("a", "b")
+    assert lru_step(2, alphabet)(Nop())(alphabet.encode(("a", "b"))) == alphabet.encode(("a", "b"))
 
 
 def test_collect_states_checks_associativity_and_seeds_before_the_search():
@@ -159,6 +164,44 @@ def test_initial_states_unknown_counts():
     # 1 empty + 3 singletons + 3*2 pairs = 10
     assert len(states) == len(set(states)) == 10
     assert () in states
+
+
+def test_fresh_block_is_named_apart_from_the_graph_blocks():
+    # A graph may access a block named like the fresh block of the unknown
+    # policy; the fresh block then takes a longer name, and every seed is a
+    # distinct state of distinct blocks.
+    for blocks, fresh in [(("x", "~other"), "~other~"), (("~other", "~other~"), "~other~~")]:
+        seeds = initial_states(blocks, 2, InitPolicy.UNKNOWN)
+        states = list(seeds)
+        assert len(seeds) == len(set(states)) == 10
+        assert all(len(set(s)) == len(s) for s in states)
+        assert {b for s in states for b in s} == set(blocks) | {fresh}
+    reached = collect_states(chain(["x", "~other"]), 2, InitPolicy.UNKNOWN)
+    assert reached["p0"] == set(initial_states(("x", "~other"), 2, InitPolicy.UNKNOWN))
+    assert reached["p2"] == {("~other", "x")}
+    assert reached["p1"] == {("x",), ("x", "~other"), ("x", "~other~")}
+
+
+def test_alphabet_names_at_most_one_block_per_code_point(monkeypatch):
+    alphabet = Alphabet(("b", "a", "b"))
+    assert alphabet.encode(("a", "b")) == "\x01\x00"
+    assert alphabet.decode("\x00\x01") == ("b", "a")
+    monkeypatch.setattr(lru, "CODE_POINTS", 2)
+    assert collect_states(chain(["a", "b"]), 2)["p2"] == {("b", "a")}
+    with pytest.raises(OracleBudgetError, match="^oracle names at most 2 distinct blocks, got 3$"):
+        collect_states(chain(["a", "b"]), 2, InitPolicy.UNKNOWN)
+    with pytest.raises(OracleBudgetError, match="^oracle names at most 2 distinct blocks, got 3$"):
+        classify_oracle(chain(["a", "b", "c"]), 2)
+
+
+def test_collected_states_read_as_sets_of_tuples():
+    reached = collect_states(chain(["a", "b", "a"]), 2, InitPolicy.UNKNOWN)
+    states = reached["p1"]
+    assert len(states) == len(list(states)) == 3
+    assert ("a", "b") in states and ("a", "~other") in states
+    assert ("b", "a") not in states and ("z",) not in states and "a" not in states and ["a"] not in states
+    assert states == set(states) and set(states) == states and states <= reached["p1"]
+    assert reached["p3"] == {("a", "b")} and repr(reached["p3"]) == "{('a', 'b')}"
 
 
 def test_classify_third_access_always_hit():
