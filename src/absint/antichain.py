@@ -14,6 +14,12 @@ masks the new one subsumes.  A store that grows past ``INDEX_THRESHOLD``
 masks can also be given an ``Index``, from popcount to the masks of that
 size.  Two distinct masks of equal size are never comparable, so with an
 index the pass skips the mask's own size and scans only the other buckets.
+A mask comparable with one a size larger or smaller differs from it in one
+bit, so a bucket one size away is probed at the mask's one-bit neighbours
+instead when it holds more masks than there are neighbours.  The index
+keeps the bit length of the widest mask added through it (``Index.width``),
+which bounds the bits a superset neighbour may add; two large buckets of
+adjacent sizes then cost a few lookups per insertion, not their product.
 """
 
 from __future__ import annotations
@@ -48,8 +54,19 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 #: A mutable antichain: the set of its masks.
 Store = set[int]
-#: Popcount -> the masks of that size in a store, sizes present only.
-Index = dict[int, set[int]]
+
+
+class Index(dict[int, set[int]]):
+    """Popcount -> the masks of that size in a store, sizes present only.
+    ``width`` is the bit length of the widest mask added through it, so no
+    mask it holds names a block at or past ``width``."""
+
+    __slots__ = ("width",)
+
+    def __init__(self):
+        super().__init__()
+        self.width = 0
+
 
 #: A fixpoint keeps an ``Index`` for a store once it holds more masks than
 #: this.  Scanning the whole set is cheapest while stores are small (the
@@ -63,9 +80,10 @@ INDEX_THRESHOLD = 32
 
 def index_of(store: Store) -> Index:
     """The popcount index of `store`."""
-    index: Index = {}
+    index = Index()
     for mask in store:
         index.setdefault(mask.bit_count(), set()).add(mask)
+    index.width = max(store, default=0).bit_length()
     return index
 
 
@@ -83,7 +101,10 @@ def store_add(store: Store, mask: int, keep_max: bool, index: Index | None = Non
     (the two elements would be comparable), so a single pass both looks for
     a subsumer and collects what the mask subsumes.  Without an index the
     pass covers the whole set; with one, only the buckets of other sizes,
-    since two distinct masks of equal size are never comparable."""
+    since two distinct masks of equal size are never comparable.  In a
+    bucket one size away only the mask's one-bit neighbours can be
+    comparable with it; when the bucket holds more masks than the mask
+    has such neighbours, the pass looks those up instead of scanning."""
     if mask in store:
         return False
     if index is None:
@@ -94,27 +115,45 @@ def store_add(store: Store, mask: int, keep_max: bool, index: Index | None = Non
                 if (both == mask) is keep_max:
                     return False
                 hits.append(e)
-        store.difference_update(hits)
+        if hits:
+            store.difference_update(hits)
         store.add(mask)
         return True
     size = mask.bit_count()
     for other, bucket in list(index.items()):
-        if other != size:
-            larger = other > size
+        if other == size:
+            continue
+        larger = other > size
+        if other == size + 1:
+            near = ~mask & ((1 << index.width) - 1)  # the bits a superset may add
+        elif other == size - 1:
+            near = mask  # the bits a subset may drop
+        else:
+            near = None
+        if near is not None and near.bit_count() < len(bucket):
+            hits = []
+            while near:
+                bit = near & -near
+                near ^= bit
+                if mask ^ bit in bucket:
+                    hits.append(mask ^ bit)
+        else:
             hits = ([e for e in bucket if mask & e == mask] if larger
                     else [e for e in bucket if mask & e == e])
-            if hits:
-                if larger is keep_max:
-                    return False
-                bucket.difference_update(hits)
-                store.difference_update(hits)
-                if not bucket:
-                    del index[other]
+        if hits:
+            if larger is keep_max:
+                return False
+            bucket.difference_update(hits)
+            store.difference_update(hits)
+            if not bucket:
+                del index[other]
     own = index.get(size)
     if own is None:
         index[size] = {mask}
     else:
         own.add(mask)
+    if mask.bit_length() > index.width:
+        index.width = mask.bit_length()
     store.add(mask)
     return True
 

