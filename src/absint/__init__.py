@@ -8,6 +8,8 @@ exhaustive case analysis and by policy iteration), and interval analysis
 combined with a propagated rewriting system.
 """
 
+__version__ = "0.1.0"
+
 from .lang import parse_program, pretty, ParseError
 from .cfg import build_cfg, parse_access_graph, erase_guards, Cfg
 from .lru import (
@@ -15,7 +17,6 @@ from .lru import (
     Classification,
     OracleBudgetError,
     access,
-    is_hit,
     collect_states,
     classify_oracle,
 )
@@ -43,5 +44,3 @@ from .boundsolve import (
     dump_system,
 )
 from .rewrite import RewriteMap, record, rewrite_and_simplify, analyze_combined
-
-__version__ = "0.1.0"

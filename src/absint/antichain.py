@@ -5,51 +5,35 @@ orientation says which extreme matters: a KEEP_MAX antichain retains maximal
 sets (a superset subsumes its subsets), a KEEP_MIN antichain retains minimal
 ones.  Elements are bitmasks over block indices interned at graph-load time.
 
-``Antichain`` is the immutable value: its elements are kept in sorted order so
-that structurally equal antichains compare equal.  A fixpoint updates a
-``Store`` in place instead: a plain set of masks.  ``store_add`` is the one
-insertion routine; ``Antichain.insert`` and ``union`` go through it too.  It
-makes one pass over the store that looks for a subsumer and collects the
-masks the new one subsumes.  A store that grows past ``INDEX_THRESHOLD``
-masks can also be given an ``Index``, from popcount to the masks of that
-size.  Two distinct masks of equal size are never comparable, so with an
-index the pass skips the mask's own size and scans only the other buckets.
-A mask comparable with one a size larger or smaller differs from it in one
-bit, so a bucket one size away is probed at the mask's one-bit neighbours
-instead when it holds more masks than there are neighbours.  The index
-keeps the bit length of the widest mask added through it (``Index.width``),
-which bounds the bits a superset neighbour may add; two large buckets of
-adjacent sizes then cost a few lookups per insertion, not their product.
+A fixpoint updates a ``Store`` in place: a plain set of masks.  ``store_add``
+is the one insertion routine.  It makes one pass over the store that looks
+for a subsumer and collects the masks the new one subsumes.  A store that
+grows past ``INDEX_THRESHOLD`` masks can also be given an ``Index``, from
+popcount to the masks of that size.  Two distinct masks of equal size are
+never comparable, so with an index the pass skips the mask's own size and
+scans only the other buckets.  A mask comparable with one a size larger or
+smaller differs from it in one bit, so a bucket one size away is probed at
+the mask's one-bit neighbours instead when it holds more masks than there
+are neighbours.  The index keeps the bit length of the widest mask added
+through it (``Index.width``), which bounds the bits a superset neighbour may
+add; two large buckets of adjacent sizes then cost a few lookups per
+insertion, not their product.
+
+``Antichain`` is the immutable value inside ``focused.BlockView``: its
+``insert`` and ``union`` go through ``store_add``, and its elements are kept
+sorted so that structurally equal antichains compare equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class Orientation(Enum):
     KEEP_MIN = "keep-min"
     KEEP_MAX = "keep-max"
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 #: A mutable antichain: the set of its masks.
@@ -163,25 +147,11 @@ class Antichain:
     orientation: Orientation
     elements: tuple[int, ...] = ()
 
-    @staticmethod
-    def empty(orientation: Orientation) -> "Antichain":
-        return Antichain(orientation)
-
-    @staticmethod
-    def of(orientation: Orientation, sets: Iterable[Iterable[int]]) -> "Antichain":
-        ac = Antichain(orientation)
-        for s in sets:
-            ac = ac.insert(mask_of(s))
-        return ac
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
-
-    def sets(self) -> list[frozenset[int]]:
-        return [frozenset(indices_of(m)) for m in self.elements]
 
     def insert(self, mask: int) -> "Antichain":
         """Add a set unless subsumed; drop the elements it subsumes."""
@@ -201,14 +171,3 @@ class Antichain:
         for m in small.elements:
             changed |= store_add(store, m, keep_max)
         return Antichain(big.orientation, store_masks(store)) if changed else big
-
-    def covers(self, mask: int) -> bool:
-        if self.orientation is Orientation.KEEP_MAX:
-            return any(mask & e == mask for e in self.elements)
-        return any(mask & e == e for e in self.elements)
-
-    def subsumes(self, other: "Antichain") -> bool:
-        """The order used for fixpoint convergence: union(self, other) == self."""
-        if self.orientation is not other.orientation:
-            raise ValueError("cannot compare antichains of different orientations")
-        return all(self.covers(m) for m in other.elements)

@@ -177,6 +177,16 @@ class _Builder:
     def edge(self, src: str, label: Label, dst: str) -> None:
         self.edges.append(Edge(src, label, dst))
 
+    def branch(self, src: str, cond: Cond, yes: str, no: str) -> None:
+        """The two edges out of an ``if`` or ``while`` head: no-ops for
+        ``*``, otherwise the condition and its negation."""
+        if isinstance(cond, CondNondet):
+            self.edge(src, Nop(), yes)
+            self.edge(src, Nop(), no)
+        else:
+            self.edge(src, AssumeLabel(cond), yes)
+            self.edge(src, AssumeLabel(negate_cond(cond)), no)
+
     def stmt(self, s: Stmt, src: str) -> str:
         if isinstance(s, Assign):
             dst = self.fresh()
@@ -198,12 +208,7 @@ class _Builder:
             join = self.fresh()
             then_in = self.fresh()
             else_in = self.fresh()
-            if isinstance(s.cond, CondNondet):
-                self.edge(src, Nop(), then_in)
-                self.edge(src, Nop(), else_in)
-            else:
-                self.edge(src, AssumeLabel(s.cond), then_in)
-                self.edge(src, AssumeLabel(negate_cond(s.cond)), else_in)
+            self.branch(src, s.cond, then_in, else_in)
             then_out = self.block(s.then, then_in)
             self.edge(then_out, Nop(), join)
             else_out = self.block(s.orelse, else_in)
@@ -213,12 +218,7 @@ class _Builder:
             # `src` is the loop head; the body's exit loops back to it.
             exit_loc = self.fresh()
             body_in = self.fresh()
-            if isinstance(s.cond, CondNondet):
-                self.edge(src, Nop(), body_in)
-                self.edge(src, Nop(), exit_loc)
-            else:
-                self.edge(src, AssumeLabel(s.cond), body_in)
-                self.edge(src, AssumeLabel(negate_cond(s.cond)), exit_loc)
+            self.branch(src, s.cond, body_in, exit_loc)
             body_out = self.block(s.body, body_in)
             self.edge(body_out, Nop(), src)
             return exit_loc

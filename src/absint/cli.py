@@ -28,7 +28,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from . import boundsolve, focused, rewrite
+from . import __version__, boundsolve, focused, rewrite
 from .agebounds import classify_all_approx
 from .cfg import Cfg, build_cfg, parse_access_graph
 from .intervals import (
@@ -47,7 +47,7 @@ from .lru import InitPolicy, OracleBudgetError, classify_oracle
 
 SCHEMA_VERSION = 1
 TOOL = "absint"
-VERSION = "0.1.0"
+VERSION = __version__
 
 EXIT_OK = 0
 EXIT_INPUT = 1

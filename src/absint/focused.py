@@ -96,10 +96,6 @@ class BlockView:
     def is_bottom(self) -> bool:
         return not self.may_absent and len(self.younger) == 0
 
-    def join(self, other: "BlockView") -> "BlockView":
-        """Upper bound of both views."""
-        return BlockView(self.may_absent or other.may_absent, self.younger.union(other.younger))
-
 
 class _Run(Mapping):
     """One fixpoint run, held in per-graph state indexed by location number:
@@ -160,7 +156,7 @@ class _Run(Mapping):
     def __getitem__(self, loc: str) -> BlockView:
         index = self.graph.where[loc]
         if self.stores[index] is None:
-            return BlockView(False, Antichain.empty(self.orientation))
+            return BlockView(False, Antichain(self.orientation))
         return self.view(index)
 
     def __iter__(self) -> Iterator[str]:

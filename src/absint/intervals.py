@@ -489,26 +489,3 @@ def entry_environment(program) -> AbstractEnv:
     return AbstractEnv.of(
         {d.name: Interval.const(d.init.value) if d.init is not None else TOP for d in program.decls}
     )
-
-
-__all__ = [
-    "POS_INF",
-    "NEG_INF",
-    "badd",
-    "Interval",
-    "EMPTY",
-    "TOP",
-    "widen",
-    "AbstractEnv",
-    "BOTTOM_ENV",
-    "eval_expr",
-    "filter_cond",
-    "chaotic_iteration",
-    "DELAY_BUDGET",
-    "DelayBudgetError",
-    "assert_verdicts",
-    "analyze",
-    "AnalysisResult",
-    "AssertVerdict",
-    "entry_environment",
-]

@@ -108,10 +108,6 @@ def access(state: CacheState, block: str, n: int) -> CacheState:
     return alphabet.decode(_update(alphabet.letter[block], n)(alphabet.encode(state)))
 
 
-def is_hit(state: CacheState, block: str) -> bool:
-    return block in state
-
-
 class _InitialStates:
     """Every state of at most `longest` distinct elements of `universe`, each
     once, as `make` builds it from a tuple: counted without being built,
@@ -245,17 +241,15 @@ def collect_states(
     n: int,
     init: InitPolicy = InitPolicy.EMPTY,
     budget: int = 1_000_000,
-    seed_states: set[CacheState] | None = None,
 ) -> dict[str, Set[CacheState]]:
     """Least fixpoint of the concrete transfer over sets of cache states.
 
     Non-access edges are treated as no-ops (guard erasure), so graphs built
-    from full programs can be passed directly.  `seed_states` overrides the
-    entry seeding derived from `init`.  The associativity and the seeds'
-    lengths are checked once, before the search; each access edge then
-    applies the unchecked update of ``lru_step`` to every state that reaches
-    it.  The search runs on states encoded by one `Alphabet`: the graph's
-    sorted blocks, then any other blocks the seeds name, then the fresh
+    from full programs can be passed directly.  The entry holds the states
+    ``initial_states`` gives for `init`.  The associativity is checked once,
+    before the search; each access edge then applies the unchecked update of
+    ``lru_step`` to every state that reaches it.  The search runs on states
+    encoded by one `Alphabet`: the graph's sorted blocks, then the fresh
     block of the unknown policy.  Each location's states come back as a
     read-only set view that decodes them only when iterated.  There is no
     memo: over the benchmark's graphs fewer than one update in five met a
@@ -265,16 +259,10 @@ def collect_states(
     if n < 1:
         raise ValueError("associativity must be at least 1")
     blocks = cfg.blocks()
-    if seed_states is None:
-        if init is InitPolicy.UNKNOWN:
-            blocks += (_fresh_block(blocks),)
-        alphabet = Alphabet(blocks)
-        seeds = _InitialStates("".join(alphabet.letter.values()), n, init, "".join)
-    elif any(len(state) > n for state in seed_states):
-        raise ValueError("seed state longer than associativity")
-    else:
-        alphabet = Alphabet(blocks + tuple(sorted({b for state in seed_states for b in state})))
-        seeds = [alphabet.encode(state) for state in seed_states]
+    if init is InitPolicy.UNKNOWN:
+        blocks += (_fresh_block(blocks),)
+    alphabet = Alphabet(blocks)
+    seeds = _InitialStates("".join(alphabet.letter.values()), n, init, "".join)
     reached = explore(cfg, seeds, lru_step(n, alphabet), budget)
     return {loc: _States(words, alphabet) for loc, words in reached.items()}
 

@@ -190,6 +190,19 @@ def classify_per_focus(
 # ---------------------------------------------------------------------------
 
 
+def mask_of(indices) -> int:
+    """The bitmask of a set of block indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def indices_of(mask: int) -> tuple[int, ...]:
+    """The block indices of a bitmask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def naive_extremes(families: list[frozenset], keep_max: bool) -> set[frozenset]:
     out = set()
     for s in families:

@@ -38,7 +38,7 @@ from absint.intervals import (
 from absint.lang import parse_program
 from absint.lru import Classification, InitPolicy, access, classify_oracle
 from absint.rewrite import analyze_combined
-from absint.antichain import Antichain, Orientation, indices_of
+from absint.antichain import Antichain, Orientation
 
 import helpers
 from helpers import FRAGMENT_VAR
@@ -205,25 +205,28 @@ def test_criterion_7_rewrite_combination_goldens(demo_dir):
 def test_criterion_8_antichain_lattice_laws():
     import random
 
+    def sets(masks):
+        return [frozenset(helpers.indices_of(m)) for m in masks]
+
     rng = random.Random(90210)
     checked = 0
     for _ in range(600):
         orientation = rng.choice(list(Orientation))
+        keep_max = orientation is Orientation.KEEP_MAX
         masks = [rng.randrange(32) for _ in range(rng.randint(0, 8))]
-        built = Antichain.empty(orientation)
-        family = []
-        for m in masks:
+        built = Antichain(orientation)
+        for i, m in enumerate(masks):
             built = built.insert(m)
-            family.append(frozenset(indices_of(m)))
-        expected = helpers.naive_extremes(family, orientation is Orientation.KEEP_MAX)
-        assert set(built.sets()) == expected
-        other = Antichain.of(
-            orientation, [indices_of(rng.randrange(32)) for _ in range(rng.randint(0, 4))]
-        )
+            assert set(sets(built)) == helpers.naive_extremes(sets(masks[: i + 1]), keep_max)
+        other = Antichain(orientation)
+        for m in [rng.randrange(32) for _ in range(rng.randint(0, 4))]:
+            masks.append(m)
+            other = other.insert(m)
         union = built.union(other)
-        assert union.subsumes(built) and union.subsumes(other)
-        bound = union.union(Antichain.of(orientation, [indices_of(rng.randrange(32))]))
-        assert bound.subsumes(union)  # anything above both is above the union
+        assert set(sets(union)) == helpers.naive_extremes(sets(masks), keep_max)
+        masks.append(rng.randrange(32))
+        bound = union.union(Antichain(orientation).insert(masks[-1]))
+        assert set(sets(bound)) == helpers.naive_extremes(sets(masks), keep_max)
         checked += 1
     ok(8, f"{checked} random antichains match the brute-force extremes oracle")
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import absint
 from absint import boundsolve, lru
 from absint.cli import _Encoded, _json_text, main
 from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens
@@ -43,6 +46,15 @@ def test_cache_exact_flag_program(demo_dir):
     assert report["schema"] == 1
     assert report["tool"] == "absint"
     assert all(r["method"] == "exact" for r in report["results"])
+
+
+def test_report_package_and_project_share_one_version(demo_dir, capsys):
+    # A regex, not tomllib: Python 3.10 has no TOML reader.
+    pyproject = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text()
+    declared = re.search(r'(?m)^version = "([^"]+)"$', pyproject).group(1)
+    assert main(["cache", "--input", str(demo_dir / "flag_reuse.ag"), "--assoc", "2",
+                 "--method", "approx", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["version"] == absint.__version__ == declared
 
 
 def test_cache_oracle_matches_exact(demo_dir):

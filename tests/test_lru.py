@@ -19,7 +19,6 @@ from absint.lru import (
     collect_states,
     explore,
     initial_states,
-    is_hit,
     lru_step,
 )
 
@@ -43,12 +42,6 @@ def test_access_fill_evicts_oldest():
 
 def test_access_youngest_is_identity():
     assert access(("a", "b", "c", "d"), "a", 4) == ("a", "b", "c", "d")
-
-
-def test_is_hit_membership():
-    assert is_hit(("a", "b", "c", "d"), "d")
-    assert not is_hit(("a", "b", "c", "d"), "e")
-    assert not is_hit((), "a")
 
 
 def test_access_idempotent_on_result():
@@ -113,18 +106,12 @@ def test_oracle_successor_matches_the_rebuild_formula_exhaustively():
     assert lru_step(2, alphabet)(Nop())(alphabet.encode(("a", "b"))) == alphabet.encode(("a", "b"))
 
 
-def test_collect_states_checks_associativity_and_seeds_before_the_search():
-    # Both checks run once, before any state is explored: an over-long seed
-    # is rejected even where no access edge ever sees it, and so is N = 0 on
-    # a graph without accesses.
+def test_collect_states_checks_associativity_before_the_search():
+    # The check runs once, before any state is explored: N = 0 is rejected
+    # even on a graph without accesses.
     no_access = Cfg(("x", "y"), "x", (Edge("x", Nop(), "y"),))
     with pytest.raises(ValueError, match="^associativity must be at least 1$"):
         collect_states(no_access, 0)
-    with pytest.raises(ValueError, match="^seed state longer than associativity$"):
-        collect_states(no_access, 2, seed_states={("a", "b", "c")})
-    with pytest.raises(ValueError, match="^seed state longer than associativity$"):
-        collect_states(chain(["a"]), 2, seed_states={(), ("a", "b", "c")})
-    assert collect_states(chain(["a"]), 2, seed_states={("b", "c")})["p1"] == {("a", "b")}
 
 
 def test_access_checks_associativity_before_length():
@@ -239,8 +226,10 @@ def test_collect_monotone_in_seed():
         small = set(initial_states(cfg.blocks(), n, InitPolicy.EMPTY))
         pool = sorted(initial_states(cfg.blocks(), n, InitPolicy.UNKNOWN))
         big = small | set(rng.sample(pool, min(3, len(pool))))
-        r_small = collect_states(cfg, n, seed_states=small)
-        r_big = collect_states(cfg, n, seed_states=big)
+        alphabet = Alphabet(itertools.chain(cfg.blocks(), *pool))
+        step = lru_step(n, alphabet)
+        r_small = explore(cfg, {alphabet.encode(s) for s in small}, step, 1_000_000)
+        r_big = explore(cfg, {alphabet.encode(s) for s in big}, step, 1_000_000)
         for loc, states in r_small.items():
             assert states <= r_big.get(loc, set())
 
