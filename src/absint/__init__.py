@@ -11,7 +11,7 @@ combined with a propagated rewriting system.
 __version__ = "0.1.0"
 
 from .lang import parse_program, pretty, ParseError
-from .cfg import build_cfg, parse_access_graph, erase_guards, Cfg
+from .cfg import build_cfg, parse_access_graph, Cfg
 from .lru import (
     InitPolicy,
     Classification,

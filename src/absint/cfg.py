@@ -313,19 +313,6 @@ def parse_access_graph(text: str) -> Cfg:
 # ---------------------------------------------------------------------------
 
 
-def erase_guards(cfg: Cfg) -> Cfg:
-    """Replace assignment and assumption labels by no-ops.
-
-    Cache analyses see control flow only; this is the standard model in which
-    their exactness claims hold.
-    """
-    edges = tuple(
-        e if isinstance(e.label, (AccessLabel, Nop)) else Edge(e.src, Nop(), e.dst)
-        for e in cfg.edges
-    )
-    return Cfg(cfg.locations, cfg.entry, edges, (), cfg.variables)
-
-
 def _depth_first(cfg: Cfg) -> tuple[list[str], set[str]]:
     """Depth-first search from the entry, following edges in creation order:
     the locations it reaches in postorder, and the targets of its back

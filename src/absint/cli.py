@@ -194,9 +194,7 @@ def _cache_classify(cfg: Cfg, n: int, init: InitPolicy, method: str) -> dict[int
         return {s: (v.value, "exact") for s, v in focused.classify_exact(cfg, n, init).items()}
     if method == "oracle":
         return {s: (v.value, "oracle") for s, v in classify_oracle(cfg, n, init).items()}
-    if method == "pipeline":
-        return {s: (v.value, tag) for s, (v, tag) in focused.classify_pipeline(cfg, n, init).items()}
-    raise _CliError(f"unknown cache method {method!r}")
+    return {s: (v.value, tag) for s, (v, tag) in focused.classify_pipeline(cfg, n, init).items()}
 
 
 def run_cache(args) -> int:
@@ -371,10 +369,8 @@ def run_intervals(args) -> int:
                 outcomes[m] = _engine_result(cfg, env, m, rewrites, args.widen_delay, args.narrow_passes)
             elif m in ("policy", "exhaustive"):
                 outcomes[m] = _solver_result(cfg, program, m)
-            elif m == "oracle":
-                outcomes[m] = _oracle_result(cfg, program, value_range)
             else:
-                raise _CliError(f"unknown intervals method {m!r}")
+                outcomes[m] = _oracle_result(cfg, program, value_range)
         except _CliError as exc:
             if args.method != "compare" or isinstance(exc, _InternalError):
                 raise
@@ -430,7 +426,7 @@ def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[di
         if env.bottom:
             return None
         ivs = env.as_dict()
-        return _Encoded(_json_text({v: interval_text(ivs.get(v, TOP)) for v in variables}))
+        return _Encoded(_json_text({v: interval_text(ivs[v]) for v in variables}))
 
     results = []
     for loc in cfg.locations:
@@ -462,7 +458,7 @@ def _interval_rows(cfg, program, outcomes, methods, verdicts) -> list[str]:
             shown = "unreachable"
         else:
             ivs = env.as_dict()
-            shown = " ".join(f"{v}={ivs.get(v, TOP)!r:<14}" for v in variables)
+            shown = " ".join(f"{v}={ivs[v]!r:<14}" for v in variables)
         return f"{shown:<{width}}"
 
     for loc in cfg.locations:

@@ -13,19 +13,19 @@ The absent flag is only trusted from the KEEP_MAX run: the KEEP_MIN run drops
 superset configurations, which can hide evictions that happen later (a
 concrete instance demonstrating this lives in the regression tests).
 
-Delta propagation.  One run keeps its state in per-graph lists and dicts
-keyed by location number: each reached location's store of younger-sets (a
-plain set of masks, ``antichain.Store``, with a popcount ``antichain.Index``
-built once the store passes ``antichain.INDEX_THRESHOLD`` masks) and absent
-flag, and what arrived there since its previous visit.  A visit pushes
-along the location's out-edges only that: the absent flag the first time
-it is set, and the younger-sets that arrived since and are still there.  A set subsumed before its location
-is visited is never pushed.  The worklist always visits the waiting location
-that comes first in reverse postorder from the entry (``Cfg.access_index``),
-so outside loops a location is visited once, after all its predecessors,
-and pushes their sets on in one batch.  ``_Run.receive`` is the one per-edge
-step; ``transfer`` applies it to a whole view, so the semantics live in one
-place.
+Propagation.  One run keeps its state in per-graph lists keyed by location
+number: each reached location's store of younger-sets (a plain set of
+masks, ``antichain.Store``, with a popcount ``antichain.Index`` built once
+the store passes ``antichain.INDEX_THRESHOLD`` masks) and absent flag.  A
+visit pushes the location's whole store and flag along its out-edges and
+queues each successor whose view grew; a re-push changes nothing, since a
+store keeps the extremes of all it was ever given and a set flag stays set.
+The worklist always visits the waiting location that comes first in
+reverse postorder from the entry (``Cfg.access_index``), so outside loops a
+location is visited once, after all its predecessors, and pushes their sets
+on in one batch; ``agebounds.analyze_approx`` propagates the same way.
+``_Run.receive`` is the one per-edge step; ``transfer`` applies it to a
+whole view, so the semantics live in one place.
 
 Initial contents.  Both runs are seeded with the absent configuration, the
 empty cache's.  With unknown initial contents the KEEP_MIN run is also
@@ -100,13 +100,11 @@ class BlockView:
 class _Run(Mapping):
     """One fixpoint run, held in per-graph state indexed by location number:
     the store of each location an edge has reached (None before that), its
-    popcount index once it has one, its absent flag, and the absent flag
-    and masks that arrived there since its last visit.  Read as a mapping,
-    it is the result of `analyze_block`: the view of each location of
-    ``graph``."""
+    popcount index once it has one, and its absent flag.  Read as a
+    mapping, it is the result of `analyze_block`: the view of each location
+    of ``graph``."""
 
-    __slots__ = ("graph", "orientation", "keep_max", "limit", "stores", "indexes", "absent",
-                 "new_absent", "new_masks")
+    __slots__ = ("graph", "orientation", "keep_max", "limit", "stores", "indexes", "absent")
 
     def __init__(self, orientation: Orientation, n: int, size: int, graph: AccessIndex | None = None):
         self.graph, self.orientation, self.limit = graph, orientation, n - 1
@@ -114,8 +112,6 @@ class _Run(Mapping):
         self.stores: list[Store | None] = [None] * size
         self.indexes: list[Index | None] = [None] * size
         self.absent = [False] * size
-        self.new_absent = [False] * size
-        self.new_masks: dict[int, list[int]] = {}
 
     def receive(self, loc: int, absent: bool, masks, bit: int) -> bool:
         """The per-edge step: join the image of (absent, masks) under one
@@ -143,10 +139,9 @@ class _Run(Mapping):
                     continue
             else:
                 store.add(mask)
-            self.new_masks.setdefault(loc, []).append(mask)
             changed = True
         if absent and not self.absent[loc]:
-            self.absent[loc] = self.new_absent[loc] = changed = True
+            self.absent[loc] = changed = True
         return changed
 
     def view(self, loc: int) -> BlockView:
@@ -209,8 +204,7 @@ def analyze_block(
     focus_bit = 1 << graph.blocks.get(focus, len(graph.blocks))
     size = len(graph.locations)
     run = _Run(orientation, n, size, graph)
-    succ, stores, receive = graph.succ, run.stores, run.receive
-    new_absent, new_masks = run.new_absent, run.new_masks
+    succ, stores, absents, receive = graph.succ, run.stores, run.absent, run.receive
     live = [True] * size if at is None else graph.reaching(at)
     queued = [False] * size
     work = []
@@ -223,15 +217,9 @@ def analyze_block(
     while work:
         loc = heappop(work)
         queued[loc] = False
-        # What arrived since the last visit and is still at `loc`.  Never all
-        # empty: a location is queued only when something was added, and an
-        # addition leaves the store only for a newer one.
-        absent = new_absent[loc]
-        new_absent[loc] = False
-        masks = new_masks.pop(loc, ())
-        if masks:
-            store = stores[loc]
-            masks = [m for m in masks if m in store]
+        # The whole store, copied: an access self-loop adds to it while it
+        # is being pushed.
+        absent, masks = absents[loc], tuple(stores[loc])
         for dst, bit in succ[loc]:
             if not live[dst]:
                 continue

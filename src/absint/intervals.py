@@ -167,7 +167,10 @@ def widen(old: Interval, new: Interval) -> Interval:
 
 
 class AbstractEnv(NamedTuple):
-    """Per-variable intervals; any empty component collapses to unreachable."""
+    """Per-variable intervals over the variables listed when it was built
+    (``of``); any empty component collapses to unreachable.  ``get`` of a
+    variable it does not list raises KeyError, and so does ``set`` of one
+    to a nonempty interval unless the environment is unreachable."""
 
     intervals: tuple[tuple[str, Interval], ...] = ()
     bottom: bool = False
@@ -186,7 +189,7 @@ class AbstractEnv(NamedTuple):
         for name, iv in self.intervals:
             if name == var:
                 return iv
-        return TOP
+        raise KeyError(var)
 
     def set(self, var: str, iv: Interval) -> "AbstractEnv":
         if self.bottom:
@@ -199,9 +202,7 @@ class AbstractEnv(NamedTuple):
                 if old is iv:
                     return self
                 return AbstractEnv(items[:i] + ((var, iv),) + items[i + 1:])
-            if name > var:
-                return AbstractEnv(items[:i] + ((var, iv),) + items[i:])
-        return AbstractEnv(items + ((var, iv),))
+        raise KeyError(var)
 
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom:
@@ -218,40 +219,33 @@ class AbstractEnv(NamedTuple):
         return self._pointwise(other, widen)
 
     def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
-        """`op` (join or widening of intervals) variable by variable; a
-        variable missing on one side is top there.  Returns `self`, or else
+        """`op` (join or widening of intervals) variable by variable, on two
+        environments over the same variables.  Returns `self`, or else
         `other`, itself when every resulting interval equals that operand's.
         Neither side is bottom, so neither holds an empty interval (``of``
         and ``set`` collapse those) and `op` may assume non-empty operands."""
         mine, theirs = self.intervals, other.intervals
-        if len(mine) == len(theirs):
-            # Every environment of one analysis lists the same variables, and
-            # results share every (name, interval) pair they keep, so only
-            # the positions whose pairs differ need a look.
-            out = None
-            all_theirs = True
-            for i in compress(range(len(mine)), map(is_not, mine, theirs)):
-                name, a = mine[i]
-                other_name, b = theirs[i]
-                if name != other_name:
-                    break
-                if a == b:
-                    continue
-                c = op(a, b)
-                if c is a:
-                    all_theirs = False
-                    continue
-                if c is not b:
-                    all_theirs = False
-                if out is None:
-                    out = list(mine)
-                out[i] = theirs[i] if c is b else (name, c)
-            else:
-                if out is None:
-                    return self
-                return other if all_theirs else AbstractEnv(tuple(out))
-        a, b = dict(mine), dict(theirs)
-        return AbstractEnv.of({v: op(a.get(v, TOP), b.get(v, TOP)) for v in set(a) | set(b)})
+        # Results share every (name, interval) pair they keep, so only the
+        # positions whose pairs differ need a look.
+        out = None
+        all_theirs = True
+        for i in compress(range(len(mine)), map(is_not, mine, theirs)):
+            name, a = mine[i]
+            b = theirs[i][1]
+            if a == b:
+                continue
+            c = op(a, b)
+            if c is a:
+                all_theirs = False
+                continue
+            if c is not b:
+                all_theirs = False
+            if out is None:
+                out = list(mine)
+            out[i] = theirs[i] if c is b else (name, c)
+        if out is None:
+            return self
+        return other if all_theirs else AbstractEnv(tuple(out))
 
 
 BOTTOM_ENV = AbstractEnv((), True)

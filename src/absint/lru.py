@@ -134,12 +134,6 @@ def _fresh_block(blocks: Collection[str]) -> str:
     return name
 
 
-def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> _InitialStates:
-    """The empty state, or with unknown contents every state over `blocks`
-    and one fresh block, a name no block of `blocks` has."""
-    return _InitialStates(tuple(blocks) + (_fresh_block(blocks),), n, init, tuple)
-
-
 def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[str, set]:
     """Every state reachable from `seeds` at the entry, per location: the
     one explicit-state search behind both oracles.
@@ -245,16 +239,17 @@ def collect_states(
     """Least fixpoint of the concrete transfer over sets of cache states.
 
     Non-access edges are treated as no-ops (guard erasure), so graphs built
-    from full programs can be passed directly.  The entry holds the states
-    ``initial_states`` gives for `init`.  The associativity is checked once,
-    before the search; each access edge then applies the unchecked update of
-    ``lru_step`` to every state that reaches it.  The search runs on states
-    encoded by one `Alphabet`: the graph's sorted blocks, then the fresh
-    block of the unknown policy.  Each location's states come back as a
-    read-only set view that decodes them only when iterated.  There is no
-    memo: over the benchmark's graphs fewer than one update in five met a
-    state its block had already seen, so hashing every state into a memo
-    cost more than it saved.
+    from full programs can be passed directly.  The entry holds the empty
+    state, or under unknown init every state over the graph's blocks and one
+    fresh block.  The associativity is checked once, before the search; each
+    access edge then applies the unchecked update of ``lru_step`` to every
+    state that reaches it.  The search runs on states encoded by one
+    `Alphabet`: the graph's sorted blocks, then the fresh block of the
+    unknown policy.  Each location's states come back as a read-only set
+    view that decodes them only when iterated.  There is no memo: over the
+    benchmark's graphs fewer than one update in five met a state its block
+    had already seen, so hashing every state into a memo cost more than it
+    saved.
     """
     if n < 1:
         raise ValueError("associativity must be at least 1")

@@ -13,6 +13,7 @@ import math
 import random
 import re
 
+from absint import lru
 from absint.cfg import (
     AccessLabel,
     AssignLabel,
@@ -125,6 +126,24 @@ def shuffled_cfg(rng: random.Random, cfg: Cfg) -> Cfg:
     rng.shuffle(locations)
     rng.shuffle(edges)
     return Cfg(tuple(locations), cfg.entry, tuple(edges))
+
+
+def erase_guards(cfg: Cfg) -> Cfg:
+    """Replace assignment and assumption labels by no-ops: the control-flow
+    model in which the cache analyses' exactness claims hold."""
+    edges = tuple(
+        e if isinstance(e.label, (AccessLabel, Nop)) else Edge(e.src, Nop(), e.dst)
+        for e in cfg.edges
+    )
+    return Cfg(cfg.locations, cfg.entry, edges, (), cfg.variables)
+
+
+def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> lru._InitialStates:
+    """The empty state, or with unknown contents every state over `blocks`
+    and one fresh block, a name no block of `blocks` has, as tuples.  Built
+    on the oracle's own lazy seed set, so that tests of it check the count
+    ``collect_states`` compares with its budget."""
+    return lru._InitialStates(tuple(blocks) + (lru._fresh_block(blocks),), n, init, tuple)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ from absint.cfg import (
     Nop,
     back_edge_targets,
     build_cfg,
-    erase_guards,
     parse_access_graph,
 )
 from absint.lang import ParseError, parse_program
-from helpers import ast_counts, random_program
+from helpers import ast_counts, erase_guards, random_program
 
 FLAG = """
 int flag;

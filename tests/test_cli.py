@@ -4,6 +4,7 @@ import json
 import pathlib
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -55,6 +56,24 @@ def test_report_package_and_project_share_one_version(demo_dir, capsys):
     assert main(["cache", "--input", str(demo_dir / "flag_reuse.ag"), "--assoc", "2",
                  "--method", "approx", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["version"] == absint.__version__ == declared
+
+
+def test_readme_examples_run_as_annotated(monkeypatch, capsys):
+    """Each `absint ...` line of README's `Examples:` block, run from the
+    repository root, exits with the code its `# exit N` comment names, or
+    0 where it names none."""
+    root = pathlib.Path(__file__).parent.parent
+    block = re.search(r"(?ms)^Examples:\n\n```\n(.*?)^```", (root / "README.md").read_text()).group(1)
+    monkeypatch.chdir(root)
+    lines = block.splitlines()
+    assert lines
+    for line in lines:
+        command, _, note = line.partition("#")
+        program, *argv = shlex.split(command)
+        expected = re.match(r"\s*exit (\d+)", note)
+        assert program == "absint"
+        assert main(argv) == (int(expected.group(1)) if expected else 0), line
+        capsys.readouterr()
 
 
 def test_cache_oracle_matches_exact(demo_dir):

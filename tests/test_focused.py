@@ -8,7 +8,7 @@ import pytest
 
 from absint import focused
 from absint.antichain import Antichain, Orientation
-from absint.cfg import AccessLabel, Cfg, Edge, Nop, erase_guards, parse_access_graph
+from absint.cfg import AccessLabel, Cfg, Edge, Nop, parse_access_graph
 from absint.cli import main
 from absint.focused import (
     BlockView,
@@ -25,7 +25,9 @@ from absint.lru import (
     classify_oracle,
     collect_states,
 )
-from helpers import classify_per_focus, random_cache_cfg, region_cache_cfg, shuffled_cfg, wide_antichain_cfg
+from helpers import (
+    classify_per_focus, erase_guards, random_cache_cfg, region_cache_cfg, shuffled_cfg, wide_antichain_cfg,
+)
 from test_antichain import ac
 from test_lru import chain
 

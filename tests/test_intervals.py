@@ -242,17 +242,13 @@ def _below_same_vars(b, a) -> bool:
 def test_env_join_and_widen_match_pointwise_reference():
     rng = random.Random(5150)
     for round_ in range(3000):
-        a = _random_env(rng, ENV_VARS)
-        if round_ % 3 == 0:
-            names = rng.sample(ENV_VARS, rng.randint(0, len(ENV_VARS)))
-            b = _random_env(rng, sorted(names))
-        elif round_ % 3 == 1:
-            b = _random_env(rng, ENV_VARS)
-        else:
+        # Both operands list the same variables: every third round a random
+        # subset of ENV_VARS (perhaps none), otherwise all of them.
+        names = sorted(rng.sample(ENV_VARS, rng.randint(0, len(ENV_VARS)))) if round_ % 3 == 0 else ENV_VARS
+        a, b = _random_env(rng, names), _random_env(rng, names)
+        if round_ % 3 == 2 and not (a.bottom or b.bottom):
             # share some interval objects, as environments of one run do
-            b = _random_env(rng, ENV_VARS)
-            if not (a.bottom or b.bottom):
-                b = AbstractEnv(tuple(p if rng.random() < 0.5 else q for p, q in zip(a.intervals, b.intervals)))
+            b = AbstractEnv(tuple(p if rng.random() < 0.5 else q for p, q in zip(a.intervals, b.intervals)))
         for x, y in ((a, b), (b, a), (a, a)):
             joined, widened = x.join(y), x.widen(y)
             assert joined == _reference_join(x, y) and repr(joined) == repr(_reference_join(x, y))
@@ -315,17 +311,23 @@ def test_env_set_matches_dict_and_sort_reference():
     names = ENV_VARS + ("", "a0", "bb", "f", "z")
     for _ in range(3000):
         env = _random_env(rng, sorted(rng.sample(ENV_VARS, rng.randint(0, len(ENV_VARS)))))
-        var = rng.choice(names)  # present or new, before, between or after the others
+        var = rng.choice(names)  # listed or not, before, between or after the others
         roll = rng.random()
         if roll < 0.15:
             iv = EMPTY
         elif roll < 0.3 and not env.bottom and env.intervals:
             iv = rng.choice(env.intervals)[1]  # possibly the current object of `var`
         else:
-            iv = _random_env(rng, ("x",)).get("x")
+            iv = _random_env(rng, ("x",)).as_dict().get("x", TOP)  # top where bottom came out
+        if not env.bottom and not iv.is_empty and var not in env.as_dict():
+            with pytest.raises(KeyError):
+                env.set(var, iv)
+            with pytest.raises(KeyError):
+                env.get(var)
+            continue
         got, want = env.set(var, iv), _reference_set(env, var, iv)
         assert got == want and repr(got) == repr(want)
-        if not env.bottom and env.get(var) is iv and var in dict(env.intervals):
+        if not env.bottom and var in env.as_dict() and env.get(var) is iv:
             assert got is env
     assert BOTTOM_ENV.set("a", Interval.const(1)) is BOTTOM_ENV
     assert env_of(a=Interval.const(1)).set("b", EMPTY) is BOTTOM_ENV

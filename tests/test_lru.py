@@ -18,9 +18,9 @@ from absint.lru import (
     classify_oracle,
     collect_states,
     explore,
-    initial_states,
     lru_step,
 )
+from helpers import initial_states
 
 
 def chain(blocks):
