@@ -127,6 +127,12 @@ class Cfg:
                 pred[dst].append(src)
         return AccessIndex(tuple(order), where, blocks, succ, tuple(map(tuple, pred)))
 
+    @cached_property
+    def age_passes(self) -> dict:
+        """``agebounds.age_pass`` results keyed by associativity and initial
+        contents, so that each analysis of one graph reads the same pass."""
+        return {}
+
 
 @dataclass(frozen=True)
 class AccessIndex:

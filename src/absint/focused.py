@@ -23,7 +23,7 @@ store keeps the extremes of all it was ever given and a set flag stays set.
 The worklist always visits the waiting location that comes first in
 reverse postorder from the entry (``Cfg.access_index``), so outside loops a
 location is visited once, after all its predecessors, and pushes their sets
-on in one batch; ``agebounds.analyze_approx`` propagates the same way.
+on in one batch; ``agebounds.age_pass`` propagates the same way.
 ``_Run.receive`` is the one per-edge step; ``transfer`` applies it to a
 whole view, so the semantics live in one place.
 
@@ -59,15 +59,19 @@ location has an edge into a kept one.  So every kept location receives
 exactly what it receives in the unrestricted run, in the same order (the
 worklist visits kept locations in the same relative order, since dropped
 ones never feed them), and ends with the same store and absent flag, not
-merely the same verdicts.  ``classify_exact`` passes the sources of the
-focus's access sites.  On the seed-1 benchmark graphs that keeps 69% of
-the (block, location) pairs of cache-compare and 56% of cache-unknown.
+merely the same verdicts.  ``classify_exact`` passes each run only the
+sources of the focus's sites whose question that run answers and the cheap
+witnesses of ``agebounds`` leave open: "can it hit?" for KEEP_MIN, "can it
+miss?" for KEEP_MAX.  A run with no such source is skipped.  On the seed-1
+benchmark graphs the witnesses prove a possible hit at 92% of the
+cache-unknown sites and 85% of the cache-compare ones, and a possible miss
+at 69% and 64%.
 
 Result.  ``analyze_block`` keeps the run's final lists and returns them as a
 read-only mapping from location to ``BlockView``.  A view is built from its
 location's store when it is looked up (``_Run.view``), and is not kept, so
-``classify_exact``, which reads only the sources of its focus's access
-sites, builds the views of those locations alone.  A location the run did
+``classify_exact``, which reads only the locations it passed as `at`,
+builds the views of those locations alone.  A location the run did
 not keep, like one no path reaches, maps to the bottom view.
 """
 
@@ -77,7 +81,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .agebounds import ApproxClass, classify_all_approx
+from .agebounds import ApproxClass, classify_all_approx, witnesses
 from .antichain import (
     INDEX_THRESHOLD, Antichain, Index, Orientation, Store, index_of, store_add, store_masks,
 )
@@ -237,25 +241,34 @@ def classify_exact(
     cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY, foci: set[str] | None = None
 ) -> dict[int, Classification]:
     """Exact classification: exists-miss from the KEEP_MAX run's absent flag,
-    exists-hit from nonemptiness of the KEEP_MIN run's antichain.
+    exists-hit from nonemptiness of the KEEP_MIN run's antichain, each asked
+    only where the cheap witnesses (``agebounds.witnesses``) leave it open.
 
-    `foci` names the blocks to classify (None: every accessed block).  Both
-    runs of a focus read only the sources of its access sites and are
-    restricted to them (``analyze_block``'s `at`), so they skip every
-    location from which no access to the focus can be reached; a focus
-    whose sites no path reaches stores nothing, and its sites are
-    unreachable."""
+    `foci` names the blocks to classify (None: every accessed block).  A
+    focus's KEEP_MIN run reads the sources of its sites whose hit question
+    is open, and its KEEP_MAX run those whose miss question is open; each
+    run is restricted to its own sources (``analyze_block``'s `at`), and a
+    run with none is skipped.  A site no path reaches is decided by the
+    witnesses, as unreachable."""
     wanted = cfg.blocks() if foci is None else tuple(sorted(foci))
+    facts = witnesses(cfg, n, init)
     sites: dict[str, list[tuple[int, str]]] = {}
     for site, block, src in cfg.access_sites:
         sites.setdefault(block, []).append((site, src))
     result: dict[int, Classification] = {}
     for focus in wanted:
-        at = [src for _site, src in sites.get(focus, ())]
-        vmax = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, init, at)
-        vmin = analyze_block(cfg, focus, n, Orientation.KEEP_MIN, init, at)
-        for site, src in sites.get(focus, ()):
-            result[site] = classification(len(vmin[src].younger) > 0, vmax[src].may_absent)
+        own = sites.get(focus, ())
+        miss_at = [src for site, src in own if facts[site][1] is None]
+        hit_at = [src for site, src in own if facts[site][0] is None]
+        vmax = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, init, miss_at) if miss_at else None
+        vmin = analyze_block(cfg, focus, n, Orientation.KEEP_MIN, init, hit_at) if hit_at else None
+        for site, src in own:
+            hit, miss = facts[site]
+            if hit is None:
+                hit = len(vmin[src].younger) > 0
+            if miss is None:
+                miss = vmax[src].may_absent
+            result[site] = classification(hit, miss)
     return result
 
 

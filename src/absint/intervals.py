@@ -399,12 +399,12 @@ def chaotic_iteration(
     # and widenings return the old value itself when nothing grows, so an
     # unchanged location keeps its value object and its out-edges' results.
     # The cache analyses have finite lattices and need neither widening nor
-    # narrowing, so agebounds.analyze_approx and focused.analyze_block keep
+    # narrowing, so agebounds.age_pass and focused.analyze_block keep
     # push-style loops on Cfg.access_index that send only a changed value
-    # (or its new part) along each out-edge, and always visit the waiting
-    # location first in reverse postorder.  analyze_approx on this engine
-    # took about 18% longer over the cache-unknown benchmark graphs than
-    # its earlier FIFO push loop did, and the ordered loop is faster still.
+    # along each out-edge, and always visit the waiting location first in
+    # reverse postorder.  The age-bound pass on this engine took about 18%
+    # longer over the cache-unknown benchmark graphs than its earlier FIFO
+    # push loop did, and the ordered loop is faster still.
     widen_points = back_edge_targets(cfg)
     # Per edge: [source, label, last source value, its transfer].
     incoming: dict[str, list[list]] = {loc: [] for loc in cfg.locations}

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from absint.agebounds import (
     AgeBounds,
     ApproxClass,
+    age_pass,
     analyze_approx,
     classify_all_approx,
     classify_approx,
+    witnesses,
 )
-from absint.cfg import AccessLabel, Cfg, Edge
+from absint.cfg import AccessLabel, Cfg, Edge, parse_access_graph
+from absint.focused import classify_pipeline
 from absint.lru import Classification, InitPolicy, classify_oracle
+from helpers import region_cache_cfg
 from test_lru import chain
 
 
@@ -113,3 +118,40 @@ def test_random_search_finds_unknown_vs_definite(cache_corpus_small):
                 ):
                     unknown_refined += 1
     assert unknown_refined > 0
+
+
+def test_witnesses_are_sound_against_oracle(cache_corpus_small):
+    """Every fact the age pass proves at an access site — a hit is possible,
+    a hit is impossible, a miss is possible, a miss is impossible — holds in
+    the oracle's collecting semantics, and the witnesses prove some of
+    each."""
+    rng = random.Random(23)
+    graphs = [cfg for cfg in cache_corpus_small if len(cfg.locations) <= 10]
+    graphs += [region_cache_cfg(rng, rng.randint(5, 25), rng.randint(1, 5)) for _ in range(60)]
+    proved = Counter()
+    for cfg in graphs:
+        for n in (1, 2, 3, 4):
+            for init in InitPolicy:
+                oracle = classify_oracle(cfg, n, init)
+                for site, (hit, miss) in witnesses(cfg, n, init).items():
+                    verdict = oracle[site]
+                    can_hit = verdict in (Classification.ALWAYS_HIT, Classification.VARIABLE)
+                    can_miss = verdict in (Classification.ALWAYS_MISS, Classification.VARIABLE)
+                    assert hit is None or hit == can_hit, (cfg, n, init, site, "hit")
+                    assert miss is None or miss == can_miss, (cfg, n, init, site, "miss")
+                    proved["hit", hit] += 1
+                    proved["miss", miss] += 1
+    assert all(proved[question, fact] for question in ("hit", "miss") for fact in (True, False))
+
+
+def test_age_fields_stay_narrow_at_huge_associativity(demo_dir):
+    """Each of a location's four ints holds one field of N.bit_length() + 1
+    bits per block, so at N = 2**62 they stay a few words wide, and the
+    verdicts are those at N = 64, which the two blocks never fill."""
+    cfg = parse_access_graph((demo_dir / "flag_reuse.ag").read_text())
+    n = 2**62
+    bits = len(cfg.blocks()) * (n.bit_length() + 1)
+    for init in InitPolicy:
+        assert classify_pipeline(cfg, n, init) == classify_pipeline(cfg, 64, init), init
+        states = [state for state in age_pass(cfg, n, init) if state is not None]
+        assert states and all(value.bit_length() <= bits for state in states for value in state)

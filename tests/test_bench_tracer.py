@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import importlib
 import pathlib
+import random
 
 from absint import cli
+from helpers import region_cache_cfg
+from test_focused import access_graph_text
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -20,12 +23,18 @@ LIVE_LAYERS = (
 )
 
 
-def test_tracer_installs_on_live_names_and_restores_them(demo_dir, capsys, monkeypatch):
+def test_tracer_installs_on_live_names_and_restores_them(demo_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
+    # The cheap witnesses decide every site of the demos, so the exact runs
+    # are reached through a region graph whose witnesses leave sites open.
+    region = tmp_path / "region.ag"
+    region.write_text(access_graph_text(region_cache_cfg(random.Random(60), 60, 10)))
     runs = (
         ["cache", "--input", str(demo_dir / "flag_reuse.ag"), "--assoc", "4", "--method", "compare"],
         ["cache", "--input", str(demo_dir / "flag_reuse.imp"), "--assoc", "4", "--init", "unknown"],
+        ["cache", "--input", str(region), "--assoc", "4", "--method", "compare"],
+        ["cache", "--input", str(region), "--assoc", "4", "--method", "pipeline", "--init", "unknown"],
         ["intervals", "--input", str(demo_dir / "ring_index.imp"), "--method", "compare",
          "--rewrites", "full"],
     )
@@ -37,7 +46,7 @@ def test_tracer_installs_on_live_names_and_restores_them(demo_dir, capsys, monke
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [0, 0, 0]
+    assert codes == [0] * len(runs)
     assert saved
     for owner, attr, original in saved:
         assert vars(owner)[attr] is original, (owner, attr)

@@ -298,6 +298,22 @@ def test_exactness_random_sample(cache_corpus_small):
                 assert classify_exact(cfg, n, init) == classify_oracle(cfg, n, init)
 
 
+def test_exact_runs_alone_match_the_oracle(cache_corpus_small):
+    """`classify_exact` asks its runs only what the witnesses leave open;
+    unaided, the two runs of each focus still decide every site."""
+    for cfg in cache_corpus_small[:150]:
+        for n in (1, 2, 4):
+            for init in InitPolicy:
+                oracle = classify_oracle(cfg, n, init)
+                for focus in cfg.blocks():
+                    vmax = analyze_block(cfg, focus, n, Orientation.KEEP_MAX, init)
+                    vmin = analyze_block(cfg, focus, n, Orientation.KEEP_MIN, init)
+                    for site, block, src in cfg.access_sites:
+                        if block == focus:
+                            verdict = classification(len(vmin[src].younger) > 0, vmax[src].may_absent)
+                            assert verdict is oracle[site], (cfg, n, init, site)
+
+
 def test_pipeline_trivial_instance_needs_no_exact_run():
     cfg = chain(["a", "b", "a"])
     tagged = classify_pipeline(cfg, 2)
@@ -495,17 +511,17 @@ def reachable(cfg: Cfg) -> set[str]:
 
 
 def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch, capsys):
-    """The exact verdicts read a view at the source of each access site of
-    the focus, once per orientation; `analyze_block` builds a view only when
-    it is looked up, so the command line builds exactly those, far fewer
-    than one per location and run."""
+    """A run's verdicts read a view at each entry of its `at` argument, the
+    sources of the focus's sites whose question the witnesses leave open;
+    `analyze_block` builds a view only when it is looked up, so the command
+    line builds exactly those, far fewer than one per location and run."""
     graph = tmp_path / "region.ag"
     graph.write_text(access_graph_text(region_cache_cfg(random.Random(60), 60, 10)))
     runs = [(path, n, init) for path in sorted(demo_dir.iterdir())
             for n in (1, 2, 4) for init in ("empty", "unknown")]
     runs += [(graph, n, "empty") for n in (2, 4)]
     built = 0
-    blocks_analyzed = []
+    calls = []
     view, analyze = focused._Run.view, focused.analyze_block
 
     def counted_view(self, loc):
@@ -513,9 +529,9 @@ def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch
         built += 1
         return view(self, loc)
 
-    def recorded(cfg, focus, *args):
-        blocks_analyzed.append((cfg, focus))
-        return analyze(cfg, focus, *args)
+    def recorded(cfg, focus, n, orientation, init, at):
+        calls.append((cfg, at))
+        return analyze(cfg, focus, n, orientation, init, at)
 
     monkeypatch.setattr(focused._Run, "view", counted_view)
     monkeypatch.setattr(focused, "analyze_block", recorded)
@@ -526,11 +542,11 @@ def test_verdicts_build_only_the_views_they_read(demo_dir, tmp_path, monkeypatch
             assert code == 0, (path, n, init, method, capsys.readouterr().err)
     capsys.readouterr()
     lookups = 0
-    for cfg, focus in blocks_analyzed:
+    for cfg, at in calls:
         reached = reachable(cfg)
-        lookups += sum(src in reached for _, block, src in cfg.access_sites if block == focus)
+        lookups += sum(src in reached for src in at)
     assert built == lookups > 0
-    assert built < sum(len(cfg.locations) for cfg, _ in blocks_analyzed)
+    assert built < sum(len(cfg.locations) for cfg, _ in calls)
 
 
 def test_store_memory_does_not_grow_with_associativity(demo_dir):
