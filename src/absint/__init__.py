@@ -21,7 +21,7 @@ from .lru import (
     classify_oracle,
 )
 from .antichain import Antichain, Orientation
-from .agebounds import AgeBounds, ApproxClass, analyze_approx, classify_approx, classify_all_approx
+from .agebounds import ApproxClass, classify_all_approx
 from .focused import BlockView, transfer, analyze_block, classify_exact, classify_pipeline
 from .intervals import (
     POS_INF,

@@ -57,7 +57,6 @@ log N, not with N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -72,12 +71,6 @@ class ApproxClass(Enum):
     ALWAYS_HIT = "always-hit"
     ALWAYS_MISS = "always-miss"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class AgeBounds:
-    must: dict[str, int] = field(default_factory=dict)
-    may: dict[str, int] = field(default_factory=dict)
 
 
 def age_pass(cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY) -> list[Ages | None]:
@@ -157,27 +150,6 @@ def _solve(graph: AccessIndex, n: int, init: InitPolicy) -> list[Ages | None]:
     return states
 
 
-def analyze_approx(
-    cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY
-) -> dict[str, AgeBounds | None]:
-    """The must and may maps of `age_pass` at every location; None marks
-    unreached locations."""
-    graph = cfg.access_index
-    states = age_pass(cfg, n, init)
-    top = n.bit_length()
-    value = (1 << top) - 1
-    fields = [(b, i * (top + 1)) for b, i in graph.blocks.items()]
-
-    def decode(vec: int) -> dict[str, int]:
-        return {b: k for b, shift in fields if (k := vec >> shift & value) < n}
-
-    result: dict[str, AgeBounds | None] = {}
-    for loc in cfg.locations:
-        state = states[graph.where[loc]]
-        result[loc] = None if state is None else AgeBounds(decode(state[0]), decode(state[1]))
-    return result
-
-
 def _site_ages(cfg: Cfg, n: int, init: InitPolicy):
     """``(site, ages)`` per access site, where ages is the site's block's
     must, may and exists-hit field and cold bit at the site's source, or
@@ -195,17 +167,6 @@ def _site_ages(cfg: Cfg, n: int, init: InitPolicy):
         shift = i * (top + 1)
         must, may, hit, cold = state
         yield site, (must >> shift & value, may >> shift & value, hit >> shift & value, cold >> i & 1)
-
-
-def classify_approx(bounds: AgeBounds | None, block: str) -> ApproxClass:
-    """Classify one access from the bounds at its source location."""
-    if bounds is None:
-        return ApproxClass.UNKNOWN
-    if block in bounds.must:
-        return ApproxClass.ALWAYS_HIT
-    if block not in bounds.may:
-        return ApproxClass.ALWAYS_MISS
-    return ApproxClass.UNKNOWN
 
 
 def classify_all_approx(

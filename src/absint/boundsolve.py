@@ -26,8 +26,8 @@ symbolic infinities:
   depends on the sizes of the constants.
 
 Both must agree with each other and, on bounded programs, with
-``bounded_concrete_oracle``, which enumerates values with ``lru.explore``,
-the one explicit-state search both oracles share.
+``bounded_concrete_oracle``, which enumerates values one at a time with
+``lru.explore``, the package's per-state explicit-state search.
 
 A caveat that matters for exactness: an equation in this language cannot
 express "bottom unless the guard is satisfiable" (every expressible map moves

@@ -3,14 +3,25 @@
 A cache-set state is a sequence of at most N distinct blocks, youngest
 first: a tuple of block names wherever a state is passed in or read out,
 and inside the search a `str` with one character per block, assigned per
-graph by an `Alphabet`.  ``explore`` is the package's one trusted search:
-an explicit-state exploration of a graph under a state budget, free of any
-abstract domain.  ``collect_states`` runs it with the LRU transfer to get
-the exact collecting semantics (the set of reachable states per location),
-``classify_oracle`` derives per-site hit/miss classifications from that,
-and ``boundsolve.bounded_concrete_oracle`` runs it over integer values.  This
-is the reference every other analysis is validated against, so it must
-stay exact: exceeding the state budget is an error, never an approximation.
+graph by an `Alphabet`.  ``collect_states`` computes the exact collecting
+semantics (the set of reachable states per location) and
+``classify_oracle`` derives per-site hit/miss classifications from it.
+This is the reference every other analysis is validated against, so it
+must stay exact: exceeding the state budget is an error, never an
+approximation.
+
+The module has two explicit-state searches, free of any abstract domain.
+``collect_states`` propagates whole sets of new states per location and
+edge (one set comprehension per access edge and visit), in reverse
+postorder.  ``explore`` takes one (location, state) pair at a time, last
+in, first out, with a per-state successor function that may block; it
+serves ``boundsolve.bounded_concrete_oracle`` and the tests' per-focus
+oracle.  They are kept apart because only the LRU search may reorder
+freely.  An LRU successor never fails, so in ``collect_states`` the order
+decides nothing but when the budget check fires, and the reached sets and
+their total do not depend on it.  A numeric step can raise, and which
+error ``bounded_concrete_oracle`` reports first depends on the order it
+explores values in, so ``explore`` keeps its per-state order.
 """
 
 from __future__ import annotations
@@ -20,9 +31,10 @@ import math
 import sys
 from collections.abc import Set
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .cfg import AccessLabel, Cfg
+from .cfg import Cfg
 
 CacheState = tuple[str, ...]
 
@@ -81,21 +93,18 @@ class Alphabet:
         return tuple(map(self.block.__getitem__, word))
 
 
-def _update(letter: str, n: int) -> Callable[[str], str]:
+def _image(letter: str, n: int) -> Callable[[Iterable[str]], set[str]]:
     """The LRU update of an access to the block that `letter` names, at
-    associativity `n`, on encoded states of at most `n` blocks, unchecked:
-    the block becomes youngest; on a fill, the oldest is evicted.  The one
-    definition behind `access` and the oracle's successors."""
+    associativity `n`, applied to every encoded state of at most `n` blocks
+    in a collection at once, unchecked: the block becomes youngest; on a
+    fill, the oldest is evicted.  The one definition behind `access` and
+    the oracle's search."""
     keep = n - 1
 
-    def update(state: str) -> str:
-        if letter in state:
-            if state[0] == letter:
-                return state
-            return letter + state.replace(letter, "")
-        return letter + state[:keep]
+    def image(states: Iterable[str]) -> set[str]:
+        return {letter + s.replace(letter, "") if letter in s else letter + s[:keep] for s in states}
 
-    return update
+    return image
 
 
 def access(state: CacheState, block: str, n: int) -> CacheState:
@@ -105,7 +114,8 @@ def access(state: CacheState, block: str, n: int) -> CacheState:
     if len(state) > n:
         raise ValueError("state longer than associativity")
     alphabet = Alphabet(state + (block,))
-    return alphabet.decode(_update(alphabet.letter[block], n)(alphabet.encode(state)))
+    (word,) = _image(alphabet.letter[block], n)((alphabet.encode(state),))
+    return alphabet.decode(word)
 
 
 class _InitialStates:
@@ -117,8 +127,13 @@ class _InitialStates:
         self.universe, self.make = universe, make
         self.longest = 0 if init is InitPolicy.EMPTY else min(n, len(universe))
 
-    def __len__(self) -> int:
+    def count(self) -> int:
+        """How many states there are, however many: `len` cannot report more
+        than ``sys.maxsize``."""
         return sum(math.perm(len(self.universe), r) for r in range(self.longest + 1))
+
+    def __len__(self) -> int:
+        return self.count()
 
     def __iter__(self) -> Iterator:
         return map(self.make, itertools.chain.from_iterable(
@@ -136,7 +151,8 @@ def _fresh_block(blocks: Collection[str]) -> str:
 
 def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[str, set]:
     """Every state reachable from `seeds` at the entry, per location: the
-    one explicit-state search behind both oracles.
+    per-state search behind the numeric oracle, whose steps can block or
+    raise (see the module docstring for why the LRU oracle searches apart).
 
     `step(label)` gives an edge's successor function, which maps a state to
     the next one, or to None where the edge blocks it; it is built at the
@@ -184,23 +200,6 @@ def explore(cfg: Cfg, seeds: Collection, step: Callable, budget: int) -> dict[st
     raise OracleBudgetError(f"state budget {budget} exceeded{where}")
 
 
-def lru_step(n: int, alphabet: Alphabet) -> Callable:
-    """`explore`'s step for the LRU transfer at associativity `n` on states
-    encoded by `alphabet`: an access edge's successor is its block's update,
-    built once per edge; any other edge is a no-op."""
-
-    def step(label):
-        if isinstance(label, AccessLabel):
-            return _update(alphabet.letter[label.block], n)
-        return _unchanged
-
-    return step
-
-
-def _unchanged(state: str) -> str:
-    return state
-
-
 class _States(Set):
     """The states `collect_states` reached at one location, read as a set of
     tuples: the search's set of encoded states (`words`) with its alphabet.
@@ -241,15 +240,23 @@ def collect_states(
     Non-access edges are treated as no-ops (guard erasure), so graphs built
     from full programs can be passed directly.  The entry holds the empty
     state, or under unknown init every state over the graph's blocks and one
-    fresh block.  The associativity is checked once, before the search; each
-    access edge then applies the unchecked update of ``lru_step`` to every
-    state that reaches it.  The search runs on states encoded by one
-    `Alphabet`: the graph's sorted blocks, then the fresh block of the
-    unknown policy.  Each location's states come back as a read-only set
-    view that decodes them only when iterated.  There is no memo: over the
+    fresh block; their number is checked against `budget` before any is
+    built.  The associativity is checked once, before the search.  The
+    search runs on states encoded by one `Alphabet`: the graph's sorted
+    blocks, then the fresh block of the unknown policy.  Each location's
+    states come back as a read-only set view that decodes them only when
+    iterated.
+
+    The search is semi-naive (delta) propagation over the graph's
+    ``Cfg.access_index``: each location keeps its states and the states
+    that arrived since its last visit, and waits on a heap keyed by its
+    number, so the first waiting location in reverse postorder is visited
+    next.  A visit takes the location's whole delta and, per out-edge, its
+    image in one set comprehension (`_image` for an access, the delta itself
+    for a no-op); what the target did not hold yet joins the target's states
+    and its delta, and counts against `budget`.  There is no memo: over the
     benchmark's graphs fewer than one update in five met a state its block
-    had already seen, so hashing every state into a memo cost more than it
-    saved.
+    had already seen.
     """
     if n < 1:
         raise ValueError("associativity must be at least 1")
@@ -258,8 +265,51 @@ def collect_states(
         blocks += (_fresh_block(blocks),)
     alphabet = Alphabet(blocks)
     seeds = _InitialStates("".join(alphabet.letter.values()), n, init, "".join)
-    reached = explore(cfg, seeds, lru_step(n, alphabet), budget)
-    return {loc: _States(words, alphabet) for loc, words in reached.items()}
+    if seeds.count() > budget:
+        raise OracleBudgetError(f"state budget {budget} exceeded at entry")
+    graph = cfg.access_index
+    reached: list[set[str] | None] = [None] * len(graph.locations)
+    reached[0] = set(seeds)
+    total = len(reached[0])
+    # A copy, so that a self-loop at the entry, which adds to the entry's
+    # states, does not grow the delta its visit is still pushing.
+    pending: list[set[str] | None] = [None] * len(reached)
+    pending[0] = set(reached[0])
+    work = [0]
+    # per location, (image or None, states at the target, target) per
+    # out-edge, built at the location's first visit
+    moves: list[list | None] = [None] * len(reached)
+    images = {1 << i: _image(alphabet.letter[block], n) for block, i in graph.blocks.items()}
+    while work:
+        loc = heappop(work)
+        delta = pending[loc]
+        pending[loc] = None
+        out = moves[loc]
+        if out is None:
+            out = moves[loc] = []
+            for dst, bit in graph.succ[loc]:
+                if reached[dst] is None:
+                    reached[dst] = set()
+                out.append((images.get(bit), reached[dst], dst))
+        for image, states, dst in out:
+            if image is None:
+                new = delta - states
+            else:
+                new = image(delta)
+                new -= states
+            if new:
+                states |= new
+                total += len(new)
+                if total > budget:
+                    raise OracleBudgetError(f"state budget {budget} exceeded")
+                waiting = pending[dst]
+                if waiting is None:
+                    pending[dst] = new
+                    heappush(work, dst)
+                else:
+                    waiting |= new
+    return {graph.locations[loc]: _States(words, alphabet)
+            for loc, words in enumerate(reached) if words is not None}
 
 
 def classify_oracle(

@@ -12,8 +12,10 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass, field
 
 from absint import lru
+from absint.agebounds import ApproxClass, age_pass
 from absint.cfg import (
     AccessLabel,
     AssignLabel,
@@ -37,7 +39,7 @@ from absint.lang import (
     Var,
     While,
 )
-from absint.lru import Classification, InitPolicy, OracleBudgetError, explore
+from absint.lru import Alphabet, Classification, InitPolicy, OracleBudgetError, explore
 
 BLOCK_NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -144,6 +146,73 @@ def initial_states(blocks: tuple[str, ...], n: int, init: InitPolicy) -> lru._In
     on the oracle's own lazy seed set, so that tests of it check the count
     ``collect_states`` compares with its budget."""
     return lru._InitialStates(tuple(blocks) + (lru._fresh_block(blocks),), n, init, tuple)
+
+
+def lru_step(n: int, alphabet: Alphabet):
+    """``lru.explore``'s step for the LRU transfer at associativity `n` on
+    states encoded by `alphabet`, one state at a time: an access splices its
+    block out where it is found (or drops the oldest on a fill) and puts it
+    first; any other edge is a no-op.  Written apart from the oracle's set
+    image, so that the two searches check each other."""
+
+    def step(label):
+        if not isinstance(label, AccessLabel):
+            return _unchanged
+        c = alphabet.letter[label.block]
+
+        def update(state: str) -> str:
+            i = state.find(c)
+            return c + (state[:n - 1] if i < 0 else state[:i] + state[i + 1:])
+
+        return update
+
+    return step
+
+
+def _unchanged(state):
+    return state
+
+
+# ---------------------------------------------------------------------------
+# Age bounds read as must and may maps
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AgeBounds:
+    must: dict[str, int] = field(default_factory=dict)
+    may: dict[str, int] = field(default_factory=dict)
+
+
+def analyze_approx(cfg: Cfg, n: int, init: InitPolicy = InitPolicy.EMPTY) -> dict[str, AgeBounds | None]:
+    """The must and may fields of ``agebounds.age_pass`` at every location,
+    decoded into maps of the blocks that have a bound; None marks unreached
+    locations."""
+    graph = cfg.access_index
+    states = age_pass(cfg, n, init)
+    top = n.bit_length()
+    value = (1 << top) - 1
+    fields = [(b, i * (top + 1)) for b, i in graph.blocks.items()]
+
+    def decode(vec: int) -> dict[str, int]:
+        return {b: k for b, shift in fields if (k := vec >> shift & value) < n}
+
+    result: dict[str, AgeBounds | None] = {}
+    for loc in cfg.locations:
+        state = states[graph.where[loc]]
+        result[loc] = None if state is None else AgeBounds(decode(state[0]), decode(state[1]))
+    return result
+
+
+def classify_approx(bounds: AgeBounds | None, block: str) -> ApproxClass:
+    """Classify one access from the bounds at its source location."""
+    if bounds is None:
+        return ApproxClass.UNKNOWN
+    if block in bounds.must:
+        return ApproxClass.ALWAYS_HIT
+    if block not in bounds.may:
+        return ApproxClass.ALWAYS_MISS
+    return ApproxClass.UNKNOWN
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from absint.agebounds import (
-    AgeBounds,
-    ApproxClass,
-    age_pass,
-    analyze_approx,
-    classify_all_approx,
-    classify_approx,
-    witnesses,
-)
+from absint.agebounds import ApproxClass, age_pass, classify_all_approx, witnesses
 from absint.cfg import AccessLabel, Cfg, Edge, parse_access_graph
 from absint.focused import classify_pipeline
 from absint.lru import Classification, InitPolicy, classify_oracle
-from helpers import region_cache_cfg
+from helpers import AgeBounds, analyze_approx, classify_approx, region_cache_cfg
 from test_lru import chain
 
 

@@ -15,7 +15,7 @@ Three pins, checked against every later change of the fixpoint engine:
 * one SHA-256 over the reached cache states of ``collect_states`` on
   random and region access graphs, at several associativities and both
   initial-content policies (budget errors pinned by their message);
-* one SHA-256 over the must and may bounds of ``agebounds.analyze_approx``
+* one SHA-256 over the must and may bounds of ``helpers.analyze_approx``
   (sorted, or None where unreached) at every location of the same graphs,
   at several associativities and both initial-content policies;
 * one SHA-256 over the whole result of ``focused.analyze_block`` (every
@@ -63,7 +63,6 @@ import unicodedata
 
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
-from absint.agebounds import analyze_approx
 from absint.antichain import Orientation
 from absint.boundsolve import bounded_concrete_oracle, dump_system, extract_upper_bounds, solve_exhaustive
 from absint.cli import main
@@ -260,7 +259,7 @@ def _agebounds_digest() -> str:
         for n in (1, 2, 4, 6):
             for init in InitPolicy:
                 h.update(f"#{index} {n} {init.value}\n".encode())
-                bounds = analyze_approx(cfg, n, init)
+                bounds = helpers.analyze_approx(cfg, n, init)
                 for loc in sorted(bounds):
                     b = bounds[loc]
                     shown = None if b is None else (sorted(b.must.items()), sorted(b.may.items()))

@@ -18,9 +18,8 @@ from absint.lru import (
     classify_oracle,
     collect_states,
     explore,
-    lru_step,
 )
-from helpers import initial_states
+from helpers import initial_states, lru_step, random_cache_cfg, region_cache_cfg
 
 
 def chain(blocks):
@@ -87,23 +86,24 @@ def test_access_matches_the_rebuild_formula_exhaustively():
 
 
 def test_oracle_successor_matches_the_rebuild_formula_exhaustively():
-    # The successor `collect_states` hands to `explore` for an access edge,
-    # built once per edge and applied without checks to encoded states.
+    # The set image `collect_states` applies along an access edge, built
+    # once per block and applied without checks to encoded states: one state
+    # at a time, and to every state of each length bound at once.
     blocks = ("a", "b", "c", "d", "e")
     alphabet = Alphabet(blocks)
     checked = 0
     for n in range(1, 5):
-        step = lru_step(n, alphabet)
         for block in blocks:
-            succ = step(AccessLabel(block, 0))
-            for r in range(n + 1):
-                for state in itertools.permutations(blocks, r):
-                    word = succ(alphabet.encode(state))
-                    assert type(word) is str and len(word) <= n
-                    assert alphabet.decode(word) == _access_by_rebuild(state, block, n), (state, block, n)
-                    checked += 1
+            image = lru._image(alphabet.letter[block], n)
+            states = [state for r in range(n + 1) for state in itertools.permutations(blocks, r)]
+            for state in states:
+                (word,) = image({alphabet.encode(state)})
+                assert type(word) is str and len(word) <= n
+                assert alphabet.decode(word) == _access_by_rebuild(state, block, n), (state, block, n)
+                checked += 1
+            whole = image(alphabet.encode(state) for state in states)
+            assert {alphabet.decode(w) for w in whole} == {_access_by_rebuild(s, block, n) for s in states}
     assert checked == 5 * sum(math.perm(5, r) for n in range(1, 5) for r in range(n + 1))
-    assert lru_step(2, alphabet)(Nop())(alphabet.encode(("a", "b"))) == alphabet.encode(("a", "b"))
 
 
 def test_collect_states_checks_associativity_before_the_search():
@@ -218,8 +218,6 @@ def test_classify_unreachable_site():
 
 def test_collect_monotone_in_seed():
     rng = random.Random(9)
-    from helpers import random_cache_cfg
-
     for _ in range(40):
         cfg = random_cache_cfg(rng, max_locs=8, max_blocks=4)
         n = rng.choice([1, 2, 4])
@@ -232,6 +230,68 @@ def test_collect_monotone_in_seed():
         r_big = explore(cfg, {alphabet.encode(s) for s in big}, step, 1_000_000)
         for loc, states in r_small.items():
             assert states <= r_big.get(loc, set())
+
+
+def _cross_check_graphs():
+    """Seeded random and region access graphs, plus an entry with an access
+    self-loop and a location no edge leads to."""
+    rng = random.Random(2024)
+    graphs = [random_cache_cfg(rng, max_locs=12, max_blocks=5) for _ in range(60)]
+    graphs += [region_cache_cfg(rng, rng.randint(8, 30), rng.randint(1, 5), 0.8) for _ in range(16)]
+    graphs.append(Cfg(
+        ("s", "t", "dead"),
+        "s",
+        (
+            Edge("s", AccessLabel("a", 0), "s"),
+            Edge("s", AccessLabel("b", 1), "t"),
+            Edge("t", Nop(), "s"),
+            Edge("dead", AccessLabel("c", 2), "t"),
+        ),
+    ))
+    return graphs
+
+
+def test_collect_states_matches_the_per_state_search():
+    # The batched search must reach exactly what `explore` reaches one
+    # state at a time with an independently written LRU step.
+    graphs = _cross_check_graphs()
+    self_loops = sum(e.src == e.dst and isinstance(e.label, AccessLabel) for g in graphs for e in g.edges)
+    unreached = 0
+    for index, cfg in enumerate(graphs):
+        blocks = cfg.blocks()
+        alphabet = Alphabet(blocks + (lru._fresh_block(blocks),))
+        for n in range(1, 6):
+            for init in InitPolicy:
+                seeds = {alphabet.encode(s) for s in initial_states(blocks, n, init)}
+                expected = explore(cfg, seeds, lru_step(n, alphabet), 1_000_000)
+                reached = collect_states(cfg, n, init)
+                assert {loc: states.words for loc, states in reached.items()} == expected, (index, n, init)
+        unreached += len(cfg.locations) - len(reached)
+    assert self_loops >= 5 and unreached >= 5
+
+
+def test_budget_equal_to_the_reached_total_fits():
+    for cfg in _cross_check_graphs()[55:66]:
+        for n in (2, 4):
+            for init in InitPolicy:
+                total = sum(map(len, collect_states(cfg, n, init).values()))
+                assert sum(map(len, collect_states(cfg, n, init, budget=total).values())) == total
+                with pytest.raises(OracleBudgetError, match=f"^state budget {total - 1} exceeded"):
+                    collect_states(cfg, n, init, budget=total - 1)
+
+
+def test_over_budget_search_stops_within_bounded_memory():
+    # The search stops as soon as the new states pass the budget; holding
+    # 100,000 states of up to 16 blocks takes about 9 MB.
+    cfg = region_cache_cfg(random.Random(2019), 250, 12, 0.8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetError, match="^state budget 100000 exceeded$"):
+            collect_states(cfg, 16, budget=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_budget_error_is_not_an_approximation():
