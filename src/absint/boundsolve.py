@@ -17,13 +17,16 @@ symbolic infinities:
   argument selection of every min/max node induces, solves each chain
   system, and keeps solutions that actually solve the original equations;
   the pointwise least survivor is the least fixpoint.
-* ``solve_policy_iteration`` ascends through selections of the max nodes
-  only and solves each induced min-system exactly: a counting pass finds the
-  variables that must leave -oo, and a Bellman-Ford pass from +oo computes
-  the greatest solution on them (+oo where no constant is reachable).
-  Strict-improvement switching keeps the current valuation feasible, which
-  makes that greatest solution the least one above it.  No step's cost
-  depends on the sizes of the constants.
+* ``solve_policy_iteration`` splits the system into the strongly connected
+  components of its references and solves them in dependency order.  An
+  equation on no cycle is evaluated once.  On each cyclic component it
+  ascends through selections of the component's max nodes only and solves
+  each induced min-system exactly: a counting pass finds the variables that
+  must leave -oo, and a Bellman-Ford pass from +oo computes the greatest
+  solution on them (+oo where no constant is reachable).  Strict-improvement
+  switching keeps the current valuation feasible, which makes that greatest
+  solution the least one above it.  No step's cost depends on the sizes of
+  the constants, and a round costs only the size of its component.
 
 Both must agree with each other and, on bounded programs, with
 ``bounded_concrete_oracle``, which enumerates values one at a time with
@@ -422,30 +425,85 @@ def solve_exhaustive(system: BoundSystem, cap: int = 20) -> dict[str, Bound]:
 # ---------------------------------------------------------------------------
 
 
-def _compile(system: BoundSystem) -> tuple[list[tuple], list[int]]:
+def _compile(system: BoundSystem) -> tuple[list[tuple], list[list[int]], list[tuple[int, int]]]:
     """Right-hand sides as nested tuples over variable indices.
 
     Nodes are ("const", value), ("ref", index), ("add", child, offset),
     ("min", left, right) and ("max", node, left, right), where `node` is the
     max node's position in the policy list.  Returns the compiled right-hand
-    sides and, per max node, the index of the equation that holds it.
+    sides, the indices each one references, and the range of policy
+    positions each one holds (an equation's max nodes are numbered
+    consecutively).
     """
     index = {name: i for i, name in enumerate(system.names())}
-    owner: list[int] = []
+    refs: list[list[int]] = []
+    spans: list[tuple[int, int]] = []
+    n_max = 0
 
-    def walk(e: BoundExpr, i: int) -> tuple:
+    def walk(e: BoundExpr, uses: list[int]) -> tuple:
+        nonlocal n_max
         if isinstance(e, BConst):
             return ("const", e.value)
         if isinstance(e, BRef):
-            return ("ref", index[e.name])
+            uses.append(index[e.name])
+            return ("ref", uses[-1])
         if isinstance(e, BAdd):
-            return ("add", walk(e.expr, i), e.offset)
+            return ("add", walk(e.expr, uses), e.offset)
         if isinstance(e, BMin):
-            return ("min", walk(e.left, i), walk(e.right, i))
-        owner.append(i)
-        return ("max", len(owner) - 1, walk(e.left, i), walk(e.right, i))
+            return ("min", walk(e.left, uses), walk(e.right, uses))
+        n_max += 1
+        return ("max", n_max - 1, walk(e.left, uses), walk(e.right, uses))
 
-    return [walk(rhs, i) for i, (_, rhs) in enumerate(system.equations)], owner
+    rhs = []
+    for _, e in system.equations:
+        first = n_max
+        refs.append([])
+        rhs.append(walk(e, refs[-1]))
+        spans.append((first, n_max))
+    return rhs, refs, spans
+
+
+def _components(refs: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph with an edge from each
+    variable to every variable it references, each listed after every
+    component it references (Tarjan's algorithm, with an explicit stack).
+    A variable whose component is out gets the number `n`, which no low
+    link reaches, so no separate on-stack flag is kept."""
+    n = len(refs)
+    number = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if number[root] >= 0:
+            continue
+        number[root] = low[root] = count
+        count += 1
+        work = [(root, iter(refs[root]), len(stack))]
+        stack.append(root)
+        while work:
+            v, todo, at = work[-1]
+            for w in todo:
+                if number[w] < 0:
+                    number[w] = low[w] = count
+                    count += 1
+                    work.append((w, iter(refs[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if low[v] == number[v]:
+                    component = stack[at:]
+                    del stack[at:]
+                    for w in component:
+                        number[w] = n
+                    out.append(component)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return out
 
 
 def _evaluate_and_switch(e: tuple, rho: list[Bound], policy: list[int]) -> Bound:
@@ -470,9 +528,13 @@ def _evaluate_and_switch(e: tuple, rho: list[Bound], policy: list[int]) -> Bound
     return max(left, right)
 
 
-def _flatten(e: tuple, policy: list[int]) -> tuple[Bound, list[tuple[int, int]]]:
+def _flatten(
+    e: tuple, policy: list[int], position: dict[int, int], rho: list[Bound]
+) -> tuple[Bound, list[tuple[int, int]]]:
     """`e` under `policy` as a min over terms: the least constant term (+oo
-    if there is none) and the (variable index, offset) references."""
+    if there is none) and the (position, offset) references to the
+    variables in `position`.  A reference to any other variable counts as
+    the constant term of its value in `rho`."""
     least: Bound = POS_INF
     refs: list[tuple[int, int]] = []
     stack = [(e, 0)]
@@ -482,7 +544,10 @@ def _flatten(e: tuple, policy: list[int]) -> tuple[Bound, list[tuple[int, int]]]
         if tag == "const":
             least = min(least, badd(sub[1], off))
         elif tag == "ref":
-            refs.append((sub[1], off))
+            if sub[1] in position:
+                refs.append((position[sub[1]], off))
+            else:
+                least = min(least, badd(rho[sub[1]], off))
         elif tag == "add":
             stack.append((sub[1], off + sub[2]))
         elif tag == "min":
@@ -563,45 +628,74 @@ def _solve_min_system(
 
 
 def solve_policy_iteration(system: BoundSystem) -> dict[str, Bound]:
-    """Ascending policy iteration over the max nodes.
+    """Ascending policy iteration over the max nodes, one strongly connected
+    component of the reference graph at a time.
 
-    Starts from the all--oo valuation and the policy that selects, at each
-    max node, an argument attaining the maximum there (the left one on
-    ties).  Each round solves the min-system the policy induces exactly
-    (``_solve_min_system``), then switches every max node whose other
-    argument is strictly larger at the new valuation; it stops when no node
-    switches, and the valuation is then a fixpoint of the original system.
+    Components are solved in dependency order, so every variable outside
+    the current one that it references is solved already and acts as a
+    constant.  That order yields the least fixpoint mu of the whole system.
+    Take a component C, with mu already found on the components before it,
+    and let nu be the least fixpoint of C's equations at those values.  mu
+    on C is a fixpoint of them, so nu <= mu there.  Conversely, the
+    valuation that is nu on C and mu elsewhere takes every right-hand side
+    to at most its variable: the earlier components are unchanged, C gets
+    nu, and every other component sees values no larger than mu's.  By
+    Knaster-Tarski mu lies below every such valuation, so mu = nu on C.
 
-    A valuation is feasible for a policy when no cycle of the policy's
-    references among its finite variables is tight there (every reference on
-    the cycle attains the value of the variable that holds it).  The all--oo
-    start is feasible, and switching keeps it feasible, because a reference
-    through a switched max node lies strictly above its variable's value.
-    Above a feasible valuation, any solution of the min-system lower than the
-    greatest one on the live variables would contain a tight cycle, so the
-    greatest solution is the least one above the valuation and never passes
-    the least fixpoint (Gawlitza and Seidl, ESOP 2007).  It is feasible in
-    turn: a cycle tight there has weight zero, so it was tight at the
-    previous valuation.  Strict improvement bounds the rounds, and no
-    round's cost depends on the sizes of the constants.
+    An equation that is a component of its own and does not reference
+    itself is evaluated once.  Any other component starts from -oo on its
+    variables and the policy that selects, at each of its max nodes, an
+    argument attaining the maximum there (the left one on ties).  Each round
+    solves the min-system the policy induces on the component exactly
+    (``_solve_min_system``), with the solved variables it references folded
+    into its constants, then switches every max node of the component whose
+    other argument is strictly larger at the new valuation; it stops when no
+    node switches, and the component's valuation is then a fixpoint of its
+    equations.
+
+    Within a component, a valuation is feasible for a policy when no cycle
+    of the policy's references among its finite variables is tight there
+    (every reference on the cycle attains the value of the variable that
+    holds it).  The all--oo start is feasible, and switching keeps it
+    feasible, because a reference through a switched max node lies strictly
+    above its variable's value.  Above a feasible valuation, any solution of
+    the min-system lower than the greatest one on the live variables would
+    contain a tight cycle, so the greatest solution is the least one above
+    the valuation and never passes the component's least fixpoint (Gawlitza
+    and Seidl, ESOP 2007).  It is feasible in turn: a cycle tight there has
+    weight zero, so it was tight at the previous valuation.  Strict
+    improvement bounds the rounds, and no round's cost depends on the sizes
+    of the constants.
     """
-    rhs, owner = _compile(system)
-    switching = sorted(set(owner))  # the equations that hold a max node
+    rhs, refs, spans = _compile(system)
     rho: list[Bound] = [NEG_INF] * len(rhs)
-    policy = [0] * len(owner)
-    for i in switching:
-        _evaluate_and_switch(rhs[i], rho, policy)
-    flat = [_flatten(e, policy) for e in rhs]
-    while True:
-        rho = _solve_min_system(flat, rho)
-        before = policy[:]
+    policy = [0] * (spans[-1][1] if spans else 0)
+    for component in _components(refs):
+        if len(component) == 1 and component[0] not in refs[component[0]]:
+            i = component[0]
+            rho[i] = _evaluate_and_switch(rhs[i], rho, policy)  # its switches are never read
+            continue
+        position = {i: p for p, i in enumerate(component)}
+        switching = [i for i in component if spans[i][0] < spans[i][1]]
         for i in switching:
             _evaluate_and_switch(rhs[i], rho, policy)
-        changed = {owner[k] for k, (a, b) in enumerate(zip(before, policy)) if a != b}
-        if not changed:
-            break
-        for i in changed:
-            flat[i] = _flatten(rhs[i], policy)
+        flat = [_flatten(rhs[i], policy, position, rho) for i in component]
+        local: list[Bound] = [NEG_INF] * len(component)
+        while True:
+            local = _solve_min_system(flat, local)
+            for i, value in zip(component, local):
+                rho[i] = value
+            changed = []
+            for i in switching:
+                lo, hi = spans[i]
+                before = policy[lo:hi]
+                _evaluate_and_switch(rhs[i], rho, policy)
+                if policy[lo:hi] != before:
+                    changed.append(i)
+            if not changed:
+                break
+            for i in changed:
+                flat[position[i]] = _flatten(rhs[i], policy, position, rho)
     solution = dict(zip(system.names(), rho))
     if not is_fixpoint(system, solution):
         raise RuntimeError("policy iteration did not land on a fixpoint")

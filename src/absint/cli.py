@@ -312,7 +312,11 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
             raise  # a RuntimeError, but main reports it as deep input
         except RuntimeError as exc:
             raise _InternalError(f"internal solver error: {exc}")
-    envs = {loc: AbstractEnv.of({v: per_var[v][loc] for v in per_var}) for loc in cfg.locations}
+    names = sorted(per_var)
+    envs = {}
+    for loc in cfg.locations:
+        items = tuple((v, per_var[v][loc]) for v in names)
+        envs[loc] = BOTTOM_ENV if any(iv.is_empty for _, iv in items) else AbstractEnv(items)
     return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 

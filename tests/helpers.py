@@ -645,6 +645,111 @@ def corner_system(rng: random.Random, n_vars: int):
     return BoundSystem(tuple((name, expr(name, 0, rng.random() < 0.25)) for name in names))
 
 
+def chained_system(rng: random.Random, n_components: int):
+    """A bound system of `n_components` cycles, its equations shuffled, in
+    which each cycle references only itself and the cycles built before it.
+
+    Each cycle ``x_0 -> x_1 -> ... -> x_0`` is one of
+    * "bottom": references only, inside the cycle, so it settles at -oo;
+    * "top": ``x_i = max(c, x_{i+1} + k)`` with k > 0, so it settles at +oo;
+    * "mixed": ``x_{i+1}`` combined by min or max with a tree of depth at most
+      two over constants (infinities included), references inside the cycle
+      and references to earlier cycles; a quarter of these equations have no
+      constant.
+    A mixed cycle after the first references an earlier one, so an upstream
+    cycle at -oo or +oo feeds a downstream one."""
+    from absint.boundsolve import BAdd, BConst, BMax, BMin, BoundSystem, BRef
+    from absint.intervals import NEG_INF, POS_INF
+
+    def shifted(name: str):
+        offset = rng.choice((0, 0, rng.randint(-3, 4)))
+        return BRef(name) if offset == 0 else BAdd(BRef(name), offset)
+
+    equations = []
+    earlier: list[str] = []
+    for k in range(n_components):
+        names = [f"c{k}x{i}" for i in range(rng.randint(1, 3))]
+        kind = rng.choice(("bottom", "top", "mixed", "mixed"))
+        outside = False
+        for i, name in enumerate(names):
+            cycle = shifted(names[(i + 1) % len(names)])
+            if kind == "bottom":
+                rhs = cycle if rng.random() < 0.5 else BMin(cycle, shifted(rng.choice(names)))
+            elif kind == "top":
+                rhs = BMax(BConst(rng.randint(-5, 5)), BAdd(BRef(names[(i + 1) % len(names)]), rng.randint(1, 3)))
+            else:
+                refs_only = rng.random() < 0.25
+
+                def leaf():
+                    nonlocal outside
+                    roll = rng.random()
+                    if earlier and roll < 0.4:
+                        outside = True
+                        return shifted(rng.choice(earlier))
+                    if refs_only or roll < 0.7:
+                        return shifted(rng.choice(names))
+                    return BConst(rng.choice((NEG_INF, POS_INF, rng.randint(-8, 12), rng.randint(-8, 12))))
+
+                def tree(depth: int):
+                    if depth >= 2 or rng.random() < 0.4:
+                        return leaf()
+                    return (BMin if rng.random() < 0.5 else BMax)(tree(depth + 1), tree(depth + 1))
+
+                side = tree(0)
+                if earlier and not outside and i == len(names) - 1:
+                    side = BMax(side, shifted(rng.choice(earlier)))
+                rhs = (BMin if rng.random() < 0.5 else BMax)(cycle, side)
+            equations.append((name, rhs))
+        earlier += names
+    rng.shuffle(equations)
+    return BoundSystem(tuple(equations))
+
+
+GADGET_ORDER = ("up", "branch", "climb", "down", "branch", "up", "climb", "branch", "down")
+
+
+def gadget_chain_program(rng: random.Random, repeats: int) -> tuple[str, list[tuple[int, int]]]:
+    """A single-variable fragment program of `repeats` runs of nine loop and
+    branch gadgets, each gadget followed by ``assert (v <= hi);``.  Returns
+    the text and, per assertion, the exact hull ``(lo, hi)`` of ``v`` there,
+    in closed form (every guard edge is live, so the least invariant is that
+    hull).  With ``[lo, hi]`` the hull before a gadget and step s > 0:
+
+    * up:     ``while (v < K) { if (*) { v = v + 1; } else { v = v + 2; } }``,
+      K = hi + s -> [K, K + 1]
+    * climb:  ``while (*) { if (v < K) { v = v + 1; } }``, K = hi + s -> [lo, K]
+    * down:   ``while (v > K) { v = v - 1; }``, K = lo - s -> [K, K]
+    * branch: ``if (v < hi) { v = v + d1; } else { v = v + d2; }`` when lo < hi
+      -> [min(lo + d1, hi + d2), max(hi - 1 + d1, hi + d2)]; ``v = c`` otherwise
+    """
+    lo = hi = rng.randint(-50, 50)
+    lines = [f"int {FRAGMENT_VAR} = {lo};"]
+    hulls: list[tuple[int, int]] = []
+    v = FRAGMENT_VAR
+    for kind in GADGET_ORDER * repeats:
+        step = rng.randint(1, 400)
+        if kind == "branch" and lo < hi:
+            d1, d2 = rng.randint(-9, 9), rng.randint(-9, 9)
+            lines.append(f"if ({v} < {hi}) {{ {v} = {v} + {d1}; }} else {{ {v} = {v} + {d2}; }}")
+            lo, hi = min(lo + d1, hi + d2), max(hi - 1 + d1, hi + d2)
+        elif kind == "branch":
+            lo = hi = rng.randint(-50, 50)
+            lines.append(f"{v} = {lo};")
+        elif kind == "up":
+            k = hi + step
+            lines.append(f"while ({v} < {k}) {{ if (*) {{ {v} = {v} + 1; }} else {{ {v} = {v} + 2; }} }}")
+            lo, hi = k, k + 1
+        elif kind == "climb":
+            hi = hi + step
+            lines.append(f"while (*) {{ if ({v} < {hi}) {{ {v} = {v} + 1; }} }}")
+        else:
+            lo = hi = lo - step
+            lines.append(f"while ({v} > {lo}) {{ {v} = {v} - 1; }}")
+        lines.append(f"assert ({v} <= {hi});")
+        hulls.append((lo, hi))
+    return "\n".join(lines) + "\n", hulls
+
+
 def build_fragment_corpus(seed: int, count: int, max_nodes: int = 10):
     """Programs whose hulls the solvers must reproduce exactly.
 

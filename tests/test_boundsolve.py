@@ -26,11 +26,18 @@ from absint.boundsolve import (
     solve_policy_iteration,
     _selector_nodes,
 )
+from absint import boundsolve as boundsolve_module
 from absint.cfg import back_edge_targets, build_cfg, parse_access_graph
 from absint.lru import OracleBudgetError
 from absint.intervals import NEG_INF, POS_INF, Interval, analyze, entry_environment
 from absint.lang import parse_program
-from helpers import FRAGMENT_VAR, corner_system, random_fragment_program
+from helpers import (
+    FRAGMENT_VAR,
+    chained_system,
+    corner_system,
+    gadget_chain_program,
+    random_fragment_program,
+)
 
 RING = """
 int i = 0;
@@ -243,6 +250,94 @@ def test_solver_agreement_on_corner_case_systems():
         checked += 1
         ex = solve_exhaustive(system, cap=10)
         assert solve_policy_iteration(system) == ex, dump_system(system)
+
+
+def references(e: BoundExpr) -> set[str]:
+    if isinstance(e, BRef):
+        return {e.name}
+    if isinstance(e, BAdd):
+        return references(e.expr)
+    if isinstance(e, (BMin, BMax)):
+        return references(e.left) | references(e.right)
+    return set()
+
+
+def cyclic_components(system: BoundSystem) -> list[set[str]]:
+    """The variables on a cycle of references, grouped by mutual reachability
+    (a plain search from every variable)."""
+    edges = {name: references(rhs) for name, rhs in system.equations}
+    reach = {}
+    for name in edges:
+        seen: set[str] = set()
+        todo = list(edges[name])
+        while todo:
+            w = todo.pop()
+            if w not in seen:
+                seen.add(w)
+                todo.extend(edges[w])
+        reach[name] = seen
+    groups: list[set[str]] = []
+    for name in edges:
+        if name in reach[name] and not any(name in g for g in groups):
+            groups.append({w for w in reach[name] if name in reach[w]})
+    return groups
+
+
+def test_solver_agreement_on_chained_components():
+    """Cycles that settle at -oo or +oo feed the cycles after them; the
+    component-wise solve must match the exhaustive one exactly."""
+    rng = random.Random(2011)
+    checked = 0
+    fed = {NEG_INF: 0, POS_INF: 0}
+    while checked < 400:
+        system = chained_system(rng, rng.randint(2, 4))
+        if _selector_nodes(system) > 10:
+            continue
+        checked += 1
+        ex = solve_exhaustive(system, cap=10)
+        assert solve_policy_iteration(system) == ex, dump_system(system)
+        groups = cyclic_components(system)
+        for group in groups:
+            for name in group:
+                for w in references(dict(system.equations)[name]) - group:
+                    if ex[w] in fed:
+                        fed[ex[w]] += 1
+    assert min(fed.values()) >= 100, fed
+
+
+def test_min_systems_stay_within_cyclic_components(monkeypatch):
+    """Only cyclic components reach the min-system solve, each on its own:
+    a component's first min-system starts at -oo on all of its variables."""
+    calls: list[tuple[int, bool]] = []
+    solve_min = boundsolve_module._solve_min_system
+
+    def recording(flat, rho):
+        calls.append((len(flat), all(v is NEG_INF for v in rho)))
+        return solve_min(flat, rho)
+
+    monkeypatch.setattr(boundsolve_module, "_solve_min_system", recording)
+    text, _ = gadget_chain_program(random.Random(5), 3)
+    cfg = build_cfg(parse_program(text))
+    for negate in (False, True):
+        system = extract_upper_bounds(cfg, FRAGMENT_VAR, 0, negate)
+        sizes = sorted(len(g) for g in cyclic_components(system))
+        assert len(sizes) == 3 * 6  # one per loop
+        calls.clear()
+        solve_policy_iteration(system)
+        assert max(size for size, _ in calls) <= sizes[-1]
+        assert sorted(size for size, first in calls if first) == sizes
+
+
+def test_gadget_chain_hulls_at_scale():
+    """Exact hulls after each of 576 gadgets, on a program of about 3,300
+    locations."""
+    text, hulls = gadget_chain_program(random.Random(64), 64)
+    program = parse_program(text)
+    cfg = build_cfg(program)
+    assert len(cfg.locations) > 3000
+    entry = Interval.const(program.decls[0].init.value)
+    exact = solve_intervals_exact(cfg, FRAGMENT_VAR, entry)
+    assert [exact[a.loc] for a in cfg.asserts] == [Interval(lo, hi) for lo, hi in hulls]
 
 
 def test_solver_agreement_on_random_fragments():
