@@ -238,6 +238,27 @@ def _edge_shape(label, var: str, graph: str) -> tuple[str, int]:
     return (op, right.value)
 
 
+def _bound_shapes(cfg: Cfg, var: str) -> dict[str, list[tuple[BRef, str, int]]]:
+    """Per location, ``(BRef(src), op, c)`` with ``(op, c)`` from
+    `_edge_shape` for each incoming edge, in edge order.  Each edge is
+    classified once per graph and variable (``Cfg.bound_shapes``), and the
+    first edge outside the fragment raises."""
+    shapes = cfg.bound_shapes.get(var)
+    if shapes is None:
+        shapes = {loc: [] for loc in cfg.locations}
+        for edge in cfg.edges:
+            op, c = _edge_shape(edge.label, var, "numeric fragment graph")
+            if op == "==" or op == "!=":
+                # An equality's complement shaves one endpoint, which no
+                # min/max/plus-constant expression can do exactly.
+                raise UnsupportedConstructError(
+                    f"(dis)equality guard outside the fragment: {_excerpt(pretty_cond(edge.label.cond))!r}"
+                )
+            shapes[edge.dst].append((BRef(edge.src), op, c))
+        cfg.bound_shapes[var] = shapes
+    return shapes
+
+
 def extract_upper_bounds(
     cfg: Cfg, var: str, entry_bound: Bound, negate: bool = False
 ) -> BoundSystem:
@@ -246,47 +267,37 @@ def extract_upper_bounds(
     With ``negate=True`` the graph is read as operating on ``-var`` (constants
     and increments flip sign, guard directions reverse), which turns the same
     extraction into a lower-bound solver; `entry_bound` must already be the
-    bound of the negated variable in that case.
+    bound of the negated variable in that case.  Both orientations read one
+    classification of the edges (``_bound_shapes``).
     """
     sign = -1 if negate else 1
-    contribs: dict[str, list[BoundExpr]] = {loc: [] for loc in cfg.locations}
-    for edge in cfg.edges:
-        base: BoundExpr = BRef(edge.src)
-        op, c = _edge_shape(edge.label, var, "numeric fragment graph")
-        if op == "keep":
-            expr = base
-        elif op == "const":
-            expr = BConst(sign * c)
-        elif op == "inc":
-            expr = badd_expr(base, sign * c)
-        elif op == "false":
-            expr = BConst(NEG_INF)
-        elif op in ("==", "!="):
-            # An equality's complement shaves one endpoint, which no
-            # min/max/plus-constant expression can do exactly.
-            raise UnsupportedConstructError(
-                f"(dis)equality guard outside the fragment: {_excerpt(pretty_cond(edge.label.cond))!r}"
-            )
-        else:
-            if negate:
-                op, c = FLIPPED_OP[op], -c
-            if op == "<":
-                expr = bmin(base, BConst(c - 1))
-            elif op == "<=":
-                expr = bmin(base, BConst(c))
-            else:  # > or >=: no upper refinement is expressible
-                expr = base
-        contribs[edge.dst].append(expr)
     equations: list[tuple[str, BoundExpr]] = []
-    for loc in cfg.locations:
+    for loc, ins in _bound_shapes(cfg, var).items():
         if loc == cfg.entry:
-            rhs: BoundExpr = BConst(entry_bound)
-        else:
-            ins = contribs[loc]
-            rhs = BConst(NEG_INF)
-            for e in ins:
-                rhs = bmax(rhs, e)
-        equations.append((loc, rhs))
+            equations.append((loc, BConst(entry_bound)))
+            continue
+        rhs: BoundExpr | None = None
+        for base, op, c in ins:
+            if op == "keep":
+                expr: BoundExpr = base
+            elif op == "const":
+                expr = BConst(sign * c)
+            elif op == "inc":
+                expr = badd_expr(base, sign * c)
+            elif op == "false":
+                expr = BConst(NEG_INF)
+            else:
+                if negate:
+                    op, c = FLIPPED_OP[op], -c
+                if op == "<":
+                    expr = bmin(base, BConst(c - 1))
+                elif op == "<=":
+                    expr = bmin(base, BConst(c))
+                else:  # > or >=: no upper refinement is expressible
+                    expr = base
+            # bmax(BConst(-oo), e) is e, so the fold starts at the first one
+            rhs = expr if rhs is None else bmax(rhs, expr)
+        equations.append((loc, BConst(NEG_INF) if rhs is None else rhs))
     return BoundSystem(tuple(equations))
 
 
@@ -777,31 +788,3 @@ def solve_intervals_exact(
         else:
             out[loc] = Interval.make(lo, hi)
     return out
-
-
-def inline_equation(system: BoundSystem, target: str) -> BoundExpr:
-    """Substitute away every variable except `target`.
-
-    Works when every cycle of the system passes through `target` (a single
-    loop); references to other locations on a second cycle raise ValueError.
-    """
-    rhs_map = dict(system.equations)
-
-    def expand(e: BoundExpr, stack: tuple[str, ...]) -> BoundExpr:
-        if isinstance(e, BConst):
-            return e
-        if isinstance(e, BRef):
-            if e.name == target:
-                return e
-            if e.name in stack:
-                raise ValueError(f"cycle through {e.name!r} does not pass the target")
-            return expand(rhs_map[e.name], stack + (e.name,))
-        if isinstance(e, BAdd):
-            return badd_expr(expand(e.expr, stack), e.offset)
-        if isinstance(e, BMin):
-            return bmin(expand(e.left, stack), expand(e.right, stack))
-        if isinstance(e, BMax):
-            return bmax(expand(e.left, stack), expand(e.right, stack))
-        raise TypeError(f"unknown bound expression {e!r}")
-
-    return expand(rhs_map[target], (target,))

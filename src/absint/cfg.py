@@ -133,6 +133,12 @@ class Cfg:
         contents, so that each analysis of one graph reads the same pass."""
         return {}
 
+    @cached_property
+    def bound_shapes(self) -> dict:
+        """``boundsolve`` edge classifications keyed by variable, so that
+        both bound systems of one variable read the same classification."""
+        return {}
+
 
 @dataclass(frozen=True)
 class AccessIndex:

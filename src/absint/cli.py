@@ -8,10 +8,11 @@ Two subcommands mirror the two analysis families::
 Reports go to stdout as aligned text or JSON (``--format``).  Outputs are
 byte-reproducible for identical inputs and flags; wall-clock timings are
 only emitted with ``--timings`` (into the report's ``timings`` object, which
-is otherwise empty).  One writer produces every JSON report, byte-identical
-to ``json.dumps`` with ``indent`` 2 and ``sort_keys``; an intervals report
-encodes each distinct environment and interval once and reuses the text
-wherever the value appears again.
+is otherwise empty).  Every JSON report is byte-identical to ``json.dumps``
+with ``indent`` 2 and ``sort_keys``.  One generic writer produces cache
+reports and the small fields of an intervals report; an intervals report's
+results come from a fixed template that renders each distinct environment
+and interval once, at the depth where it is written.
 
 Exit codes: 0 success, 1 input or usage error (or a failed internal
 consistency check), 2 oracle budget (including more distinct blocks than
@@ -93,35 +94,21 @@ def _load_cache_cfg(path: str) -> Cfg:
         raise _CliError(f"{path}: {exc}")
 
 
-def _interval_json(iv: Interval):
-    if iv.is_empty:
-        return None
-    return [b if isinstance(b, int) else repr(b) for b in (iv.lo, iv.hi)]
-
-
-class _Encoded(str):
-    """`_json_text` output reused as a value: the writer indents its lines
-    to the depth it is placed at, so one text serves every place."""
-
-
-def _json_text(value) -> str:
+def _json_text(value, newline: str = "\n") -> str:
     """`value` byte for byte as ``json.dumps`` writes it with a two-space
-    indent and sorted keys.
+    indent and sorted keys, its lines indented to follow `newline`.
 
     Takes only what reports hold (dicts with str keys, lists, str, int,
-    float, bool, None and `_Encoded` text) and raises TypeError on anything
-    else.  Strings are escaped by the json module's own C routine."""
+    float, bool and None) and raises TypeError on anything else.  Strings
+    are escaped by the json module's own C routine."""
     parts: list[str] = []
-    _encode(value, "\n", parts.append)
+    _encode(value, newline, parts.append)
     return "".join(parts)
 
 
 def _encode(value, newline: str, out) -> None:
-    # An encoded string holds no raw newline, so in `_Encoded` text every
-    # "\n" starts a line, which `newline` indents to the current depth.
     if isinstance(value, str):
-        out(value.replace("\n", newline) if type(value) is _Encoded
-            else encode_basestring_ascii(value))
+        out(encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
             out("{}")
@@ -134,13 +121,7 @@ def _encode(value, newline: str, out) -> None:
             out(sep)
             out(encode_basestring_ascii(key))
             out(": ")
-            item = value[key]
-            # Most values of an intervals report are pre-encoded: place them
-            # here instead of making a call per value.
-            if type(item) is _Encoded:
-                out(item.replace("\n", inner))
-            else:
-                _encode(item, inner, out)
+            _encode(value[key], inner, out)
             sep = "," + inner
         out(newline + "}")
     elif isinstance(value, list):
@@ -151,10 +132,7 @@ def _encode(value, newline: str, out) -> None:
         sep = "[" + inner
         for item in value:
             out(sep)
-            if type(item) is _Encoded:
-                out(item.replace("\n", inner))
-            else:
-                _encode(item, inner, out)
+            _encode(item, inner, out)
             sep = "," + inner
         out(newline + "]")
     elif value is None:
@@ -392,20 +370,25 @@ def run_intervals(args) -> int:
     # in full before it is written, so stdout stays empty.
     try:
         if args.format == "json":
-            report = {
+            fields = {
                 "schema": SCHEMA_VERSION,
                 "tool": TOOL,
                 "version": VERSION,
                 "method": args.method,
                 "rewrites": args.rewrites,
                 "input": args.input,
-                "results": _interval_results(cfg, program, outcomes, methods, args.method == "compare"),
                 "asserts": _assert_results(cfg, verdicts, methods, args.method == "compare"),
                 "timings": timings,
             }
             if args.method == "compare":
-                report["skipped"] = skipped
-            _write_json(report)
+                fields["skipped"] = skipped
+            results = _interval_results(cfg, program, outcomes, methods, args.method == "compare")
+            parts = []
+            for key in sorted([*fields, "results"]):
+                parts += (",\n  " if parts else "{\n  ", encode_basestring_ascii(key), ": ")
+                parts += results if key == "results" else (_json_text(fields[key], "\n  "),)
+            parts.append("\n}\n")
+            sys.stdout.write("".join(parts))
         else:
             _write_rows(_interval_rows(cfg, program, outcomes, methods, verdicts))
     except ValueError:
@@ -416,29 +399,43 @@ def run_intervals(args) -> int:
     return EXIT_OK
 
 
-def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[dict]:
-    """One entry per location; each distinct environment and interval value
-    is encoded once, and its text reused wherever the value appears again."""
-    variables = program.variables
+def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[str]:
+    """The report's "results" list as text parts, placed as the writer
+    places it under the top-level key: entries 4 spaces deep, their fields
+    6, variables 8 and bounds 10.  Each distinct environment and interval
+    is rendered once, and its text reused wherever the value appears
+    again."""
+    names = [(v, encode_basestring_ascii(v)) for v in sorted(program.variables)]
+
+    def bound_text(b) -> str:
+        return int.__repr__(b) if isinstance(b, int) else f'"{b!r}"'
 
     @functools.cache
-    def interval_text(iv: Interval) -> _Encoded:
-        return _Encoded(_json_text(_interval_json(iv)))
+    def interval_text(iv: Interval) -> str:
+        if iv.is_empty:
+            return "null"
+        return f"[\n          {bound_text(iv.lo)},\n          {bound_text(iv.hi)}\n        ]"
 
     @functools.cache
-    def env_text(env: AbstractEnv) -> _Encoded | None:
+    def env_text(env: AbstractEnv) -> str:
         if env.bottom:
-            return None
+            return "null"
         ivs = env.as_dict()
-        return _Encoded(_json_text({v: interval_text(ivs[v]) for v in variables}))
+        fields = [f"\n        {key}: {interval_text(ivs[v])}" for v, key in names]
+        return "{" + ",".join(fields) + "\n      }" if fields else "{}"
 
-    results = []
+    # (key, the method's environments or None for the location's name)
+    columns = sorted([("location", None)] + [(m if compare else "env", outcomes[m].envs) for m in methods],
+                     key=lambda column: column[0])
+    labels = [f"{',' if i else '{'}\n      {encode_basestring_ascii(key)}: " for i, (key, _) in enumerate(columns)]
+    parts: list[str] = []
     for loc in cfg.locations:
-        entry = {"location": loc}
-        for m in methods:
-            entry[m if compare else "env"] = env_text(outcomes[m].envs[loc])
-        results.append(entry)
-    return results
+        parts.append(",\n    " if parts else "[\n    ")
+        for label, (_, envs) in zip(labels, columns):
+            parts += (label, encode_basestring_ascii(loc) if envs is None else env_text(envs[loc]))
+        parts.append("\n    }")
+    parts.append("\n  ]" if parts else "[]")
+    return parts
 
 
 def _assert_results(cfg, verdicts, methods, compare: bool) -> list[dict]:

@@ -103,9 +103,6 @@ class Interval(NamedTuple):
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    def contains(self, v: int) -> bool:
-        return self.lo <= v and v <= self.hi
-
     def join(self, other: "Interval") -> "Interval":
         if self.is_empty:
             return other
@@ -117,13 +114,6 @@ class Interval(NamedTuple):
         if self.is_empty or other.is_empty:
             return EMPTY
         return Interval.make(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def subset(self, other: "Interval") -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        return other.lo <= self.lo and self.hi <= other.hi
 
     def __repr__(self):
         if self.is_empty:
@@ -254,23 +244,38 @@ BOTTOM_ENV = AbstractEnv((), True)
 def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
     if env.bottom:
         return EMPTY
+    kind = type(e)
+    if kind is Var:  # the environment's own object: `set` tests identity
+        return env.get(e.name)
+    if kind is Const:
+        return Interval(e.value, e.value)
     # BinOp trees from the parser are left-nested: the left spine is walked
     # in a loop, so a long sum does not recurse.
     spine: list[BinOp] = []
-    while isinstance(e, BinOp):
+    while kind is BinOp:
         spine.append(e)
         e = e.left
-    if isinstance(e, Const):
-        value = Interval.const(e.value)
-    elif isinstance(e, Var):
+        kind = type(e)
+    if kind is Const:
+        value = Interval(e.value, e.value)
+    elif kind is Var:
         value = env.get(e.name)
-    elif isinstance(e, Nondet):
+    elif kind is Nondet:
         value = TOP
     else:
         raise TypeError(f"unknown expression {e!r}")
     for node in reversed(spine):
-        right = eval_expr(node.right, env)
-        if value.is_empty or right.is_empty:
+        right = node.right
+        kind = type(right)
+        if kind is Const:
+            right = Interval(right.value, right.value)
+        elif kind is Var:
+            right = env.get(right.name)
+        elif kind is Nondet:
+            right = TOP
+        else:
+            right = eval_expr(right, env)
+        if value.lo > value.hi or right.lo > right.hi:
             return EMPTY
         if node.op == "+":
             value = Interval(badd(value.lo, right.lo), badd(value.hi, right.hi))

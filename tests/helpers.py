@@ -433,6 +433,16 @@ class RangeBlown(Exception):
     pass
 
 
+def contains(iv, value: int) -> bool:
+    """Whether the interval `iv` holds the concrete `value`."""
+    return iv.lo <= value <= iv.hi
+
+
+def subset(a, b) -> bool:
+    """Whether the interval `a` lies within `b` (the empty one in any)."""
+    return a.is_empty or (not b.is_empty and b.lo <= a.lo and a.hi <= b.hi)
+
+
 def _eval_concrete(e, store, menu):
     """Yield every possible value (nondeterminism branches over `menu`)."""
     if isinstance(e, Const):
@@ -784,6 +794,36 @@ def build_fragment_corpus(seed: int, count: int, max_nodes: int = 10):
     if len(corpus) < count:
         raise RuntimeError(f"only built {len(corpus)} fragment programs")
     return corpus
+
+
+def inline_equation(system: BoundSystem, target: str) -> BoundExpr:
+    """Substitute away every variable except `target`.
+
+    Works when every cycle of the system passes through `target` (a single
+    loop); references to other locations on a second cycle raise ValueError.
+    """
+    from absint.boundsolve import BAdd, BConst, BMax, BMin, BRef, badd_expr, bmax, bmin
+
+    rhs_map = dict(system.equations)
+
+    def expand(e: BoundExpr, stack: tuple[str, ...]) -> BoundExpr:
+        if isinstance(e, BConst):
+            return e
+        if isinstance(e, BRef):
+            if e.name == target:
+                return e
+            if e.name in stack:
+                raise ValueError(f"cycle through {e.name!r} does not pass the target")
+            return expand(rhs_map[e.name], stack + (e.name,))
+        if isinstance(e, BAdd):
+            return badd_expr(expand(e.expr, stack), e.offset)
+        if isinstance(e, BMin):
+            return bmin(expand(e.left, stack), expand(e.right, stack))
+        if isinstance(e, BMax):
+            return bmax(expand(e.left, stack), expand(e.right, stack))
+        raise TypeError(f"unknown bound expression {e!r}")
+
+    return expand(rhs_map[target], (target,))
 
 
 # ---------------------------------------------------------------------------

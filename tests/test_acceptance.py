@@ -19,7 +19,6 @@ from absint.boundsolve import (
     BRef,
     eval_bexpr,
     extract_upper_bounds,
-    inline_equation,
     solve_exhaustive,
     solve_intervals_exact,
     solve_policy_iteration,
@@ -41,7 +40,7 @@ from absint.rewrite import analyze_combined
 from absint.antichain import Antichain, Orientation
 
 import helpers
-from helpers import FRAGMENT_VAR
+from helpers import FRAGMENT_VAR, inline_equation, subset
 
 
 def ok(criterion: int, message: str) -> None:
@@ -177,7 +176,7 @@ def test_criterion_6_solver_cross_validation(fragment_corpus_full):
             if wenv.bottom:
                 assert exact[loc].is_empty
             else:
-                assert exact[loc].subset(wenv.get(FRAGMENT_VAR))
+                assert subset(exact[loc], wenv.get(FRAGMENT_VAR))
     ok(6, f"both solvers match the concrete hulls at {locations} locations and dominate widening")
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
@@ -16,10 +17,10 @@ from absint.boundsolve import (
     RangeExceededError,
     UnsupportedConstructError,
     bounded_concrete_oracle,
+    dump_expr,
     dump_system,
     eval_bexpr,
     extract_upper_bounds,
-    inline_equation,
     is_fixpoint,
     solve_exhaustive,
     solve_intervals_exact,
@@ -29,14 +30,16 @@ from absint.boundsolve import (
 from absint import boundsolve as boundsolve_module
 from absint.cfg import back_edge_targets, build_cfg, parse_access_graph
 from absint.lru import OracleBudgetError
-from absint.intervals import NEG_INF, POS_INF, Interval, analyze, entry_environment
+from absint.intervals import NEG_INF, POS_INF, TOP, Interval, analyze, entry_environment
 from absint.lang import parse_program
 from helpers import (
     FRAGMENT_VAR,
     chained_system,
     corner_system,
     gadget_chain_program,
+    inline_equation,
     random_fragment_program,
+    subset,
 )
 
 RING = """
@@ -79,6 +82,12 @@ def test_extracted_loop_equation_matches_reference_shape():
         assert eval_bexpr(inlined, rho) == eval_bexpr(reference, rho), value
 
 
+def test_readme_shows_the_inlined_loop_equation():
+    system, head, _ = ring_system()
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    assert f"```\n{dump_expr(inline_equation(system, head))}\n```" in readme
+
+
 def test_both_solvers_find_42():
     system, head, _ = ring_system()
     assert solve_exhaustive(system)[head] == 42
@@ -118,6 +127,28 @@ def test_extraction_rejects_foreign_guard():
     cfg = build_cfg(parse_program("int i; int j; if (j < 3) { i = 1; }"))
     with pytest.raises(UnsupportedConstructError, match="foreign"):
         extract_upper_bounds(cfg, "i", 0)
+
+
+def test_exact_solve_classifies_each_edge_once(monkeypatch):
+    """Both bound systems of one variable come from one classification of
+    the graph's edges, which later solves of that variable reuse."""
+    calls = []
+    edge_shape = boundsolve_module._edge_shape
+
+    def counting(label, var, graph):
+        calls.append(var)
+        return edge_shape(label, var, graph)
+
+    monkeypatch.setattr(boundsolve_module, "_edge_shape", counting)
+    rng = random.Random(20261026)
+    for _ in range(20):
+        text, init = random_fragment_program(rng)
+        cfg = build_cfg(parse_program(text))
+        calls.clear()
+        solve_intervals_exact(cfg, FRAGMENT_VAR, Interval.const(init))
+        assert len(calls) == len(cfg.edges)
+        solve_intervals_exact(cfg, FRAGMENT_VAR, TOP)
+        assert len(calls) == len(cfg.edges)
 
 
 def test_unreachable_location_solves_to_bottom():
@@ -380,7 +411,7 @@ def test_domination_exact_below_widen_narrow(fragment_corpus_small):
             if wenv.bottom:
                 assert exact[loc].is_empty
             else:
-                assert exact[loc].subset(wenv.get(FRAGMENT_VAR)), loc
+                assert subset(exact[loc], wenv.get(FRAGMENT_VAR)), loc
 
 
 def test_bounded_oracle_ring():

@@ -14,8 +14,9 @@ import pytest
 
 import absint
 from absint import boundsolve, lru
-from absint.cli import _Encoded, _json_text, main
-from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens
+from absint.cli import _json_text, main
+from absint.lang import pretty
+from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens, random_program
 
 PY = [sys.executable, "-m", "absint.cli"]
 
@@ -794,20 +795,50 @@ def test_json_writer_matches_json_dumps():
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-def test_json_writer_places_encoded_text_at_any_depth():
-    # Text encoded once reads exactly as the value does inside any containers.
-    rng = random.Random(20261019)
-    for _ in range(1000):
-        value = _random_report_value(rng)
-        keys = [_random_text(rng) if rng.random() < 0.5 else None for _ in range(rng.randint(0, 4))]
+# Programs for the intervals writer beyond the demos: no variables,
+# non-ASCII names, unreachable locations, and bounds at both infinities.
+WRITER_PROGRAMS = (
+    "while (*) { }\n",
+    "assert (1 < 2);\n",
+    "int \u00e9t\u00e9 = 0; int \u0436; int \U0001d4b3 = 2;\n"
+    "while (\u00e9t\u00e9 < 5) { \u00e9t\u00e9 = \u00e9t\u00e9 + 1; \u0436 = \u0436 - 1; }\n"
+    "assert (\U0001d4b3 < 3);\n",
+    "int v = 0; if (1 > 2) { v = 1; } while (2 < 1) { v = v + 1; } assert (v <= 0);\n",
+    "int v = 0; int w; while (*) { v = v + 1; } w = w - v;\n",
+    "int v = 3; while (*) { if (v > -7) { v = v - 1; } } assert (v >= -7);\n",
+)
 
-        def nest(inner):
-            for key in keys:
-                inner = [inner, 1] if key is None else {key: inner, "~": 1}
-            return inner
 
-        reused = nest(_Encoded(_json_text(value)))
-        assert _json_text(reused) == json.dumps(nest(value), indent=2, sort_keys=True)
+def test_intervals_json_report_reads_as_json_dumps(demo_dir, tmp_path, capsys):
+    """The intervals report is written from a fixed template, not by the
+    generic writer: it must read back byte for byte as json.dumps writes it,
+    for every method, with and without rewrites."""
+    texts = [text for path in sorted(demo_dir.glob("*.imp")) if "access(" not in (text := path.read_text())]
+    texts += WRITER_PROGRAMS
+    rng = random.Random(20261026)
+    texts += [pretty(random_program(rng)) for _ in range(25)]
+    runs = [["--method", m] for m in ("widen", "widen-narrow", "policy", "exhaustive", "oracle", "compare")]
+    runs += [["--method", m, "--rewrites", "full"] for m in ("widen", "widen-narrow", "compare")]
+    written = Counter()
+    seen = set()
+    for index, text in enumerate(texts):
+        path = tmp_path / f"p{index}.imp"
+        path.write_text(text, encoding="utf-8")
+        for run in runs:
+            code = main(["intervals", "--input", str(path), "--format", "json", *run])
+            out = capsys.readouterr().out
+            if code in (0, 3):
+                assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", (text, run)
+                written[run[1]] += 1
+                seen |= {part for part in ('"+oo"', '"-oo"', "null", '"env": {}', "\\u0436", "\\ud835\\udcb3")
+                         if part in out}
+            else:
+                assert out == ""
+    # Every method wrote reports, compare one for every program, and the
+    # reports held both infinities, null, an empty environment and escapes.
+    assert set(written) == {"widen", "widen-narrow", "policy", "exhaustive", "oracle", "compare"}
+    assert written["compare"] == 2 * len(texts)
+    assert len(seen) == 6
 
 
 @pytest.mark.parametrize("value", [(1, 2), {1, 2}, b"x", object(), {1: "a"}, {"a": [(1,)]}, {("a",): 1}])

@@ -48,7 +48,11 @@ Three pins, checked against every later change of the fixpoint engine:
   mutations of all of them and the lexer's odd texts;
 * one SHA-256 over the dump of each system and the result, or the error,
   of ``solve_exhaustive`` at a cap of 12 min/max nodes, on seeded corner
-  systems and on the upper and negated systems of seeded fragment programs.
+  systems and on the upper and negated systems of seeded fragment programs;
+* one SHA-256 over the dump, or the error, of ``extract_upper_bounds`` in
+  both orientations, at the declared entry bound and at an unbounded one,
+  on seeded fragment and gadget programs and on the oracle's odd programs
+  (recorded before extraction began classifying each edge once).
 
 A failing pin means the analysis output changed.  If that is intended,
 print the matching ``_..._digest()`` or ``_..._digests()`` function's value
@@ -676,6 +680,35 @@ def _exhaustive_digest() -> str:
     return h.hexdigest()
 
 
+EXTRACT_SEED = 20261026
+EXTRACT_FRAGMENT_PROGRAMS = 300
+EXTRACT_GOLDEN = '0d534c63aafa264e074ac672470910dcec5ed28d1ee6ec31874f6e82ae66b777'
+
+
+def _extract_outcome(cfg, var, entry_bound, negate) -> str:
+    try:
+        return dump_system(extract_upper_bounds(cfg, var, entry_bound, negate))
+    except Exception as exc:  # the error is part of the pinned outcome
+        return f"{type(exc).__name__}: {exc}\n"
+
+
+def _extract_digest() -> str:
+    rng = random.Random(EXTRACT_SEED)
+    cases = [(*helpers.random_fragment_program(rng), helpers.FRAGMENT_VAR)
+             for _ in range(EXTRACT_FRAGMENT_PROGRAMS)]
+    cases += [(helpers.gadget_chain_program(rng, repeats)[0], 0, helpers.FRAGMENT_VAR)
+              for repeats in (1, 2, 3)]
+    cases += [(text, 3, var) for text, var, *_ in NUMERIC_CASES]
+    h = hashlib.sha256()
+    for index, (text, init, var) in enumerate(cases):
+        cfg = build_cfg(parse_program(text))
+        h.update(f"#{index}\n".encode())
+        for upper, lower in ((init, -init), (POS_INF, POS_INF)):
+            h.update(_extract_outcome(cfg, var, upper, False).encode())
+            h.update(_extract_outcome(cfg, var, lower, True).encode())
+    return h.hexdigest()
+
+
 def test_lru_states_golden():
     assert _lru_digest() == LRU_GOLDEN
 
@@ -723,3 +756,7 @@ def test_odd_input_name_json_golden(demo_dir, tmp_path, capsys, monkeypatch):
 
 def test_solve_exhaustive_golden():
     assert _exhaustive_digest() == EXHAUSTIVE_GOLDEN
+
+
+def test_extract_upper_bounds_golden():
+    assert _extract_digest() == EXTRACT_GOLDEN

@@ -26,7 +26,7 @@ from absint.intervals import (
 )
 from absint.lang import BinOp, Cmp, Const, Nondet, Var, parse_program
 from absint.rewrite import analyze_combined
-from helpers import RangeBlown, concrete_stores, random_long_program, random_program
+from helpers import RangeBlown, concrete_stores, contains, random_long_program, random_program, subset
 
 RING = """
 int i;
@@ -146,7 +146,7 @@ def test_filter_cond_against_brute_force():
         sat = [p for p in points if RELOPS[op](_value(c.left, p), _value(c.right, p))]
         for p in sat:
             assert not out.bottom, c
-            assert all(out.get(v).contains(p[v]) for v in names), (c, box, p)
+            assert all(contains(out.get(v), p[v]) for v in names), (c, box, p)
         kinds = sorted(type(side).__name__ for side in (c.left, c.right))
         if kinds == ["Const", "Var"] or (kinds == ["Var", "Var"] and c.left != c.right):
             exact += 1
@@ -183,7 +183,7 @@ def test_widen_is_upper_bound_and_stabilizes():
         for _ in range(10):
             nxt = rand_iv()
             out = widen(acc, nxt)
-            assert acc.subset(out) and nxt.subset(out)
+            assert subset(acc, out) and subset(nxt, out)
             if out != acc:
                 changes += 1
             acc = out
@@ -236,7 +236,7 @@ def _below_same_vars(b, a) -> bool:
         return True
     if a.bottom or [v for v, _ in a.intervals] != [v for v, _ in b.intervals]:
         return False
-    return all(q.subset(p) for (_, p), (_, q) in zip(a.intervals, b.intervals))
+    return all(subset(q, p) for (_, p), (_, q) in zip(a.intervals, b.intervals))
 
 
 def test_env_join_and_widen_match_pointwise_reference():
@@ -477,5 +477,5 @@ def test_soundness_against_concrete_enumeration():
                     assert not envl.bottom, loc
                 for t in tuples:
                     for who, value in zip(cfg.variables, t):
-                        assert envl.get(who).contains(value), (loc, who, value)
+                        assert contains(envl.get(who), value), (loc, who, value)
     assert checked >= 100

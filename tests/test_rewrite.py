@@ -21,7 +21,7 @@ from absint.rewrite import (
     rewrite_and_simplify,
     simplify,
 )
-from helpers import RangeBlown, concrete_stores, random_long_program, random_program
+from helpers import RangeBlown, concrete_stores, contains, random_long_program, random_program, subset
 
 COPY_DIFF = """
 int x;
@@ -132,7 +132,7 @@ def test_guarded_copy_full_vs_truncated():
     assert full.envs[lloc].get("l") == TOP
     assert truncated.envs[lloc].get("l") == Interval(2, POS_INF)
     # strict refinement: the non-monotonicity witness
-    assert truncated.envs[lloc].get("l").subset(full.envs[lloc].get("l"))
+    assert subset(truncated.envs[lloc].get("l"), full.envs[lloc].get("l"))
     assert truncated.envs[lloc].get("l") != full.envs[lloc].get("l")
 
 
@@ -150,7 +150,7 @@ def test_combined_refines_plain_on_random_programs():
                 continue
             assert not envp.bottom, loc
             for v in cfg.variables:
-                assert envc.get(v).subset(envp.get(v)), (loc, v)
+                assert subset(envc.get(v), envp.get(v)), (loc, v)
 
 
 def test_combined_sound_against_concrete_enumeration():
@@ -178,7 +178,7 @@ def test_combined_sound_against_concrete_enumeration():
                 for t in tuples:
                     assert not envl.bottom
                     for who, value in zip(cfg.variables, t):
-                        assert envl.get(who).contains(value), (loc, who, value, depth)
+                        assert contains(envl.get(who), value), (loc, who, value, depth)
     assert checked >= 60
 
 
