@@ -10,9 +10,10 @@ byte-reproducible for identical inputs and flags; wall-clock timings are
 only emitted with ``--timings`` (into the report's ``timings`` object, which
 is otherwise empty).  Every JSON report is byte-identical to ``json.dumps``
 with ``indent`` 2 and ``sort_keys``.  One generic writer produces cache
-reports and the small fields of an intervals report; an intervals report's
-results come from a fixed template that renders each distinct environment
-and interval once, at the depth where it is written.
+reports and the scalars, timings and skipped methods of an intervals
+report; an intervals report's assertions and results come from a fixed
+template that renders each distinct environment and interval once, at the
+depth where it is written.
 
 Exit codes: 0 success, 1 input or usage error (or a failed internal
 consistency check), 2 oracle budget (including more distinct blocks than
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -149,10 +151,6 @@ def _encode(value, newline: str, out) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(report: dict) -> None:
-    sys.stdout.write(_json_text(report) + "\n")
-
-
 def _write_rows(rows: list[str]) -> None:
     sys.stdout.write("\n".join(rows) + ("\n" if rows else ""))
 
@@ -226,7 +224,7 @@ def run_cache(args) -> int:
         }
         if compare:
             report["disagreements"] = disagreements
-        _write_json(report)
+        sys.stdout.write(_json_text(report) + "\n")
         return EXIT_OK
 
     rows = [f"{'site':>4}  {'block':<8} {'location':<12} " + " ".join(f"{m:<12}" for m in methods)]
@@ -290,11 +288,11 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
             raise  # a RuntimeError, but main reports it as deep input
         except RuntimeError as exc:
             raise _InternalError(f"internal solver error: {exc}")
-    names = sorted(per_var)
+    names = tuple(sorted(per_var))
     envs = {}
     for loc in cfg.locations:
-        items = tuple((v, per_var[v][loc]) for v in names)
-        envs[loc] = BOTTOM_ENV if any(iv.is_empty for _, iv in items) else AbstractEnv(items)
+        values = tuple(per_var[v][loc] for v in names)
+        envs[loc] = BOTTOM_ENV if any(iv.is_empty for iv in values) else AbstractEnv(names, values)
     return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 
@@ -314,10 +312,10 @@ def _oracle_result(cfg, program, value_range) -> AnalysisResult:
             raise _CliError(f"program outside the oracle fragment: {exc}")
         except (boundsolve.RangeExceededError, OracleBudgetError) as exc:
             raise _CliError(str(exc), EXIT_BUDGET)
+    names = tuple(sorted(hulls))
     for loc in cfg.locations:
-        cells = {v: table[loc] for v, table in hulls.items()}
-        envs[loc] = (BOTTOM_ENV if None in cells.values()
-                     else AbstractEnv.of({v: Interval(*hull) for v, hull in cells.items()}))
+        cells = [hulls[v][loc] for v in names]
+        envs[loc] = BOTTOM_ENV if None in cells else AbstractEnv(names, tuple(Interval(*hull) for hull in cells))
     return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 
@@ -370,23 +368,17 @@ def run_intervals(args) -> int:
     # in full before it is written, so stdout stays empty.
     try:
         if args.format == "json":
-            fields = {
-                "schema": SCHEMA_VERSION,
-                "tool": TOOL,
-                "version": VERSION,
-                "method": args.method,
-                "rewrites": args.rewrites,
-                "input": args.input,
-                "asserts": _assert_results(cfg, verdicts, methods, args.method == "compare"),
-                "timings": timings,
-            }
-            if args.method == "compare":
+            compare = args.method == "compare"
+            fields = {"schema": SCHEMA_VERSION, "tool": TOOL, "version": VERSION, "method": args.method,
+                      "rewrites": args.rewrites, "input": args.input, "timings": timings}
+            if compare:
                 fields["skipped"] = skipped
-            results = _interval_results(cfg, program, outcomes, methods, args.method == "compare")
+            listed = {"asserts": _assert_results(cfg, verdicts, methods, compare),
+                      "results": _interval_results(cfg, program, outcomes, methods, compare)}
             parts = []
-            for key in sorted([*fields, "results"]):
+            for key in sorted([*fields, *listed]):
                 parts += (",\n  " if parts else "{\n  ", encode_basestring_ascii(key), ": ")
-                parts += results if key == "results" else (_json_text(fields[key], "\n  "),)
+                parts += listed[key] if key in listed else (_json_text(fields[key], "\n  "),)
             parts.append("\n}\n")
             sys.stdout.write("".join(parts))
         else:
@@ -399,13 +391,28 @@ def run_intervals(args) -> int:
     return EXIT_OK
 
 
+def _listed(items, columns) -> list[str]:
+    """A list of objects as text parts, placed as the writer places it
+    under a top-level key: entries 4 spaces deep and their fields 6.
+    `columns` holds (key, the field's text for an item)."""
+    columns = sorted(columns, key=lambda column: column[0])
+    labels = [f"{',' if i else '{'}\n      {encode_basestring_ascii(key)}: " for i, (key, _) in enumerate(columns)]
+    parts: list[str] = []
+    for item in items:
+        parts.append(",\n    " if parts else "[\n    ")
+        for label, (_, text) in zip(labels, columns):
+            parts += (label, text(item))
+        parts.append("\n    }")
+    parts.append("\n  ]" if parts else "[]")
+    return parts
+
+
 def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[str]:
-    """The report's "results" list as text parts, placed as the writer
-    places it under the top-level key: entries 4 spaces deep, their fields
-    6, variables 8 and bounds 10.  Each distinct environment and interval
-    is rendered once, and its text reused wherever the value appears
-    again."""
-    names = [(v, encode_basestring_ascii(v)) for v in sorted(program.variables)]
+    """The report's "results" list (variables 8 spaces deep, bounds 10).
+    Each distinct environment and interval is rendered once, and its text
+    reused wherever the value appears again."""
+    # Every environment lists the program's variables in sorted order.
+    keys = [encode_basestring_ascii(v) for v in sorted(program.variables)]
 
     def bound_text(b) -> str:
         return int.__repr__(b) if isinstance(b, int) else f'"{b!r}"'
@@ -420,46 +427,35 @@ def _interval_results(cfg, program, outcomes, methods, compare: bool) -> list[st
     def env_text(env: AbstractEnv) -> str:
         if env.bottom:
             return "null"
-        ivs = env.as_dict()
-        fields = [f"\n        {key}: {interval_text(ivs[v])}" for v, key in names]
+        fields = [f"\n        {key}: {interval_text(iv)}" for key, iv in zip(keys, env.values)]
         return "{" + ",".join(fields) + "\n      }" if fields else "{}"
 
-    # (key, the method's environments or None for the location's name)
-    columns = sorted([("location", None)] + [(m if compare else "env", outcomes[m].envs) for m in methods],
-                     key=lambda column: column[0])
-    labels = [f"{',' if i else '{'}\n      {encode_basestring_ascii(key)}: " for i, (key, _) in enumerate(columns)]
-    parts: list[str] = []
-    for loc in cfg.locations:
-        parts.append(",\n    " if parts else "[\n    ")
-        for label, (_, envs) in zip(labels, columns):
-            parts += (label, encode_basestring_ascii(loc) if envs is None else env_text(envs[loc]))
-        parts.append("\n    }")
-    parts.append("\n  ]" if parts else "[]")
-    return parts
+    columns = [("location", encode_basestring_ascii)]
+    columns += [(m if compare else "env", lambda loc, envs=outcomes[m].envs: env_text(envs[loc])) for m in methods]
+    return _listed(cfg.locations, columns)
 
 
-def _assert_results(cfg, verdicts, methods, compare: bool) -> list[dict]:
-    entries = []
-    for site in cfg.asserts:
-        entry = {"assert": site.sid, "location": site.loc}
-        for m in methods:
-            entry[m if compare else "verdict"] = "proved" if verdicts[m][site.sid] else "unproved"
-        entries.append(entry)
-    return entries
+def _assert_results(cfg, verdicts, methods, compare: bool) -> list[str]:
+    columns = [("assert", lambda site: int.__repr__(site.sid)),
+               ("location", lambda site: encode_basestring_ascii(site.loc))]
+    columns += [(m if compare else "verdict", lambda site, proved=verdicts[m]:
+                 '"proved"' if proved[site.sid] else '"unproved"') for m in methods]
+    return _listed(cfg.asserts, columns)
 
 
 def _interval_rows(cfg, program, outcomes, methods, verdicts) -> list[str]:
     variables = program.variables
     width = 18 * max(1, len(variables))
     rows = [f"{'location':<12} " + " ".join(f"{m:<{width}}" for m in methods)]
+    # Declaration order, read from the sorted order every environment lists.
+    positions = [*map(sorted(variables).index, variables)]
 
     @functools.cache
     def cell(env: AbstractEnv) -> str:
         if env.bottom:
             shown = "unreachable"
         else:
-            ivs = env.as_dict()
-            shown = " ".join(f"{v}={ivs[v]!r:<14}" for v in variables)
+            shown = " ".join(f"{v}={env.values[i]!r:<14}" for v, i in zip(variables, positions))
         return f"{shown:<{width}}"
 
     for loc in cfg.locations:
@@ -514,6 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--narrow-passes", type=int, default=1, dest="narrow_passes", help="K >= 0")
     iv.add_argument("--rewrites", default="off", help="off | full | truncated:<d>")
     iv.add_argument("--range", default="-1024:1100", help="value range for the concrete oracle")
+    # Read "-5:100" after a space as a value, as argparse reads "-5" (no flag starts with "-" and a digit).
+    iv._negative_number_matcher = re.compile(r"-\d")
     iv.add_argument("--format", choices=("text", "json"), default="text")
     iv.add_argument("--timings", action="store_true", help="include wall-clock timings (not byte-reproducible)")
     iv.set_defaults(func=run_intervals, least=(("widen_delay", 0), ("narrow_passes", 0)))

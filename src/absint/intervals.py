@@ -6,7 +6,10 @@ Finite bounds are always ints.  The infinities ``POS_INF`` and ``NEG_INF``
 are the only two instances of a float subclass, so that every bound
 comparison runs in C; they print as ``+oo``/``-oo`` and refuse arithmetic
 (``badd`` is the one addition on bounds).  Intervals and environments are
-named tuples, so they compare and hash in C as well.
+named tuples, so they compare and hash in C as well, and hot paths build
+them with ``tuple.__new__``.  An environment holds a tuple of variable
+names, shared by every environment derived from the same entry, and the
+intervals in that order; ``names.index`` finds a variable.
 
 Fixpoint engine: ``chaotic_iteration`` is the one worklist loop of the
 numeric analyses, generic in a value with ``join``, ``widen`` and
@@ -85,6 +88,10 @@ def badd(a, b):
     return a + b
 
 
+# ``_new(Interval, (lo, hi))`` skips the generated ``__new__``, which runs in Python.
+_new = tuple.__new__
+
+
 class Interval(NamedTuple):
     lo: Bound
     hi: Bound
@@ -93,7 +100,7 @@ class Interval(NamedTuple):
     def make(lo, hi) -> "Interval":
         if lo > hi:
             return EMPTY
-        return Interval(lo, hi)
+        return _new(Interval, (lo, hi))
 
     @staticmethod
     def const(c: int) -> "Interval":
@@ -103,16 +110,8 @@ class Interval(NamedTuple):
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    def join(self, other: "Interval") -> "Interval":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return _hull(self, other)
-
     def meet(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
-            return EMPTY
+        # Empty when either side is: then the larger low bound passes the smaller high one.
         return Interval.make(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __repr__(self):
@@ -131,10 +130,10 @@ def _hull(a: Interval, b: Interval) -> Interval:
     if a.lo <= b.lo:
         if b.hi <= a.hi:
             return a
-        return b if a.lo == b.lo else Interval(a.lo, b.hi)
+        return b if a.lo == b.lo else _new(Interval, (a.lo, b.hi))
     if a.hi <= b.hi:
         return b
-    return Interval(b.lo, a.hi)
+    return _new(Interval, (b.lo, a.hi))
 
 
 def widen(old: Interval, new: Interval) -> Interval:
@@ -148,7 +147,7 @@ def widen(old: Interval, new: Interval) -> Interval:
     hi = old.hi if old.hi >= new.hi else POS_INF
     if lo is old.lo and hi is old.hi:
         return old
-    return Interval(lo, hi)
+    return _new(Interval, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -157,71 +156,74 @@ def widen(old: Interval, new: Interval) -> Interval:
 
 
 class AbstractEnv(NamedTuple):
-    """Per-variable intervals over the variables listed when it was built
-    (``of``); any empty component collapses to unreachable.  ``get`` of a
-    variable it does not list raises KeyError, and so does ``set`` of one
-    to a nonempty interval unless the environment is unreachable."""
+    """Per-variable intervals: ``values[i]`` belongs to ``names[i]``, and
+    ``of`` lists the names in sorted order; any empty component collapses
+    to unreachable.  ``get`` of a variable it does not list raises
+    KeyError, and so does ``set`` of one to a nonempty interval unless the
+    environment is unreachable.  It prints as the (name, interval) pairs
+    of ``intervals``."""
 
-    intervals: tuple[tuple[str, Interval], ...] = ()
+    names: tuple[str, ...]
+    values: tuple[Interval, ...]
     bottom: bool = False
 
     @staticmethod
     def of(mapping: Mapping[str, Interval]) -> "AbstractEnv":
-        items = tuple(sorted(mapping.items()))
-        if any(iv.is_empty for _, iv in items):
-            return BOTTOM_ENV
-        return AbstractEnv(items)
+        names = tuple(sorted(mapping))
+        values = tuple(map(mapping.__getitem__, names))
+        return BOTTOM_ENV if any(iv.is_empty for iv in values) else AbstractEnv(names, values)
+
+    @property
+    def intervals(self) -> tuple[tuple[str, Interval], ...]:
+        return tuple(zip(self.names, self.values))
 
     def as_dict(self) -> dict[str, Interval]:
-        return dict(self.intervals)
+        return dict(zip(self.names, self.values))
+
+    def __repr__(self):
+        return f"AbstractEnv(intervals={self.intervals!r}, bottom={self.bottom!r})"
 
     def get(self, var: str) -> Interval:
-        for name, iv in self.intervals:
-            if name == var:
-                return iv
-        raise KeyError(var)
+        if var not in self.names:
+            raise KeyError(var)
+        return self.values[self.names.index(var)]
 
     def set(self, var: str, iv: Interval) -> "AbstractEnv":
-        if self.bottom:
+        names, values, bottom = self
+        if bottom:
             return self
-        if iv.is_empty:
+        if iv.lo > iv.hi:
             return BOTTOM_ENV
-        items = self.intervals
-        for i, (name, old) in enumerate(items):
-            if name == var:
-                if old is iv:
-                    return self
-                return AbstractEnv(items[:i] + ((var, iv),) + items[i + 1:])
-        raise KeyError(var)
+        if var not in names:
+            raise KeyError(var)
+        i = names.index(var)
+        if values[i] is iv:
+            return self
+        return _new(AbstractEnv, (names, values[:i] + (iv,) + values[i + 1:], False))
 
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
-        if self.bottom:
-            return other
-        if other.bottom or other is self:
-            return self
         return self._pointwise(other, _hull)
 
     def widen(self, other: "AbstractEnv") -> "AbstractEnv":
-        if self.bottom:
-            return other
-        if other.bottom or other is self:
-            return self
         return self._pointwise(other, widen)
 
     def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
         """`op` (join or widening of intervals) variable by variable, on two
-        environments over the same variables.  Returns `self`, or else
-        `other`, itself when every resulting interval equals that operand's.
-        Neither side is bottom, so neither holds an empty interval (``of``
-        and ``set`` collapse those) and `op` may assume non-empty operands."""
-        mine, theirs = self.intervals, other.intervals
-        # Results share every (name, interval) pair they keep, so only the
-        # positions whose pairs differ need a look.
+        environments over the same variables; bottom yields to the other
+        side.  Returns `self`, or else `other`, itself when every resulting
+        interval equals that operand's.  Empty intervals collapse to bottom
+        (``of`` and ``set``), so `op` may assume non-empty operands."""
+        if self.bottom:
+            return other
+        if other.bottom or other is self:
+            return self
+        mine, theirs = self.values, other.values
+        # Results share every interval they keep, so only the positions
+        # whose intervals are different objects need a look.
         out = None
         all_theirs = True
         for i in compress(range(len(mine)), map(is_not, mine, theirs)):
-            name, a = mine[i]
-            b = theirs[i][1]
+            a, b = mine[i], theirs[i]
             if a == b:
                 continue
             c = op(a, b)
@@ -232,23 +234,24 @@ class AbstractEnv(NamedTuple):
                 all_theirs = False
             if out is None:
                 out = list(mine)
-            out[i] = theirs[i] if c is b else (name, c)
+            out[i] = c
         if out is None:
             return self
-        return other if all_theirs else AbstractEnv(tuple(out))
+        return other if all_theirs else _new(AbstractEnv, (self.names, tuple(out), False))
 
 
-BOTTOM_ENV = AbstractEnv((), True)
+BOTTOM_ENV = AbstractEnv((), (), True)
 
 
 def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
-    if env.bottom:
+    names, values, bottom = env
+    if bottom:
         return EMPTY
     kind = type(e)
     if kind is Var:  # the environment's own object: `set` tests identity
-        return env.get(e.name)
+        return values[names.index(e.name)]
     if kind is Const:
-        return Interval(e.value, e.value)
+        return _new(Interval, (e.value, e.value))
     # BinOp trees from the parser are left-nested: the left spine is walked
     # in a loop, so a long sum does not recurse.
     spine: list[BinOp] = []
@@ -257,9 +260,9 @@ def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
         e = e.left
         kind = type(e)
     if kind is Const:
-        value = Interval(e.value, e.value)
+        value = _new(Interval, (e.value, e.value))
     elif kind is Var:
-        value = env.get(e.name)
+        value = values[names.index(e.name)]
     elif kind is Nondet:
         value = TOP
     else:
@@ -268,9 +271,9 @@ def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
         right = node.right
         kind = type(right)
         if kind is Const:
-            right = Interval(right.value, right.value)
+            right = _new(Interval, (right.value, right.value))
         elif kind is Var:
-            right = env.get(right.name)
+            right = values[names.index(right.name)]
         elif kind is Nondet:
             right = TOP
         else:
@@ -278,9 +281,9 @@ def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
         if value.lo > value.hi or right.lo > right.hi:
             return EMPTY
         if node.op == "+":
-            value = Interval(badd(value.lo, right.lo), badd(value.hi, right.hi))
+            value = _new(Interval, (badd(value.lo, right.lo), badd(value.hi, right.hi)))
         else:
-            value = Interval(badd(value.lo, -right.hi), badd(value.hi, -right.lo))
+            value = _new(Interval, (badd(value.lo, -right.hi), badd(value.hi, -right.lo)))
     return value
 
 
@@ -326,15 +329,12 @@ def filter_cond(c: Cond, env: AbstractEnv) -> AbstractEnv:
     narrowed = _narrow(left, c.op, right)
     if narrowed.is_empty:
         return BOTTOM_ENV
-    out = env
-    if isinstance(c.left, Var) and narrowed is not left:
-        out = out.set(c.left.name, narrowed)
+    # `set` returns the environment itself when the interval is its own.
+    if isinstance(c.left, Var):
+        env = env.set(c.left.name, narrowed)
     if isinstance(c.right, Var):
-        cur = out.get(c.right.name)
-        narrowed = _narrow(cur, FLIPPED_OP[c.op], left)
-        if narrowed is not cur:
-            out = out.set(c.right.name, narrowed)
-    return out
+        env = env.set(c.right.name, _narrow(env.get(c.right.name), FLIPPED_OP[c.op], left))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +356,6 @@ class AnalysisResult:
 
 
 def _edge_transfer(label, env: AbstractEnv) -> AbstractEnv:
-    if env.bottom:
-        return env
     if isinstance(label, AssignLabel):
         return env.set(label.var, eval_expr(label.expr, env))
     if isinstance(label, AssumeLabel):
@@ -417,14 +415,15 @@ def chaotic_iteration(
         incoming[e.dst].append([e.src, e.label, None, None])
 
     def candidate(loc: str, values: dict):
-        acc = entry if loc == cfg.entry else bottom
+        # Starts from the first contribution: bottom's join returns its operand.
+        acc = entry if loc == cfg.entry else None
         for memo in incoming[loc]:
             value = values[memo[0]]
             if memo[2] is not value:
                 memo[2] = value
                 memo[3] = transfer(memo[1], value)
-            acc = acc.join(memo[3])
-        return acc
+            acc = memo[3] if acc is None else acc.join(memo[3])
+        return bottom if acc is None else acc
 
     values = dict.fromkeys(cfg.locations, bottom)
     updates = dict.fromkeys(cfg.locations, 0)

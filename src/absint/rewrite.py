@@ -31,6 +31,7 @@ from .intervals import (
     BOTTOM_ENV,
     AbstractEnv,
     AnalysisResult,
+    _new,
     assert_verdicts,
     chaotic_iteration,
     check_cache_free,
@@ -215,7 +216,7 @@ class _State(NamedTuple):
             return self
         if env is other.env and rules is other.rules:
             return other
-        return _State(env, rules)
+        return _new(_State, (env, rules))
 
     def widen(self, other: "_State") -> "_State":
         # The engine widens `old` with `old.join(new)`, whose rules are already
@@ -225,7 +226,7 @@ class _State(NamedTuple):
             return self
         if env is other.env:
             return other
-        return _State(env, other.rules)
+        return _new(_State, (env, other.rules))
 
 
 _BOTTOM_STATE = _State(BOTTOM_ENV, _NO_RULES)
@@ -283,14 +284,14 @@ def analyze_combined(
             new_env = env.set(label.var, plain.meet(eval_expr(memo[1], env)))
             if new_env.bottom:
                 return _BOTTOM_STATE
-            return _State(new_env, memo[2])
+            return _new(_State, (new_env, memo[2]))
         if isinstance(label, AssumeLabel):
             memo = rewritten.get(id(label))
             if memo is None or memo[0] is not rules:
                 memo = rewritten[id(label)] = (rules, _rewritten_cond(label.cond, rules, depth))
             env = filter_cond(label.cond, env)
             env = filter_cond(memo[1], env)
-            return _State(env, rules) if not env.bottom else _BOTTOM_STATE
+            return _new(_State, (env, rules)) if not env.bottom else _BOTTOM_STATE
         return state
 
     states = chaotic_iteration(

@@ -716,6 +716,31 @@ def test_short_values_and_flags_are_quoted_whole(tmp_path, capsys, source, argv,
 
 
 @pytest.mark.parametrize(
+    "value, code, shown",
+    [
+        ("-5:100", 0, "L5           i=[3, 3]"),
+        ("-50:-7", 2, "entry interval [0, 0] outside (-50, -7)"),
+        ("0:100", 0, "assert 0 at L2: oracle=proved"),
+        ("-5", 1, "bad range '-5', expected lo:hi"),
+        ("5:1", 1, "bad range '5:1', lo exceeds hi"),
+        ("5", 1, "bad range '5', expected lo:hi"),
+        (f"-0:{LONG_DIGITS}", 1, "...', expected lo:hi"),
+    ],
+    ids=["negative-low", "negative-both", "nonnegative", "negative-alone", "reversed", "one-bound", "long"],
+)
+def test_range_with_or_without_equals_sign_reads_alike(tmp_path, capsys, value, code, shown):
+    """A negative low bound after a space is the flag's value, not a flag:
+    both spellings give the same exit code, report and message."""
+    path = tmp_path / "p.imp"
+    path.write_text("int i = 0;\nwhile (i < 3) { i = i + 1; }\nassert (i == 3);\n")
+    runs = []
+    for argv in (["--range", value], [f"--range={value}"]):
+        runs.append((main(["intervals", "--input", str(path), "--method", "oracle", *argv]), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code and shown in runs[0][1 if code == 0 else 2]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("cache", "--input", "{demo}/flag_reuse.imp", "--assoc", "4", "--method", "exact", "--format", "{fmt}"),

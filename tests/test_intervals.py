@@ -248,7 +248,7 @@ def test_env_join_and_widen_match_pointwise_reference():
         a, b = _random_env(rng, names), _random_env(rng, names)
         if round_ % 3 == 2 and not (a.bottom or b.bottom):
             # share some interval objects, as environments of one run do
-            b = AbstractEnv(tuple(p if rng.random() < 0.5 else q for p, q in zip(a.intervals, b.intervals)))
+            b = AbstractEnv.of(dict(p if rng.random() < 0.5 else q for p, q in zip(a.intervals, b.intervals)))
         for x, y in ((a, b), (b, a), (a, a)):
             joined, widened = x.join(y), x.widen(y)
             assert joined == _reference_join(x, y) and repr(joined) == repr(_reference_join(x, y))
@@ -303,7 +303,7 @@ def _reference_set(env, var, iv):
         return BOTTOM_ENV
     d = env.as_dict()
     d[var] = iv
-    return AbstractEnv(tuple(sorted(d.items())))
+    return AbstractEnv.of(d)
 
 
 def test_env_set_matches_dict_and_sort_reference():
@@ -479,3 +479,69 @@ def test_soundness_against_concrete_enumeration():
                     for who, value in zip(cfg.variables, t):
                         assert contains(envl.get(who), value), (loc, who, value)
     assert checked >= 100
+
+
+def test_env_public_face_is_pinned():
+    """Texts, views, equality, hashing and errors of environments, recorded
+    when environments were tuples of (name, interval) pairs."""
+    shared = Interval(-3, 5)
+    env = AbstractEnv.of({"c": shared, "a": TOP, "b": shared})
+    assert repr(env) == "AbstractEnv(intervals=(('a', [-oo, +oo]), ('b', [-3, 5]), ('c', [-3, 5])), bottom=False)"
+    assert repr(BOTTOM_ENV) == "AbstractEnv(intervals=(), bottom=True)"
+    assert repr(AbstractEnv.of({})) == "AbstractEnv(intervals=(), bottom=False)"
+    assert repr(env_of(x=Interval(0, POS_INF))) == "AbstractEnv(intervals=(('x', [0, +oo]),), bottom=False)"
+    assert repr(env.set("a", Interval(NEG_INF, -7))) == (
+        "AbstractEnv(intervals=(('a', [-oo, -7]), ('b', [-3, 5]), ('c', [-3, 5])), bottom=False)")
+    assert str(env) == repr(env) and f"{env}" == repr(env)
+
+    assert env.intervals == (("a", TOP), ("b", shared), ("c", shared))
+    assert all(iv is shared for _, iv in env.intervals[1:])
+    assert env.as_dict() == {"a": TOP, "b": shared, "c": shared} and list(env.as_dict()) == ["a", "b", "c"]
+    assert BOTTOM_ENV.intervals == () and BOTTOM_ENV.as_dict() == {} and BOTTOM_ENV.bottom
+    assert not env.bottom and env.get("b") is shared
+
+    zero = Interval.const(0)
+    built = env_of(a=zero, b=zero, c=zero).set("c", Interval(-3, 5)).set("a", TOP).set("b", Interval(-3, 5))
+    assert built == env and hash(built) == hash(env) and built is not env
+    assert {built: 1}[env] == 1 and len({env, built, BOTTOM_ENV, AbstractEnv.of({})}) == 3
+    assert built != env.set("a", zero) and env != BOTTOM_ENV and AbstractEnv.of({}) != BOTTOM_ENV
+    assert env_of(a=TOP, b=EMPTY) is BOTTOM_ENV and env.set("c", EMPTY) is BOTTOM_ENV
+
+    for bad in ("d", "", "A"):
+        with pytest.raises(KeyError) as caught:
+            env.get(bad)
+        assert caught.value.args == (bad,)
+        with pytest.raises(KeyError) as caught:
+            env.set(bad, TOP)
+        assert caught.value.args == (bad,)
+    with pytest.raises(KeyError):
+        BOTTOM_ENV.get("a")
+
+
+def test_every_returned_value_has_its_own_class(demo_dir):
+    """`Interval(0, 1) == (0, 1)`, so only the class shows a value built
+    with the wrong constructor."""
+    from absint import cli
+
+    checked = 0
+    for path in sorted(demo_dir.glob("*.imp")):
+        program = parse_program(path.read_text())
+        cfg = build_cfg(program)
+        if cfg.access_sites:
+            continue
+        env = entry_environment(program)
+        runs = [(analyze, cfg, env, d, p) for d in (0, 1) for p in (0, 1)]
+        runs += [(analyze_combined, cfg, env, t, 0, 1) for t in (None, 1)]
+        runs += [(cli._solver_result, cfg, program, m) for m in ("policy", "exhaustive")]
+        runs += [(cli._oracle_result, cfg, program, (-1024, 1100))]
+        for fn, *args in runs:
+            try:
+                result = fn(*args)
+            except cli._CliError:
+                continue
+            for value in result.envs.values():
+                assert type(value) is AbstractEnv
+                assert all(type(iv) is Interval for _, iv in value.intervals)
+                assert all(type(iv) is Interval for iv in value.as_dict().values())
+            checked += 1
+    assert checked == 21  # the solvers and the oracle take ring_index only
