@@ -43,4 +43,4 @@ from .boundsolve import (
     solve_intervals_exact,
     dump_system,
 )
-from .rewrite import RewriteMap, record, rewrite_and_simplify, analyze_combined
+from .rewrite import LinearForm, RewriteMap, linear_form, record, rewrite_and_simplify, analyze_combined

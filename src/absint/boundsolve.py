@@ -333,13 +333,14 @@ def dump_system(system: BoundSystem) -> str:
 
 def _selector_nodes(system: BoundSystem) -> int:
     """The number of min/max nodes in `system`."""
+    return sum(_count_selectors(rhs) for _, rhs in system.equations)
 
-    def count(e: BoundExpr) -> int:
-        if isinstance(e, (BMin, BMax)):
-            return 1 + count(e.left) + count(e.right)
-        return count(e.expr) if isinstance(e, BAdd) else 0
 
-    return sum(count(rhs) for _, rhs in system.equations)
+def _count_selectors(e: BoundExpr) -> int:
+    # Module-level, as ``_compile_node`` is, so that counting leaves no reference cycle.
+    if isinstance(e, (BMin, BMax)):
+        return 1 + _count_selectors(e.left) + _count_selectors(e.right)
+    return _count_selectors(e.expr) if isinstance(e, BAdd) else 0
 
 
 def _links(e: BoundExpr) -> list[tuple[str, Bound | str, int]]:
@@ -449,29 +450,32 @@ def _compile(system: BoundSystem) -> tuple[list[tuple], list[list[int]], list[tu
     index = {name: i for i, name in enumerate(system.names())}
     refs: list[list[int]] = []
     spans: list[tuple[int, int]] = []
-    n_max = 0
-
-    def walk(e: BoundExpr, uses: list[int]) -> tuple:
-        nonlocal n_max
-        if isinstance(e, BConst):
-            return ("const", e.value)
-        if isinstance(e, BRef):
-            uses.append(index[e.name])
-            return ("ref", uses[-1])
-        if isinstance(e, BAdd):
-            return ("add", walk(e.expr, uses), e.offset)
-        if isinstance(e, BMin):
-            return ("min", walk(e.left, uses), walk(e.right, uses))
-        n_max += 1
-        return ("max", n_max - 1, walk(e.left, uses), walk(e.right, uses))
-
+    n_max = [0]
     rhs = []
     for _, e in system.equations:
-        first = n_max
+        first = n_max[0]
         refs.append([])
-        rhs.append(walk(e, refs[-1]))
-        spans.append((first, n_max))
+        rhs.append(_compile_node(e, index, refs[-1], n_max))
+        spans.append((first, n_max[0]))
     return rhs, refs, spans
+
+
+def _compile_node(e: BoundExpr, index: dict[str, int], uses: list[int], n_max: list[int]) -> tuple:
+    """One node of ``_compile``, numbering max nodes from ``n_max[0]`` in
+    preorder.  A module-level function, so that a compilation leaves no
+    reference cycle (a nested recursive closure refers to itself)."""
+    if isinstance(e, BConst):
+        return ("const", e.value)
+    if isinstance(e, BRef):
+        uses.append(index[e.name])
+        return ("ref", uses[-1])
+    if isinstance(e, BAdd):
+        return ("add", _compile_node(e.expr, index, uses, n_max), e.offset)
+    if isinstance(e, BMin):
+        return ("min", _compile_node(e.left, index, uses, n_max), _compile_node(e.right, index, uses, n_max))
+    n_max[0] += 1
+    return ("max", n_max[0] - 1, _compile_node(e.left, index, uses, n_max),
+            _compile_node(e.right, index, uses, n_max))
 
 
 def _components(refs: list[list[int]]) -> list[list[int]]:

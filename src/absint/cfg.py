@@ -106,10 +106,17 @@ class Cfg:
                      for e in self.edges if isinstance(e.label, AccessLabel))
 
     @cached_property
+    def _search(self) -> tuple[tuple[str, ...], frozenset[str]]:
+        """``_depth_first`` of the graph, run once per graph and frozen, so
+        that every reader sees the same result."""
+        postorder, targets = _depth_first(self)
+        return tuple(postorder), frozenset(targets)
+
+    @cached_property
     def access_index(self) -> "AccessIndex":
         """The graph with locations and blocks interned to integers, built
         once per graph for the analyses that run over it many times."""
-        order = _depth_first(self)[0][::-1]
+        order = list(reversed(self._search[0]))
         reached = set(order)
         order += [loc for loc in self.locations if loc not in reached]
         where = {loc: i for i, loc in enumerate(order)}
@@ -358,6 +365,7 @@ def back_edge_targets(cfg: Cfg) -> set[str]:
 
     The DFS follows edges in creation order from the entry, so the result is
     deterministic.  Every cycle contains at least one back edge, hence
-    widening at these locations cuts all cycles.
+    widening at these locations cuts all cycles.  A new set on each call
+    (callers may change it); the search itself runs once per graph.
     """
-    return _depth_first(cfg)[1]
+    return set(cfg._search[1])

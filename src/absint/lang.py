@@ -154,26 +154,6 @@ def negate_cond(c: Cond) -> Cond:
     return Cmp(_NEGATED_OP[c.op], c.left, c.right)
 
 
-def expr_vars(e: Expr) -> set[str]:
-    # The left spine of a sum is walked in a loop, so a long sum does not
-    # recurse (as in ``pretty_expr``).
-    out: set[str] = set()
-    while isinstance(e, BinOp):
-        out |= expr_vars(e.right)
-        e = e.left
-    if isinstance(e, Var):
-        out.add(e.name)
-    return out
-
-
-def expr_has_nondet(e: Expr) -> bool:
-    while isinstance(e, BinOp):
-        if expr_has_nondet(e.right):
-            return True
-        e = e.left
-    return isinstance(e, Nondet)
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from absint import cfg as cfg_module
 from absint.cfg import (
     AccessLabel,
     AssumeLabel,
@@ -140,3 +141,27 @@ def test_back_edge_targets_ring():
 def test_back_edge_targets_acyclic():
     cfg = build_cfg(parse_program(FLAG))
     assert back_edge_targets(cfg) == set()
+
+
+def test_one_depth_first_search_per_graph(monkeypatch):
+    """Widening points and the interned index read one cached search, and
+    every caller of ``back_edge_targets`` gets a set of its own."""
+    from absint import analyze, analyze_combined, entry_environment, parse_program
+
+    calls = []
+    search = cfg_module._depth_first
+    monkeypatch.setattr(cfg_module, "_depth_first", lambda g: calls.append(g) or search(g))
+    program = parse_program(
+        "int i = 0; int j = 0; while (i < 9) { i = i + 1; while (j < i) { j = j + 1; } }"
+    )
+    cfg = build_cfg(program)
+    env = entry_environment(program)
+    analyze(cfg, env)
+    analyze_combined(cfg, env, None, 1, 1)
+    analyze_combined(cfg, env, 1)
+    assert cfg.access_index.locations[0] == cfg.entry
+    first = back_edge_targets(cfg)
+    assert len(first) == 2
+    first.pop()
+    assert len(back_edge_targets(cfg)) == 2
+    assert calls == [cfg]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import random
@@ -870,3 +871,30 @@ def test_intervals_json_report_reads_as_json_dumps(demo_dir, tmp_path, capsys):
 def test_json_writer_rejects_what_reports_never_hold(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def test_demo_runs_leave_no_reference_cycles(demo_dir, capsys, monkeypatch):
+    """After a warm-up, a run on a demo frees everything it built by
+    reference counting: with the cyclic collector paused around the run,
+    a collection afterwards finds nothing."""
+    monkeypatch.chdir(demo_dir.parent)
+    runs = []
+    for path in sorted(demo_dir.glob("*.imp")):
+        for extra in (("--method", "compare"), ("--rewrites", "full"), ("--rewrites", "truncated:1")):
+            runs.append(["intervals", "--input", f"demo/{path.name}", *extra])
+    for name in ("flag_reuse.ag", "flag_reuse.imp"):
+        for extra in (("--method", "compare"), ("--method", "pipeline", "--init", "unknown")):
+            runs.append(["cache", "--input", f"demo/{name}", "--assoc", "4", *extra])
+    for argv in runs:
+        main(argv)
+    left = {}
+    for argv in runs:
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            left[" ".join(argv)] = gc.collect()
+        finally:
+            gc.enable()
+    capsys.readouterr()
+    assert left == dict.fromkeys(left, 0)

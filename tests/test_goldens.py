@@ -5,7 +5,10 @@ Three pins, checked against every later change of the fixpoint engine:
 * the SHA-256 of the stdout (and the exit code) of ``absint intervals`` on
   every ``demo/*.imp`` over a fixed set of methods, knobs and formats;
 * one SHA-256 over the final environments and assertion verdicts of
-  ``analyze`` and ``analyze_combined`` on 150 seeded random programs;
+  ``analyze`` and ``analyze_combined`` on 150 seeded random programs, and
+  one more over ``analyze_combined`` on the same programs at truncation
+  depths 2 and 3 and at a widening delay of 1 (recorded before rules
+  became linear forms);
 * one SHA-256 over the exit codes and ``--format json`` stdout of
   ``absint intervals --method widen-narrow``, with and without
   ``--rewrites full``, on a few seeded programs of 300-800 locations (the
@@ -148,6 +151,9 @@ CLI_GOLDENS = {
 CORPUS_SEED = 20261018
 CORPUS_SIZE = 150
 CORPUS_GOLDEN = '4fdea8b094af19a8de8996b9900723c0e8fbb369e22e12ee30cfa9ac792c02d1'
+# (truncate_depth, widen_delay) of the combined runs CORPUS_GOLDEN leaves out.
+COMBINED_RUNS = ((2, 0), (3, 0), (None, 1), (1, 1), (2, 1), (3, 1))
+COMBINED_GOLDEN = 'f9e15484c437e50baae72d9405c9a2503864076d7b2697070c4a4b87c417da4d'
 
 
 LONG_SEED = 20261019
@@ -185,11 +191,28 @@ def _corpus_digest() -> str:
             for depth in (None, 1)
         ]
         for name, result in runs:
-            h.update(f"#{index} {name}\n".encode())
-            for loc in cfg.locations:
-                h.update(f"{loc} {result.envs[loc]!r}\n".encode())
-            h.update(f"{result.asserts!r}\n".encode())
+            _hash_result(h, f"#{index} {name}", cfg, result)
     return h.hexdigest()
+
+
+def _combined_corpus_digest() -> str:
+    rng = random.Random(CORPUS_SEED)
+    h = hashlib.sha256()
+    for index in range(CORPUS_SIZE):
+        program = helpers.random_program(rng)
+        cfg = build_cfg(program)
+        env = entry_environment(program)
+        for depth, delay in COMBINED_RUNS:
+            result = analyze_combined(cfg, env, depth, delay, 1)
+            _hash_result(h, f"#{index} combined {depth} {delay}", cfg, result)
+    return h.hexdigest()
+
+
+def _hash_result(h, name: str, cfg, result) -> None:
+    h.update(f"{name}\n".encode())
+    for loc in cfg.locations:
+        h.update(f"{loc} {result.envs[loc]!r}\n".encode())
+    h.update(f"{result.asserts!r}\n".encode())
 
 
 def _long_digest(tmp_path, capsys, monkeypatch) -> str:
@@ -216,6 +239,9 @@ def test_cli_stdout_goldens(demo_dir, capsys, monkeypatch):
 def test_random_program_corpus_golden():
     assert _corpus_digest() == CORPUS_GOLDEN
 
+
+def test_combined_depths_and_delay_golden():
+    assert _combined_corpus_digest() == COMBINED_GOLDEN
 
 
 def test_long_program_json_golden(tmp_path, capsys, monkeypatch):

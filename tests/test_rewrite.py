@@ -1,25 +1,33 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 from absint import intervals as intervals_module
 from absint import rewrite as rewrite_module
 from absint.cfg import AssignLabel, build_cfg
 from absint.intervals import (
+    NEG_INF,
     POS_INF,
     TOP,
     AbstractEnv,
     Interval,
     analyze,
     entry_environment,
+    eval_expr,
 )
-from absint.lang import BinOp, Const, Nondet, Var, parse_program
+from absint.lang import BinOp, Const, Nondet, Var, parse_program, pretty_expr
 from absint.rewrite import (
+    LinearForm,
     RewriteMap,
     analyze_combined,
+    evaluate,
+    linear_form,
     record,
+    render,
     rewrite_and_simplify,
     simplify,
+    substitute,
 )
 from helpers import RangeBlown, concrete_stores, contains, random_long_program, random_program, subset
 
@@ -48,39 +56,44 @@ def after_assign(cfg, var):
     return next(e.dst for e in cfg.edges if isinstance(e.label, AssignLabel) and e.label.var == var)
 
 
+def form(const=0, **coeffs):
+    names = tuple(sorted(coeffs))
+    return LinearForm(const, names, tuple(coeffs[n] for n in names))
+
+
 def test_record_copy():
-    m = record(RewriteMap(), "y", Var("x"))
-    assert m.rules == (("y", Var("x")),)
+    m = record(RewriteMap(), "y", linear_form(Var("x")))
+    assert m.rules == (("y", form(x=1)),)
 
 
 def test_record_chains_through_existing_rules():
-    m = RewriteMap((("j", BinOp("+", Var("i"), Const(1))),))
-    out = record(m, "k", rewrite_and_simplify(m, BinOp("+", Var("j"), Const(1))))
-    assert out.lookup("k") == BinOp("+", Var("i"), Const(2))
-    assert out.lookup("j") == BinOp("+", Var("i"), Const(1))
+    m = RewriteMap((("j", form(1, i=1)),))
+    out = record(m, "k", substitute(linear_form(BinOp("+", Var("j"), Const(1))), m))
+    assert out.rules == (("j", form(1, i=1)), ("k", form(2, i=1)))
 
 
 def test_record_nondet_invalidates():
-    m = RewriteMap((("y", Var("x")), ("w", BinOp("+", Var("v"), Const(1)))))
-    out = record(m, "v", Nondet())
-    assert out.rules == (("y", Var("x")),)  # v's rule users dropped too
+    m = RewriteMap((("y", form(x=1)), ("w", form(1, v=1))))
+    out = record(m, "v", linear_form(Nondet()))
+    assert out.rules == (("y", form(x=1)),)  # v's rule users dropped too
 
 
 def test_record_reassignment_drops_stale_rules():
-    m = record(RewriteMap(), "y", Var("x"))
-    out = record(m, "x", Const(3))
-    assert out.lookup("y") is None
-    assert out.lookup("x") == Const(3)
+    m = record(RewriteMap(), "y", linear_form(Var("x")))
+    out = record(m, "x", linear_form(Const(3)))
+    assert out.rules == (("x", form(3)),)  # y's rule mentioned the old x
 
 
 def test_record_self_reference_invalidates():
-    out = record(RewriteMap(), "x", BinOp("+", Var("x"), Const(1)))
+    out = record(RewriteMap(), "x", linear_form(BinOp("+", Var("x"), Const(1))))
     assert out.rules == ()
 
 
 def test_rewrite_cancels_copy():
-    m = RewriteMap((("y", Var("x")),))
-    assert rewrite_and_simplify(m, BinOp("-", Var("x"), Var("y"))) == Const(0)
+    m = RewriteMap((("y", form(x=1)),))
+    e = BinOp("-", Var("x"), Var("y"))
+    assert substitute(linear_form(e), m) == form(0)
+    assert rewrite_and_simplify(m, e) == Const(0)
 
 
 def test_rewrite_no_rules_is_simplify_only():
@@ -95,6 +108,8 @@ def test_simplify_folds_constants():
 
 
 def test_rewrite_and_simplify_idempotent():
+    """Rules refer to current values only, so substituting a second time
+    finds no rule to apply and returns the form itself."""
     rng = random.Random(88)
     from helpers import random_expr
 
@@ -102,10 +117,105 @@ def test_rewrite_and_simplify_idempotent():
         variables = ["a", "b", "c"]
         m = RewriteMap()
         for v in variables[: rng.randint(0, 3)]:
-            m = record(m, v, rewrite_and_simplify(m, random_expr(rng, ["p", "q"])))
+            m = record(m, v, substitute(linear_form(random_expr(rng, ["p", "q"])), m))
         e = random_expr(rng, variables + ["p"])
-        once = rewrite_and_simplify(m, e)
-        assert rewrite_and_simplify(m, once) == once
+        once = substitute(linear_form(e), m)
+        assert substitute(once, m) is once
+        assert rewrite_and_simplify(m, render(once)) == render(once) == rewrite_and_simplify(m, e)
+
+
+NAMES = ["a", "b", "c", "d", "e"]
+
+
+def random_linear_expr(rng, variables, depth):
+    """Sums over few variables, so that variables repeat and cancel."""
+    if depth == 0 or rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.3:
+            return Const(rng.randint(-9, 9))
+        if roll < 0.93:
+            return Var(rng.choice(variables))
+        return Nondet()
+    return BinOp(rng.choice("+-"), random_linear_expr(rng, variables, depth - 1),
+                 random_linear_expr(rng, variables, depth - 1))
+
+
+def long_sum() -> BinOp:
+    e = Var("a")
+    for k in range(2999):
+        e = BinOp("-" if k % 3 == 0 else "+", e, Var(NAMES[k % 5]) if k % 7 else Const(k))
+    return e
+
+
+def random_map(rng, full: bool) -> RewriteMap:
+    """Rules recorded as an exhaustive run does (substituted through the
+    map) or as a truncated one does (as written, so rules chain)."""
+    m = RewriteMap()
+    for _ in range(rng.randint(0, 6)):
+        var = rng.choice(NAMES)
+        rhs = linear_form(random_linear_expr(rng, NAMES, rng.randint(0, 4)))
+        m = record(m, var, substitute(rhs, m) if full else rhs)
+    return m
+
+
+def random_env(rng) -> AbstractEnv:
+    def interval():
+        lo, width = rng.randint(-20, 20), rng.randint(0, 9)
+        return rng.choice([Interval(lo, lo + width), Interval(NEG_INF, lo), Interval(lo, POS_INF), TOP])
+
+    return AbstractEnv.of({name: interval() for name in NAMES})
+
+
+def test_form_evaluation_matches_rendered_tree():
+    rng = random.Random(2026)
+    exprs = [random_linear_expr(rng, NAMES, rng.randint(0, 7)) for _ in range(2000)]
+    exprs.append(long_sum())
+    for e in exprs:
+        m = random_map(rng, rng.random() < 0.5)
+        for f in (linear_form(e), substitute(linear_form(e), m, rng.choice([None, 1, 2]))):
+            tree = render(f)
+            for _ in range(3):
+                env = random_env(rng)
+                assert evaluate(f, env) == eval_expr(tree, env), (f, env)
+
+
+def test_forms_equal_exactly_when_trees_equal():
+    rng = random.Random(2027)
+    forms = [linear_form(random_linear_expr(rng, NAMES[:3], rng.randint(0, 4))) for _ in range(300)]
+    forms.append(linear_form(long_sum()))
+    trees = [render(f) for f in forms]
+    equal_pairs = 0
+    for i, (f, tree) in enumerate(zip(forms, trees)):
+        assert linear_form(tree) == f
+        for g, other in zip(forms[:i], trees[:i]):
+            assert (f == g) == (tree == other), (f, g)
+            equal_pairs += f == g
+    assert equal_pairs > 100
+
+
+# Recorded from the tree-walking rewriter, before rules became linear forms.
+REWRITE_SEED = 20261020
+REWRITE_GOLDEN = "1fe20491687a3fd9d7158c1f2e4a5ce94e593d0c07f4fb8b2856f04ea1424f48"
+
+
+def test_simplify_and_rewrite_golden():
+    rng = random.Random(REWRITE_SEED)
+    h = hashlib.sha256()
+    for index in range(600):
+        full = rng.random() < 0.5
+        m = RewriteMap()
+        for _ in range(rng.randint(0, 6)):
+            var = rng.choice(NAMES)
+            rhs = linear_form(random_linear_expr(rng, NAMES, rng.randint(0, 4)))
+            m = record(m, var, substitute(rhs, m) if full else rhs)
+        e = random_linear_expr(rng, NAMES, rng.randint(0, 6))
+        h.update(f"#{index} {simplify(e)!r}".encode())
+        for chain in (None, 0, 1, 2, 3):
+            h.update(f" {rewrite_and_simplify(m, e, chain)!r}".encode())
+    m = record(RewriteMap(), "b", linear_form(BinOp("+", Var("c"), Const(1))))
+    for e in (simplify(long_sum()), rewrite_and_simplify(m, long_sum())):
+        h.update(pretty_expr(e).encode())
+    assert h.hexdigest() == REWRITE_GOLDEN
 
 
 def test_copy_diff_combined_is_exact():
@@ -117,6 +227,31 @@ def test_copy_diff_combined_is_exact():
     combined = analyze_combined(cfg, env)
     assert plain.envs[zloc].get("z") == Interval(-1, 1)
     assert combined.envs[zloc].get("z") == Interval(0, 0)
+
+
+CANCEL = """
+int y;
+int z;
+if (y < 0) { y = 0; }
+if (y > 5) { y = 5; }
+z = y - y + 1;
+if (y - y > 0) { z = 9; }
+"""
+
+
+def test_repeated_variable_cancels_without_rules():
+    """No rule applies here: the label's own form, evaluated for the
+    assignment and rendered for the guard, still cancels the repeated `y`."""
+    program = parse_program(CANCEL)
+    cfg = build_cfg(program)
+    env = entry_environment(program)
+    zloc = after_assign(cfg, "z")
+    inside = next(e.dst for e in cfg.edges if isinstance(e.label, AssignLabel) and e.label.expr == Const(9))
+    plain, combined = analyze(cfg, env), analyze_combined(cfg, env)
+    assert plain.envs[zloc].get("z") == Interval(-4, 6)
+    assert combined.envs[zloc].get("z") == Interval(1, 1)
+    assert not plain.envs[inside].bottom
+    assert combined.envs[inside].bottom
 
 
 def test_guarded_copy_full_vs_truncated():
@@ -183,22 +318,22 @@ def test_combined_sound_against_concrete_enumeration():
 
 
 def test_combined_rewrites_each_label_and_map_once(monkeypatch):
-    """A label's rewritten expression or condition and its recorded map are
+    """A label's rewritten form or condition and its recorded map are
     computed once per rule-map object that reaches it: no (label, map
-    object) pair calls `rewrite_and_simplify` on the same expression, or
-    `record`, twice, and `record` stores what the transfer rewrote without
-    rewriting it again.  A truncated run simplifies each right-hand side
-    once, whatever maps reach its label."""
+    object) pair calls `substitute` on the same form, or `record`, twice,
+    and `record` stores what the transfer substituted without substituting
+    again.  Each label's own forms are built once per run, whatever maps
+    reach it."""
     seen: set = set()
-    held: list = []  # keeps every map and label alive, so ids stay unique
-    current: list = []  # the label being transferred, and whether inside record
+    held: list = []  # keeps every map, form and label alive, so ids stay unique
+    current: list = []  # the label being transferred, whether inside record, substitute depth
     engine = intervals_module.chaotic_iteration
-    rewrite, record_ = rewrite_module.rewrite_and_simplify, rewrite_module.record
-    simplify = rewrite_module.simplify
+    substitute_, record_ = rewrite_module.substitute, rewrite_module.record
+    label_forms = rewrite_module._label_forms
 
     def counting_engine(cfg, entry, bottom, transfer, *knobs):
         def labelled(label, value):
-            current[:] = [label, False]
+            current[:] = [label, False, 0]
             return transfer(label, value)
 
         return engine(cfg, entry, bottom, labelled, *knobs)
@@ -208,14 +343,15 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
         seen.add(key)
         held.append(alive)
 
-    def counted_rewrite(m, e, max_chain=None):
-        assert not current[1], "record rewrote its right-hand side"
-        note(("rewrite", id(current[0]), id(m), id(e)), current[0], m, e)
-        return rewrite(m, e, max_chain)
-
-    def counted_simplify(e):
-        note(("simplify", id(e)), e)
-        return simplify(e)
+    def counted_substitute(f, m, budget=None):
+        assert not current[1], "record substituted its right-hand side"
+        if not current[2]:  # a rule's own substitution is part of its caller's
+            note(("substitute", id(current[0]), id(m), id(f)), current[0], m, f)
+        current[2] += 1
+        try:
+            return substitute_(f, m, budget)
+        finally:
+            current[2] -= 1
 
     def counted_record(m, var, rhs):
         note(("record", id(current[0]), id(m)), current[0], m)
@@ -225,14 +361,18 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
         finally:
             current[1] = False
 
+    def counted_label_forms(label):
+        note(("own", id(label)), label)
+        return label_forms(label)
+
     monkeypatch.setattr(rewrite_module, "chaotic_iteration", counting_engine)
-    monkeypatch.setattr(rewrite_module, "rewrite_and_simplify", counted_rewrite)
+    monkeypatch.setattr(rewrite_module, "substitute", counted_substitute)
     monkeypatch.setattr(rewrite_module, "record", counted_record)
-    monkeypatch.setattr(rewrite_module, "simplify", counted_simplify)
+    monkeypatch.setattr(rewrite_module, "_label_forms", counted_label_forms)
     rng = random.Random(9091)
     programs = [random_program(rng) for _ in range(60)]
     programs += [random_long_program(rng, 6, 40) for _ in range(3)]
-    computed = 0
+    computed = {"substitute": 0, "record": 0, "own": 0}
     for program in programs:
         cfg = build_cfg(program)
         env = entry_environment(program)
@@ -241,5 +381,6 @@ def test_combined_rewrites_each_label_and_map_once(monkeypatch):
                 seen.clear()
                 held.clear()
                 analyze_combined(cfg, env, depth, 0, passes)
-                computed += len(seen)
-    assert computed
+                for key in seen:
+                    computed[key[0]] += 1
+    assert all(computed.values()), computed
