@@ -26,7 +26,6 @@ sorted so that structurally equal antichains compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -142,10 +141,27 @@ def store_add(store: Store, mask: int, keep_max: bool, index: Index | None = Non
     return True
 
 
-@dataclass(frozen=True)
 class Antichain:
-    orientation: Orientation
-    elements: tuple[int, ...] = ()
+    """Equal, hashed and printed by its two read-only fields, as a record is
+    (``lang.class_checked``); sized and iterated as its ``elements``."""
+
+    __slots__ = ("orientation", "elements")
+
+    def __init__(self, orientation: Orientation, elements: tuple[int, ...] = ()):
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and (self.orientation, self.elements) == (other.orientation, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.orientation, self.elements))
+
+    def __repr__(self) -> str:
+        return f"Antichain(orientation={self.orientation!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)

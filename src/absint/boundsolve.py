@@ -6,7 +6,8 @@ location for the least inductive upper bound of ``v`` there: guards that cap
 the bound contribute ``min``, joins contribute ``max``, increments add a
 constant, and the entry contributes its bound as a constant.  Lower bounds
 come from the same machinery run on the negated program (``v -> -v``), so
-there is a single solving code path.
+there is a single solving code path.  Bound expressions and systems are
+records (``lang.class_checked``), so ``BMin(a, b) != BMax(a, b)``.
 
 Two independent solvers compute the least solution over ZZ extended with
 symbolic infinities:
@@ -47,12 +48,11 @@ import itertools
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg
 from .intervals import NEG_INF, POS_INF, Bound, Interval, _Inf, badd
-from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, pretty_cond, pretty_expr
+from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, class_checked, pretty_cond, pretty_expr
 from .lru import explore
 
 
@@ -73,30 +73,30 @@ class RangeExceededError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BConst:
+@class_checked
+class BConst(NamedTuple):
     value: Bound
 
 
-@dataclass(frozen=True)
-class BRef:
+@class_checked
+class BRef(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class BAdd:
+@class_checked
+class BAdd(NamedTuple):
     expr: "BoundExpr"
     offset: int
 
 
-@dataclass(frozen=True)
-class BMin:
+@class_checked
+class BMin(NamedTuple):
     left: "BoundExpr"
     right: "BoundExpr"
 
 
-@dataclass(frozen=True)
-class BMax:
+@class_checked
+class BMax(NamedTuple):
     left: "BoundExpr"
     right: "BoundExpr"
 
@@ -150,8 +150,8 @@ def bmax(a: BoundExpr, b: BoundExpr) -> BoundExpr:
     return BMax(a, b)
 
 
-@dataclass(frozen=True)
-class BoundSystem:
+@class_checked
+class BoundSystem(NamedTuple):
     """Equations in insertion order; every referenced variable is defined."""
 
     equations: tuple[tuple[str, BoundExpr], ...]

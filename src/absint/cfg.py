@@ -3,8 +3,9 @@
 A graph is a set of named locations with a distinguished entry (which has no
 incoming edges) and labeled edges.  Labels are assignments, assumptions
 (branch conditions and their complements), memory accesses carrying a unique
-site id, or no-ops.  Structured programs are translated one statement at a
-time; access graphs are read from a line-oriented text format::
+site id, or no-ops.  Labels, edges and graphs are records
+(``lang.class_checked``).  Structured programs are translated one statement
+at a time; access graphs are read from a line-oriented text format::
 
     loc <name>
     entry <name>
@@ -15,9 +16,10 @@ with ``#`` comments.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .lang import (
     Assert,
@@ -32,28 +34,29 @@ from .lang import (
     Program,
     Stmt,
     While,
+    class_checked,
     negate_cond,
 )
 
 
-@dataclass(frozen=True)
-class Nop:
+@class_checked
+class Nop(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class AssignLabel:
+@class_checked
+class AssignLabel(NamedTuple):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class AssumeLabel:
+@class_checked
+class AssumeLabel(NamedTuple):
     cond: Cond
 
 
-@dataclass(frozen=True)
-class AccessLabel:
+@class_checked
+class AccessLabel(NamedTuple):
     block: str
     site: int
 
@@ -61,15 +64,15 @@ class AccessLabel:
 Label = Nop | AssignLabel | AssumeLabel | AccessLabel
 
 
-@dataclass(frozen=True)
-class Edge:
+@class_checked
+class Edge(NamedTuple):
     src: str
     label: Label
     dst: str
 
 
-@dataclass(frozen=True)
-class AssertSite:
+@class_checked
+class AssertSite(NamedTuple):
     """A checkable assertion: condition `cond` must hold at location `loc`."""
 
     sid: int
@@ -77,20 +80,16 @@ class AssertSite:
     cond: Cmp
 
 
-@dataclass(frozen=True)
-class Cfg:
-    locations: tuple[str, ...]
-    entry: str
-    edges: tuple[Edge, ...]
-    asserts: tuple[AssertSite, ...] = ()
-    variables: tuple[str, ...] = ()
-    _out: dict = field(default_factory=dict, compare=False, repr=False)
+@class_checked
+class Cfg(namedtuple("Cfg", "locations entry edges asserts variables", defaults=((), ()))):
+    """Tuples of ``locations``, ``Edge``s, ``AssertSite``s and ``variables``, and
+    the ``entry``; a record with an instance dict for ``out`` and the properties."""
 
-    def __post_init__(self):
+    def __init__(self, *fields, **named):
         out: dict[str, list[Edge]] = {loc: [] for loc in self.locations}
         for e in self.edges:
             out[e.src].append(e)
-        object.__setattr__(self, "_out", out)
+        self._out = out
 
     def out(self, loc: str) -> list[Edge]:
         return self._out[loc]
@@ -147,8 +146,8 @@ class Cfg:
         return {}
 
 
-@dataclass(frozen=True)
-class AccessIndex:
+@class_checked
+class AccessIndex(NamedTuple):
     """Locations are numbered in reverse postorder of a depth-first search
     from the entry (so the entry is 0), followed by the unreachable ones,
     and blocks in sorted order; ``where`` maps a location to its number.

@@ -9,11 +9,11 @@ Reports go to stdout as aligned text or JSON (``--format``).  Outputs are
 byte-reproducible for identical inputs and flags; wall-clock timings are
 only emitted with ``--timings`` (into the report's ``timings`` object, which
 is otherwise empty).  Every JSON report is byte-identical to ``json.dumps``
-with ``indent`` 2 and ``sort_keys``.  One generic writer produces cache
-reports and the scalars, timings and skipped methods of an intervals
-report; an intervals report's assertions and results come from a fixed
-template that renders each distinct environment and interval once, at the
-depth where it is written.
+with ``indent`` 2 and ``sort_keys``.  A report's lists of sites,
+assertions and locations come from a fixed template (``_listed``), which
+renders each distinct environment and interval of an intervals report once,
+at the depth where it is written; one generic writer produces the rest:
+the scalars, timings, skipped methods and disagreements.
 
 Exit codes: 0 success, 1 input or usage error (or a failed internal
 consistency check), 2 oracle budget (including more distinct blocks than
@@ -200,31 +200,15 @@ def run_cache(args) -> int:
                 disagreements.append({"site": site, "kind": "approx-vs-exact", "approx": a, "exact": e})
 
     if args.format == "json":
-        results = []
-        for site, block, loc in sites:
-            entry = {"site": site, "block": block, "location": loc}
-            for m in methods:
-                verdict, tag = tables[m][site]
-                if compare:
-                    entry[m] = verdict
-                else:
-                    entry["verdict"] = verdict
-                    entry["method"] = tag
-            results.append(entry)
-        report = {
-            "schema": SCHEMA_VERSION,
-            "tool": TOOL,
-            "version": VERSION,
-            "method": args.method,
-            "input": args.input,
-            "assoc": args.assoc,
-            "init": init.value,
-            "results": results,
-            "timings": timings,
-        }
+        fields = {"assoc": args.assoc, "init": init.value, "timings": timings}
         if compare:
-            report["disagreements"] = disagreements
-        sys.stdout.write(_json_text(report) + "\n")
+            fields["disagreements"] = disagreements
+        columns = [("site", lambda s: int.__repr__(s[0])), ("block", lambda s: encode_basestring_ascii(s[1])),
+                   ("location", lambda s: encode_basestring_ascii(s[2]))]
+        columns += [(m if compare else "verdict", lambda s, t=tables[m]: encode_basestring_ascii(t[s[0]][0])) for m in methods]
+        if not compare:
+            columns.append(("method", lambda s, t=tables[args.method]: encode_basestring_ascii(t[s[0]][1])))
+        _write_report(args, fields, {"results": _listed(sites, columns)})
         return EXIT_OK
 
     rows = [f"{'site':>4}  {'block':<8} {'location':<12} " + " ".join(f"{m:<12}" for m in methods)]
@@ -369,18 +353,11 @@ def run_intervals(args) -> int:
     try:
         if args.format == "json":
             compare = args.method == "compare"
-            fields = {"schema": SCHEMA_VERSION, "tool": TOOL, "version": VERSION, "method": args.method,
-                      "rewrites": args.rewrites, "input": args.input, "timings": timings}
+            fields = {"rewrites": args.rewrites, "timings": timings}
             if compare:
                 fields["skipped"] = skipped
-            listed = {"asserts": _assert_results(cfg, verdicts, methods, compare),
-                      "results": _interval_results(cfg, program, outcomes, methods, compare)}
-            parts = []
-            for key in sorted([*fields, *listed]):
-                parts += (",\n  " if parts else "{\n  ", encode_basestring_ascii(key), ": ")
-                parts += listed[key] if key in listed else (_json_text(fields[key], "\n  "),)
-            parts.append("\n}\n")
-            sys.stdout.write("".join(parts))
+            _write_report(args, fields, {"asserts": _assert_results(cfg, verdicts, methods, compare),
+                                         "results": _interval_results(cfg, program, outcomes, methods, compare)})
         else:
             _write_rows(_interval_rows(cfg, program, outcomes, methods, verdicts))
     except ValueError:
@@ -389,6 +366,17 @@ def run_intervals(args) -> int:
         unproved = not all(verdicts[args.method].values())
         return EXIT_UNPROVED if unproved else EXIT_OK
     return EXIT_OK
+
+
+def _write_report(args, fields: dict, listed: dict) -> None:
+    """Write a JSON report: the shared fields and `fields` by the generic writer, `listed` as ``_listed`` parts."""
+    fields.update(schema=SCHEMA_VERSION, tool=TOOL, version=VERSION, method=args.method, input=args.input)
+    parts = []
+    for key in sorted([*fields, *listed]):
+        parts += (",\n  " if parts else "{\n  ", encode_basestring_ascii(key), ": ")
+        parts += listed[key] if key in listed else (_json_text(fields[key], "\n  "),)
+    parts.append("\n}\n")
+    sys.stdout.write("".join(parts))
 
 
 def _listed(items, columns) -> list[str]:

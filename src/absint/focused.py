@@ -78,19 +78,20 @@ not keep, like one no path reaches, maps to the bottom view.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .agebounds import ApproxClass, classify_all_approx, witnesses
 from .antichain import (
     INDEX_THRESHOLD, Antichain, Index, Orientation, Store, index_of, store_add, store_masks,
 )
 from .cfg import AccessIndex, Cfg
+from .lang import class_checked
 from .lru import Classification, InitPolicy, classification
 
 
-@dataclass(frozen=True)
-class BlockView:
+@class_checked
+class BlockView(NamedTuple):
     """Focused abstract state: may the block be absent, and with which
     younger-sets may it be present.  (False, empty) means unreached."""
 

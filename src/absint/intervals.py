@@ -6,10 +6,11 @@ Finite bounds are always ints.  The infinities ``POS_INF`` and ``NEG_INF``
 are the only two instances of a float subclass, so that every bound
 comparison runs in C; they print as ``+oo``/``-oo`` and refuse arithmetic
 (``badd`` is the one addition on bounds).  Intervals and environments are
-named tuples, so they compare and hash in C as well, and hot paths build
-them with ``tuple.__new__``.  An environment holds a tuple of variable
-names, shared by every environment derived from the same entry, and the
-intervals in that order; ``names.index`` finds a variable.
+named tuples without a record's class check (``lang.class_checked``; it
+cost intervals-widen a tenth of its throughput), so they compare and hash
+in C too; hot paths build them with ``tuple.__new__``.  An environment
+holds a tuple of variable names, shared by every environment derived from
+the same entry, and the intervals in that order; ``names.index`` finds one.
 
 Fixpoint engine: ``chaotic_iteration`` is the one worklist loop of the
 numeric analyses, generic in a value with ``join``, ``widen`` and
@@ -35,13 +36,12 @@ proved when refining with its negation yields the unreachable environment.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress
 from operator import is_not
 from typing import Callable, Mapping, NamedTuple
 
 from .cfg import AssignLabel, AssumeLabel, Cfg, back_edge_targets
-from .lang import FLIPPED_OP, BinOp, Cond, CondNondet, Const, Expr, Nondet, Var, negate_cond
+from .lang import FLIPPED_OP, BinOp, Cond, CondNondet, Const, Expr, Nondet, Var, class_checked, negate_cond
 
 
 class _Inf(float):
@@ -342,15 +342,15 @@ def filter_cond(c: Cond, env: AbstractEnv) -> AbstractEnv:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssertVerdict:
+@class_checked
+class AssertVerdict(NamedTuple):
     sid: int
     loc: str
     proved: bool
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+@class_checked
+class AnalysisResult(NamedTuple):
     envs: dict[str, AbstractEnv]
     asserts: tuple[AssertVerdict, ...]
 

@@ -30,13 +30,19 @@ integer, a letter or ``_`` an identifier, and the empty text is the end), so
 the parser looks each distinct text up once and compares texts directly.
 Lines and columns are computed only when an error is raised: ``_tokenize``
 runs the same pattern again and builds the ``_Token`` list with positions.
+
+Records.  The AST nodes, like the labels, bound expressions and results of
+other modules, are named tuples made records by ``class_checked``: fields
+are read-only, the hash is the field tuple's (as a frozen dataclass's), and
+a record equals only a record of its class, so ``Var("x") != BRef("x")`` and
+no record equals a plain tuple; one without fields, like ``Nondet()``, is
+true.  Intervals, environments and linear forms skip the class check.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -53,87 +59,99 @@ class ParseError(Exception):
 # AST
 # ---------------------------------------------------------------------------
 
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
 
-@dataclass(frozen=True)
-class Const:
+
+def class_checked(cls):
+    """Make the named tuple class `cls` a record (see the module docstring)."""
+    cls.__eq__ = lambda self, other: self.__class__ is other.__class__ and _tuple_eq(self, other)
+    cls.__ne__ = lambda self, other: self.__class__ is not other.__class__ or _tuple_ne(self, other)
+    cls.__hash__ = tuple.__hash__
+    if not cls._fields:
+        cls.__bool__ = lambda self: True
+    return cls
+
+
+@class_checked
+class Const(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+@class_checked
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+@class_checked
+class BinOp(NamedTuple):
     op: str  # "+" or "-"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Nondet:
+@class_checked
+class Nondet(NamedTuple):
     """The `*` wildcard: any integer."""
 
 
 Expr = Const | Var | BinOp | Nondet
 
 
-@dataclass(frozen=True)
-class Cmp:
+@class_checked
+class Cmp(NamedTuple):
     op: str  # one of < <= == != >= >
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class CondNondet:
+@class_checked
+class CondNondet(NamedTuple):
     """The `*` condition: both outcomes feasible."""
 
 
 Cond = Cmp | CondNondet
 
 
-@dataclass(frozen=True)
-class Assign:
+@class_checked
+class Assign(NamedTuple):
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class If:
+@class_checked
+class If(NamedTuple):
     cond: Cond
     then: tuple["Stmt", ...]
     orelse: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class While:
+@class_checked
+class While(NamedTuple):
     cond: Cond
     body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class Assert:
+@class_checked
+class Assert(NamedTuple):
     cond: Cond
 
 
-@dataclass(frozen=True)
-class AccessStmt:
+@class_checked
+class AccessStmt(NamedTuple):
     block: str
 
 
 Stmt = Assign | If | While | Assert | AccessStmt
 
 
-@dataclass(frozen=True)
-class Decl:
+@class_checked
+class Decl(NamedTuple):
     name: str
     init: Const | None
 
 
-@dataclass(frozen=True)
-class Program:
+@class_checked
+class Program(NamedTuple):
     decls: tuple[Decl, ...]
     body: tuple[Stmt, ...]
 
@@ -163,6 +181,7 @@ _PUNCT = frozenset(("<=", ">=", "==", "!=", *"<>=+-*(){};"))
 _RELOPS = frozenset(("<", "<=", "==", "=", "!=", ">=", ">"))
 
 
+@class_checked
 class _Token(NamedTuple):
     kind: str  # "int", "ident", "punct", "eof"
     text: str

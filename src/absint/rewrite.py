@@ -26,7 +26,6 @@ symbolic information carried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cfg import AssignLabel, AssumeLabel, Cfg
@@ -34,7 +33,7 @@ from .intervals import (
     BOTTOM_ENV, NEG_INF, POS_INF, TOP, AbstractEnv, AnalysisResult, Interval, _new, assert_verdicts,
     chaotic_iteration, check_cache_free, eval_expr, filter_cond,
 )
-from .lang import BinOp, Cmp, Const, Expr, Nondet, Var
+from .lang import BinOp, Cmp, Const, Expr, Nondet, Var, class_checked
 
 
 class LinearForm(NamedTuple):
@@ -49,8 +48,8 @@ class LinearForm(NamedTuple):
     nondets: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class RewriteMap:
+@class_checked
+class RewriteMap(NamedTuple):
     """Ordered rules var -> deterministic linear form, acyclic as a
     substitution system (no rule's right-hand side depends, transitively,
     on its own left-hand side), which guarantees rewriting terminates."""

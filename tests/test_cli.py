@@ -17,7 +17,7 @@ import absint
 from absint import boundsolve, lru
 from absint.cli import _json_text, main
 from absint.lang import pretty
-from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens, random_program
+from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens, random_cache_cfg, random_program
 
 PY = [sys.executable, "-m", "absint.cli"]
 
@@ -864,6 +864,49 @@ def test_intervals_json_report_reads_as_json_dumps(demo_dir, tmp_path, capsys):
     # reports held both infinities, null, an empty environment and escapes.
     assert set(written) == {"widen", "widen-narrow", "policy", "exhaustive", "oracle", "compare"}
     assert written["compare"] == 2 * len(texts)
+    assert len(seen) == 6
+
+
+def _graph_text(cfg, names) -> str:
+    """An access graph in the text format, with its locations and blocks
+    renamed through `names`."""
+    lines = [f"loc {names(loc)}" for loc in cfg.locations] + [f"entry {names(cfg.entry)}"]
+    for e in cfg.edges:
+        access = f" access {names(e.label.block)}" if hasattr(e.label, "block") else ""
+        lines.append(f"edge {names(e.src)} {names(e.dst)}{access}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cache_json_report_reads_as_json_dumps(demo_dir, tmp_path, capsys):
+    """The cache report's results are written from the same fixed template
+    as the intervals report's: they must read back byte for byte as
+    json.dumps writes them, for every method and both initial contents, in
+    compare and single-method form, with escaped names and no sites."""
+    texts = [(demo_dir / "flag_reuse.ag").read_text(), (demo_dir / "flag_reuse.imp").read_text(),
+             "loc a\nentry a\n"]
+    rng = random.Random(20261020)
+    odd = ['"q"', "\\b", "\u00e9t\u00e9", "\u0436", "\U0001d4b3"]
+    for i in range(30):
+        cfg = random_cache_cfg(rng, 8, 4)
+        prefix = {name: rng.choice(odd) if i % 3 == 0 else "" for name in (*cfg.locations, *cfg.blocks())}
+        texts.append(_graph_text(cfg, lambda name: prefix[name] + name))
+    texts += [pretty(random_program(rng, cache_mode=True)) for _ in range(10)]
+    written = Counter()
+    seen = set()
+    for index, text in enumerate(texts):
+        path = tmp_path / (f"g{index}.imp" if "access(" in text else f"g{index}.ag")
+        path.write_text(text, encoding="utf-8")
+        for method in ("approx", "exact", "oracle", "pipeline", "compare"):
+            for init in ("empty", "unknown"):
+                code = main(["cache", "--input", str(path), "--assoc", str(1 + index % 3), "--method", method,
+                             "--init", init, "--format", "json"])
+                out = capsys.readouterr().out
+                assert code == 0, (text, method, init)
+                assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", (text, method, init)
+                written[method] += 1
+                seen |= {part for part in ('"results": []', "\\u0436", "\\ud835\\udcb3", '\\"q\\"', "\\\\b",
+                                           '"disagreements": []') if part in out}
+    assert set(written.values()) == {2 * len(texts)}
     assert len(seen) == 6
 
 
