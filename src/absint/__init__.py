@@ -41,6 +41,5 @@ from .boundsolve import (
     solve_policy_iteration,
     bounded_concrete_oracle,
     solve_intervals_exact,
-    dump_system,
 )
 from .rewrite import LinearForm, RewriteMap, linear_form, record, rewrite_and_simplify, analyze_combined

@@ -18,16 +18,18 @@ symbolic infinities:
   argument selection of every min/max node induces, solves each chain
   system, and keeps solutions that actually solve the original equations;
   the pointwise least survivor is the least fixpoint.
-* ``solve_policy_iteration`` splits the system into the strongly connected
-  components of its references and solves them in dependency order.  An
-  equation on no cycle is evaluated once.  On each cyclic component it
-  ascends through selections of the component's max nodes only and solves
-  each induced min-system exactly: a counting pass finds the variables that
-  must leave -oo, and a Bellman-Ford pass from +oo computes the greatest
-  solution on them (+oo where no constant is reachable).  Strict-improvement
-  switching keeps the current valuation feasible, which makes that greatest
-  solution the least one above it.  No step's cost depends on the sizes of
-  the constants, and a round costs only the size of its component.
+* ``solve_policy_iteration`` folds out the copies ``x = y`` first, which
+  is exact (each equals the end of its chain of copies at every fixpoint),
+  then splits the rest into the strongly connected components of its
+  references and solves them in dependency order.  An equation on no cycle
+  is evaluated once.  On each cyclic component it ascends through
+  selections of the component's max nodes only and solves each induced
+  min-system exactly: a counting pass finds the variables that must leave
+  -oo, and a Bellman-Ford pass from +oo computes the greatest solution on
+  them (+oo where no constant is reachable).  Strict-improvement switching
+  keeps the current valuation feasible, which makes that greatest solution
+  the least one above it.  No step's cost depends on the sizes of the
+  constants, and a round costs only the size of its component.
 
 Both must agree with each other and, on bounded programs, with
 ``bounded_concrete_oracle``, which enumerates values one at a time with
@@ -51,7 +53,7 @@ from collections import deque
 from typing import Mapping, NamedTuple
 
 from .cfg import AccessLabel, AssignLabel, AssumeLabel, Cfg
-from .intervals import NEG_INF, POS_INF, Bound, Interval, _Inf, badd
+from .intervals import EMPTY, NEG_INF, POS_INF, Bound, Interval, _Inf, _new, badd
 from .lang import FLIPPED_OP, BinOp, CondNondet, Const, Expr, Var, class_checked, pretty_cond, pretty_expr
 from .lru import explore
 
@@ -302,31 +304,6 @@ def extract_upper_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Textual dump format
-# ---------------------------------------------------------------------------
-
-
-def dump_expr(e: BoundExpr) -> str:
-    if isinstance(e, BConst):
-        return str(e.value)
-    if isinstance(e, BRef):
-        return e.name
-    if isinstance(e, BAdd):
-        if e.offset >= 0:
-            return f"{dump_expr(e.expr)} + {e.offset}"
-        return f"{dump_expr(e.expr)} - {-e.offset}"
-    if isinstance(e, BMin):
-        return f"min({dump_expr(e.left)}, {dump_expr(e.right)})"
-    if isinstance(e, BMax):
-        return f"max({dump_expr(e.left)}, {dump_expr(e.right)})"
-    raise TypeError(f"unknown bound expression {e!r}")
-
-
-def dump_system(system: BoundSystem) -> str:
-    return "".join(f"{name} = {dump_expr(rhs)}\n" for name, rhs in system.equations)
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive case analysis
 # ---------------------------------------------------------------------------
 
@@ -437,27 +414,49 @@ def solve_exhaustive(system: BoundSystem, cap: int = 20) -> dict[str, Bound]:
 # ---------------------------------------------------------------------------
 
 
-def _compile(system: BoundSystem) -> tuple[list[tuple], list[list[int]], list[tuple[int, int]]]:
-    """Right-hand sides as nested tuples over variable indices.
+def _compile(system: BoundSystem) -> tuple[list[tuple], list[list[int]], list[tuple[int, int]], list[int]]:
+    """Right-hand sides as nested tuples over variable indices, copies folded out.
+
+    A copy ``x = y`` reads the first non-copy equation along its chain of
+    copies, or one extra equation ``-oo`` where the chain closes a cycle of
+    copies only (see solve_policy_iteration), and only the other equations
+    are compiled.  Each chain is walked once, its copies marked meanwhile.
 
     Nodes are ("const", value), ("ref", index), ("add", child, offset),
     ("min", left, right) and ("max", node, left, right), where `node` is the
     max node's position in the policy list.  Returns the compiled right-hand
-    sides, the indices each one references, and the range of policy
-    positions each one holds (an equation's max nodes are numbered
-    consecutively).
-    """
-    index = {name: i for i, name in enumerate(system.names())}
+    sides, the indices each one references, the range of policy positions
+    each one holds (an equation's max nodes are numbered consecutively),
+    and the compiled index each variable of `system` reads, in order."""
+    where: dict[str, int] = {}
+    copied: dict[str, str] = {}
+    kept = []
+    for name, e in system.equations:
+        if type(e) is BRef:
+            copied[name] = e.name
+        else:
+            where[name] = len(kept)
+            kept.append(e)
+    bottom = len(kept)  # the extra -oo equation, and the mark of the chain being walked
+    for name in copied:
+        path = []
+        while name not in where:
+            where[name] = bottom
+            path.append(name)
+            name = copied[name]
+        where.update(dict.fromkeys(path, where[name]))
+    if bottom in where.values():
+        kept.append(BConst(NEG_INF))
     refs: list[list[int]] = []
     spans: list[tuple[int, int]] = []
     n_max = [0]
     rhs = []
-    for _, e in system.equations:
+    for e in kept:
         first = n_max[0]
         refs.append([])
-        rhs.append(_compile_node(e, index, refs[-1], n_max))
+        rhs.append(_compile_node(e, where, refs[-1], n_max))
         spans.append((first, n_max[0]))
-    return rhs, refs, spans
+    return rhs, refs, spans, list(map(where.__getitem__, system.names()))
 
 
 def _compile_node(e: BoundExpr, index: dict[str, int], uses: list[int], n_max: list[int]) -> tuple:
@@ -646,6 +645,10 @@ def solve_policy_iteration(system: BoundSystem) -> dict[str, Bound]:
     """Ascending policy iteration over the max nodes, one strongly connected
     component of the reference graph at a time.
 
+    Copies are folded out first (``_compile``), which is exact: a copy
+    equals the end of its chain at every fixpoint, and a cycle of copies
+    only may take any value, so by monotonicity the least one puts it at -oo.
+
     Components are solved in dependency order, so every variable outside
     the current one that it references is solved already and acts as a
     constant.  That order yields the least fixpoint mu of the whole system.
@@ -682,7 +685,7 @@ def solve_policy_iteration(system: BoundSystem) -> dict[str, Bound]:
     improvement bounds the rounds, and no round's cost depends on the sizes
     of the constants.
     """
-    rhs, refs, spans = _compile(system)
+    rhs, refs, spans, reads = _compile(system)
     rho: list[Bound] = [NEG_INF] * len(rhs)
     policy = [0] * (spans[-1][1] if spans else 0)
     for component in _components(refs):
@@ -711,7 +714,7 @@ def solve_policy_iteration(system: BoundSystem) -> dict[str, Bound]:
                 break
             for i in changed:
                 flat[position[i]] = _flatten(rhs[i], policy, position, rho)
-    solution = dict(zip(system.names(), rho))
+    solution = dict(zip(system.names(), map(rho.__getitem__, reads)))
     if not is_fixpoint(system, solution):
         raise RuntimeError("policy iteration did not land on a fixpoint")
     return solution
@@ -783,12 +786,9 @@ def solve_intervals_exact(
     """Exact least-invariant intervals for `var` from the two bound systems."""
     upper = solver(extract_upper_bounds(cfg, var, entry.hi))
     lower_neg = solver(extract_upper_bounds(cfg, var, -entry.lo, negate=True))
-    out: dict[str, Interval] = {}
-    for loc in cfg.locations:
-        hi = upper[loc]
-        lo = -lower_neg[loc]
-        if hi is NEG_INF or lo is POS_INF:
-            out[loc] = Interval(POS_INF, NEG_INF)
-        else:
-            out[loc] = Interval.make(lo, hi)
-    return out
+    locations = cfg.locations
+    los = map(operator.neg, map(lower_neg.__getitem__, locations))
+    return {
+        loc: EMPTY if hi is NEG_INF or lo is POS_INF or lo > hi else _new(Interval, (lo, hi))
+        for loc, lo, hi in zip(locations, los, map(upper.__getitem__, locations))
+    }

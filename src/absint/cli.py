@@ -39,8 +39,10 @@ from .intervals import (
     TOP,
     AbstractEnv,
     AnalysisResult,
+    EMPTY,
     DelayBudgetError,
     Interval,
+    _new,
     analyze,
     assert_verdicts,
     entry_environment,
@@ -272,34 +274,33 @@ def _solver_result(cfg, program, method) -> AnalysisResult:
             raise  # a RuntimeError, but main reports it as deep input
         except RuntimeError as exc:
             raise _InternalError(f"internal solver error: {exc}")
-    names = tuple(sorted(per_var))
-    envs = {}
-    for loc in cfg.locations:
-        values = tuple(per_var[v][loc] for v in names)
-        envs[loc] = BOTTOM_ENV if any(iv.is_empty for iv in values) else AbstractEnv(names, values)
-    return AnalysisResult(envs, assert_verdicts(cfg, envs))
+    return _per_location(cfg, per_var)
 
 
 def _oracle_result(cfg, program, value_range) -> AnalysisResult:
-    envs = {}
-    hulls: dict[str, dict] = {}
+    per_var: dict[str, dict[str, Interval]] = {}
     for decl in program.decls:
         if decl.init is None:
-            raise _CliError(
-                "the concrete oracle requires every declaration to be initialized"
-            )
+            raise _CliError("the concrete oracle requires every declaration to be initialized")
         try:
-            hulls[decl.name] = boundsolve.bounded_concrete_oracle(
-                cfg, decl.name, Interval.const(decl.init.value), value_range
-            )
+            hulls = boundsolve.bounded_concrete_oracle(cfg, decl.name, Interval.const(decl.init.value), value_range)
         except boundsolve.UnsupportedConstructError as exc:
             raise _CliError(f"program outside the oracle fragment: {exc}")
         except (boundsolve.RangeExceededError, OracleBudgetError) as exc:
             raise _CliError(str(exc), EXIT_BUDGET)
-    names = tuple(sorted(hulls))
-    for loc in cfg.locations:
-        cells = [hulls[v][loc] for v in names]
-        envs[loc] = BOTTOM_ENV if None in cells else AbstractEnv(names, tuple(Interval(*hull) for hull in cells))
+        per_var[decl.name] = {loc: EMPTY if hull is None else _new(Interval, hull) for loc, hull in hulls.items()}
+    return _per_location(cfg, per_var)
+
+
+def _per_location(cfg, per_var: dict[str, dict[str, Interval]]) -> AnalysisResult:
+    """The result whose environment at each location holds every variable's
+    interval there (``per_var[var][loc]``), or bottom where one is ``EMPTY``;
+    without variables, every location gets the empty environment."""
+    names = tuple(sorted(per_var))
+    locations = cfg.locations
+    rows = zip(*(map(per_var[v].__getitem__, locations) for v in names)) if names else [()] * len(locations)
+    envs = {loc: BOTTOM_ENV if EMPTY in row else _new(AbstractEnv, (names, row, False))
+            for loc, row in zip(locations, rows)}
     return AnalysisResult(envs, assert_verdicts(cfg, envs))
 
 

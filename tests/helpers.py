@@ -715,6 +715,59 @@ def chained_system(rng: random.Random, n_components: int):
     return BoundSystem(tuple(equations))
 
 
+def copied_system(rng: random.Random, n_components: int):
+    """`chained_system(rng, n_components)` with copies (``x = y``) spliced
+    in, its equations shuffled again:
+    * a third of the equations ``x = rhs`` become the chain ``x = k_1``,
+      ..., ``k_m = x'`` and ``x' = rhs``, so chains of copies run inside
+      cycles;
+    * a fifth of the references in right-hand sides read their variable
+      through a new chain of copies, so chains lead into cycles from
+      earlier ones, and a twentieth read a cycle of copies only or the
+      self-copy ``z = z`` instead, both -oo in the least fixpoint;
+    * a chain of copies reads one variable per component, so chains lead
+      out of cycles, including those that settle at -oo or +oo.
+    Each new chain holds one to three copies."""
+    from absint.boundsolve import BAdd, BMax, BMin, BoundSystem, BRef
+
+    extra = []
+
+    def chain_to(target: str) -> str:
+        names = [f"k{len(extra) + i}" for i in range(rng.randint(1, 3))]
+        extra.extend(zip(names, map(BRef, names[1:] + [target])))
+        return names[0]
+
+    cycle = [f"q{i}" for i in range(rng.randint(1, 3))]
+    extra.extend(zip(cycle, map(BRef, cycle[1:] + cycle[:1])))
+    extra.append(("z", BRef("z")))
+
+    def reroute(e):
+        if isinstance(e, BRef):
+            roll = rng.random()
+            if roll < 0.2:
+                return BRef(chain_to(e.name))
+            return BRef(rng.choice(cycle + ["z"])) if roll < 0.25 else e
+        if isinstance(e, BAdd):
+            return BAdd(reroute(e.expr), e.offset)
+        if isinstance(e, (BMin, BMax)):
+            return type(e)(reroute(e.left), reroute(e.right))
+        return e
+
+    equations = []
+    for name, rhs in chained_system(rng, n_components).equations:
+        rhs = reroute(rhs)
+        if rng.random() < 1 / 3:
+            head = chain_to(f"{name}'")
+            equations += [(name, BRef(head)), (f"{name}'", rhs)]
+        else:
+            equations.append((name, rhs))
+        if name.endswith("x0"):
+            chain_to(name)
+    equations += extra
+    rng.shuffle(equations)
+    return BoundSystem(tuple(equations))
+
+
 GADGET_ORDER = ("up", "branch", "climb", "down", "branch", "up", "climb", "branch", "down")
 
 
@@ -824,6 +877,33 @@ def inline_equation(system: BoundSystem, target: str) -> BoundExpr:
         raise TypeError(f"unknown bound expression {e!r}")
 
     return expand(rhs_map[target], (target,))
+
+
+def dump_expr(e: BoundExpr) -> str:
+    """`e` as text: prefix ``min(a, b)``/``max(a, b)``, infix ``+ c``/``- c``
+    offsets, and ``-oo``/``+oo`` for the infinities."""
+    from absint.boundsolve import BAdd, BConst, BMax, BMin, BRef
+
+    if isinstance(e, BConst):
+        return str(e.value)
+    if isinstance(e, BRef):
+        return e.name
+    if isinstance(e, BAdd):
+        if e.offset >= 0:
+            return f"{dump_expr(e.expr)} + {e.offset}"
+        return f"{dump_expr(e.expr)} - {-e.offset}"
+    if isinstance(e, BMin):
+        return f"min({dump_expr(e.left)}, {dump_expr(e.right)})"
+    if isinstance(e, BMax):
+        return f"max({dump_expr(e.left)}, {dump_expr(e.right)})"
+    raise TypeError(f"unknown bound expression {e!r}")
+
+
+def dump_system(system: BoundSystem) -> str:
+    """One ``var = expr`` line per equation, in order (``dump_expr``); the
+    text of a failing system in an assertion message and a golden's digest.
+    Nothing parses it back."""
+    return "".join(f"{name} = {dump_expr(rhs)}\n" for name, rhs in system.equations)
 
 
 # ---------------------------------------------------------------------------

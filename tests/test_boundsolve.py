@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -17,8 +18,6 @@ from absint.boundsolve import (
     RangeExceededError,
     UnsupportedConstructError,
     bounded_concrete_oracle,
-    dump_expr,
-    dump_system,
     eval_bexpr,
     extract_upper_bounds,
     is_fixpoint,
@@ -35,7 +34,10 @@ from absint.lang import parse_program
 from helpers import (
     FRAGMENT_VAR,
     chained_system,
+    copied_system,
     corner_system,
+    dump_expr,
+    dump_system,
     gadget_chain_program,
     inline_equation,
     random_fragment_program,
@@ -336,9 +338,61 @@ def test_solver_agreement_on_chained_components():
     assert min(fed.values()) >= 100, fed
 
 
+def test_solver_agreement_with_copies_spliced_in():
+    """Copies (``x = y``) are folded out before the solve: chains of them
+    inside, into and out of cycles, cycles of copies only, the self-copy
+    and copies of cycles at -oo or +oo must solve as the exhaustive solver
+    finds them."""
+    rng = random.Random(2030)
+    checked = 0
+    seen = {"in cycle": 0, "chain": 0, NEG_INF: 0, POS_INF: 0, "finite": 0}
+    while checked < 300:
+        system = copied_system(rng, rng.randint(2, 3))
+        if _selector_nodes(system) > 10:
+            continue
+        checked += 1
+        ex = solve_exhaustive(system, cap=10)
+        assert solve_policy_iteration(system) == ex, dump_system(system)
+        assert ex["z"] is NEG_INF and ex["q0"] is NEG_INF
+        rhs = dict(system.equations)
+        copies = {name for name, e in system.equations if isinstance(e, BRef)}
+        seen["in cycle"] += sum(len(g & copies) for g in cyclic_components(system))
+        for name in copies:
+            seen["chain"] += rhs[name].name in copies and ex[name] is not NEG_INF
+            seen[ex[name] if ex[name] in (NEG_INF, POS_INF) else "finite"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_long_copy_chain_folds_in_linear_time():
+    """60,000 copies listed from the far end of their chain solve in about
+    the time of a chain of 60,000 offsets, or faster, whether the chain
+    ends in a constant or closes a cycle of copies only.  Checking each
+    chain against the list of copies walked so far would take seconds."""
+
+    def chain(offset: int, first: BoundExpr) -> BoundSystem:
+        equations = []
+        for i in reversed(range(1, 60_000)):
+            ref = BRef(f"x{i - 1}")
+            equations.append((f"x{i}", BAdd(ref, offset) if offset else ref))
+        return BoundSystem(tuple(equations) + (("x0", first),))
+
+    def seconds(system: BoundSystem, last) -> float:
+        start = time.process_time()
+        assert solve_policy_iteration(system)["x59999"] == last
+        return time.process_time() - start
+
+    seconds(chain(0, BConst(7)), 7)  # warm-up
+    offsets = min(seconds(chain(1, BConst(7)), 7 + 59_999) for _ in range(2))
+    for first, last in ((BConst(7), 7), (BRef("x59999"), NEG_INF)):
+        copies = min(seconds(chain(0, first), last) for _ in range(2))
+        assert copies < 2 * offsets + 0.2, (copies, offsets)
+
+
 def test_min_systems_stay_within_cyclic_components(monkeypatch):
-    """Only cyclic components reach the min-system solve, each on its own:
-    a component's first min-system starts at -oo on all of its variables."""
+    """Only cyclic components reach the min-system solve, each on its own
+    and without its copies (``x = y``, folded out before the solve): a
+    component's first min-system starts at -oo on all of its variables and
+    holds exactly its non-copy equations."""
     calls: list[tuple[int, bool]] = []
     solve_min = boundsolve_module._solve_min_system
 
@@ -351,7 +405,10 @@ def test_min_systems_stay_within_cyclic_components(monkeypatch):
     cfg = build_cfg(parse_program(text))
     for negate in (False, True):
         system = extract_upper_bounds(cfg, FRAGMENT_VAR, 0, negate)
-        sizes = sorted(len(g) for g in cyclic_components(system))
+        rhs = dict(system.equations)
+        groups = cyclic_components(system)
+        sizes = sorted(sum(not isinstance(rhs[name], BRef) for name in g) for g in groups)
+        assert sum(sizes) < sum(len(g) for g in groups)  # the loops hold copies
         assert len(sizes) == 3 * 6  # one per loop
         calls.clear()
         solve_policy_iteration(system)

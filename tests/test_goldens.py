@@ -71,12 +71,13 @@ import unicodedata
 import helpers
 from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
 from absint.antichain import Orientation
-from absint.boundsolve import bounded_concrete_oracle, dump_system, extract_upper_bounds, solve_exhaustive
+from absint.boundsolve import bounded_concrete_oracle, extract_upper_bounds, solve_exhaustive
 from absint.cli import main
 from absint.focused import analyze_block
 from absint.intervals import NEG_INF, POS_INF, Interval
 from absint.lang import ParseError, _tokenize, pretty
 from absint.lru import InitPolicy, OracleBudgetError, collect_states
+from helpers import dump_system
 
 # (run name, extra CLI arguments); each runs in text and in json.
 RUNS = (
