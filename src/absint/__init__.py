@@ -9,37 +9,3 @@ combined with a propagated rewriting system.
 """
 
 __version__ = "0.1.0"
-
-from .lang import parse_program, pretty, ParseError
-from .cfg import build_cfg, parse_access_graph, Cfg
-from .lru import (
-    InitPolicy,
-    Classification,
-    OracleBudgetError,
-    access,
-    collect_states,
-    classify_oracle,
-)
-from .antichain import Antichain, Orientation
-from .agebounds import ApproxClass, classify_all_approx
-from .focused import BlockView, transfer, analyze_block, classify_exact, classify_pipeline
-from .intervals import (
-    POS_INF,
-    NEG_INF,
-    Interval,
-    AbstractEnv,
-    eval_expr,
-    filter_cond,
-    widen,
-    analyze,
-    entry_environment,
-)
-from .boundsolve import (
-    BoundSystem,
-    extract_upper_bounds,
-    solve_exhaustive,
-    solve_policy_iteration,
-    bounded_concrete_oracle,
-    solve_intervals_exact,
-)
-from .rewrite import LinearForm, RewriteMap, linear_form, record, rewrite_and_simplify, analyze_combined

@@ -348,7 +348,7 @@ def _resolve_links(links: dict[str, tuple[str, Bound | str, int]]) -> tuple[dict
     resolution: dict[str, tuple] = {}
     n_cycles = 0
     for start in links:
-        path: list[str] = []
+        path: dict[str, None] = {}  # insertion-ordered; membership in O(1)
         cur = start
         while cur not in resolution:
             kind, payload, _ = links[cur]
@@ -358,7 +358,7 @@ def _resolve_links(links: dict[str, tuple[str, Bound | str, int]]) -> tuple[dict
                 resolution[cur] = ("cycle", n_cycles)
                 n_cycles += 1
             else:
-                path.append(cur)
+                path[cur] = None
                 cur = payload
         for v in reversed(path):
             if v not in resolution:  # only a cycle's entry is resolved already

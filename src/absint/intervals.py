@@ -177,9 +177,6 @@ class AbstractEnv(NamedTuple):
     def intervals(self) -> tuple[tuple[str, Interval], ...]:
         return tuple(zip(self.names, self.values))
 
-    def as_dict(self) -> dict[str, Interval]:
-        return dict(zip(self.names, self.values))
-
     def __repr__(self):
         return f"AbstractEnv(intervals={self.intervals!r}, bottom={self.bottom!r})"
 

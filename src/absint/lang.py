@@ -399,7 +399,7 @@ def parse_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (canonical form; reparsing yields a structurally equal AST)
+# Expressions and conditions as source text (error messages quote them)
 # ---------------------------------------------------------------------------
 
 
@@ -424,41 +424,3 @@ def pretty_cond(c: Cond) -> str:
     if isinstance(c, CondNondet):
         return "*"
     return f"{pretty_expr(c.left)} {c.op} {pretty_expr(c.right)}"
-
-
-def _pretty_stmt(s: Stmt, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(s, Assign):
-        out.append(f"{pad}{s.var} = {pretty_expr(s.expr)};")
-    elif isinstance(s, AccessStmt):
-        out.append(f"{pad}access({s.block});")
-    elif isinstance(s, Assert):
-        out.append(f"{pad}assert ({pretty_cond(s.cond)});")
-    elif isinstance(s, If):
-        out.append(f"{pad}if ({pretty_cond(s.cond)}) {{")
-        for sub in s.then:
-            _pretty_stmt(sub, indent + 1, out)
-        if s.orelse:
-            out.append(f"{pad}}} else {{")
-            for sub in s.orelse:
-                _pretty_stmt(sub, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(s, While):
-        out.append(f"{pad}while ({pretty_cond(s.cond)}) {{")
-        for sub in s.body:
-            _pretty_stmt(sub, indent + 1, out)
-        out.append(f"{pad}}}")
-    else:
-        raise TypeError(f"unknown statement {s!r}")
-
-
-def pretty(program: Program) -> str:
-    out: list[str] = []
-    for d in program.decls:
-        if d.init is None:
-            out.append(f"int {d.name};")
-        else:
-            out.append(f"int {d.name} = {d.init.value};")
-    for s in program.body:
-        _pretty_stmt(s, 0, out)
-    return "\n".join(out) + ("\n" if out else "")

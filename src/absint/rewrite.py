@@ -12,8 +12,8 @@ coefficient, in name order.  A run builds each label's own form once, and
 ``substitute`` returns it unchanged when no rule names one of its
 variables.  Rules' variables are read off their forms; map joins compare
 forms as tuples.  Assignments evaluate their rewritten form directly;
-guards, ``simplify`` and ``rewrite_and_simplify`` render forms as canonical
-trees.  A rule is the form the assignment's transfer already rewrote.
+guards and ``rewrite_and_simplify`` render forms as canonical trees.  A
+rule is the form the assignment's transfer already rewrote.
 
 The combination is deliberately kept in its plain form: guards are filtered
 through original and rewritten conditions but rules are never inverted, and
@@ -184,11 +184,6 @@ def render(form: LinearForm) -> Expr:
     if const:
         out = BinOp("+" if const > 0 else "-", out, Const(abs(const)))
     return out
-
-
-def simplify(e: Expr) -> Expr:
-    """Canonical tree of `e` as written (no rules applied)."""
-    return render(linear_form(e))
 
 
 def rewrite_and_simplify(m: RewriteMap, e: Expr, max_chain: int | None = None) -> Expr:

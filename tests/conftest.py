@@ -25,21 +25,22 @@ def demo_dir() -> pathlib.Path:
 
 @pytest.fixture(scope="session")
 def flag_program_cfg():
-    from absint import build_cfg, parse_program
+    from absint.cfg import build_cfg
+    from absint.lang import parse_program
 
     return build_cfg(parse_program((DEMO / "flag_reuse.imp").read_text()))
 
 
 @pytest.fixture(scope="session")
 def ring_program():
-    from absint import parse_program
+    from absint.lang import parse_program
 
     return parse_program((DEMO / "ring_index.imp").read_text())
 
 
 @pytest.fixture(scope="session")
 def ring_cfg(ring_program):
-    from absint import build_cfg
+    from absint.cfg import build_cfg
 
     return build_cfg(ring_program)
 

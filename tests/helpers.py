@@ -36,8 +36,11 @@ from absint.lang import (
     If,
     Nondet,
     Program,
+    Stmt,
     Var,
     While,
+    pretty_cond,
+    pretty_expr,
 )
 from absint.lru import Alphabet, Classification, InitPolicy, OracleBudgetError, explore
 
@@ -370,6 +373,46 @@ def random_program(rng: random.Random, cache_mode: bool = False) -> Program:
     )
     body = random_block(rng, variables, 0, cache_mode)
     return Program(decls, body)
+
+
+# The canonical text of a program: reparsing it yields a structurally equal
+# AST.  Goldens hash it, so its output must not change.
+def _pretty_stmt(s: Stmt, indent: int, out: list[str]) -> None:
+    pad = "  " * indent
+    if isinstance(s, Assign):
+        out.append(f"{pad}{s.var} = {pretty_expr(s.expr)};")
+    elif isinstance(s, AccessStmt):
+        out.append(f"{pad}access({s.block});")
+    elif isinstance(s, Assert):
+        out.append(f"{pad}assert ({pretty_cond(s.cond)});")
+    elif isinstance(s, If):
+        out.append(f"{pad}if ({pretty_cond(s.cond)}) {{")
+        for sub in s.then:
+            _pretty_stmt(sub, indent + 1, out)
+        if s.orelse:
+            out.append(f"{pad}}} else {{")
+            for sub in s.orelse:
+                _pretty_stmt(sub, indent + 1, out)
+        out.append(f"{pad}}}")
+    elif isinstance(s, While):
+        out.append(f"{pad}while ({pretty_cond(s.cond)}) {{")
+        for sub in s.body:
+            _pretty_stmt(sub, indent + 1, out)
+        out.append(f"{pad}}}")
+    else:
+        raise TypeError(f"unknown statement {s!r}")
+
+
+def pretty(program: Program) -> str:
+    out: list[str] = []
+    for d in program.decls:
+        if d.init is None:
+            out.append(f"int {d.name};")
+        else:
+            out.append(f"int {d.name} = {d.init.value};")
+    for s in program.body:
+        _pretty_stmt(s, 0, out)
+    return "\n".join(out) + ("\n" if out else "")
 
 
 def _guard_asserts(s):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import pathlib
 import random
 import time
@@ -29,7 +30,9 @@ from absint.boundsolve import (
 from absint import boundsolve as boundsolve_module
 from absint.cfg import back_edge_targets, build_cfg, parse_access_graph
 from absint.lru import OracleBudgetError
-from absint.intervals import NEG_INF, POS_INF, TOP, Interval, analyze, entry_environment
+from absint.intervals import (
+    DELAY_BUDGET, EMPTY, NEG_INF, POS_INF, TOP, DelayBudgetError, Interval, analyze, entry_environment,
+)
 from absint.lang import parse_program
 from helpers import (
     FRAGMENT_VAR,
@@ -365,9 +368,11 @@ def test_solver_agreement_with_copies_spliced_in():
 
 def test_long_copy_chain_folds_in_linear_time():
     """60,000 copies listed from the far end of their chain solve in about
-    the time of a chain of 60,000 offsets, or faster, whether the chain
-    ends in a constant or closes a cycle of copies only.  Checking each
-    chain against the list of copies walked so far would take seconds."""
+    the time policy iteration takes on a chain of 60,000 offsets, or
+    faster, whether the chain ends in a constant or closes a cycle of
+    copies only; by policy iteration and by the exhaustive solver, whose
+    chain system has no min/max node.  Checking each chain against the list
+    of copies walked so far would take seconds."""
 
     def chain(offset: int, first: BoundExpr) -> BoundSystem:
         equations = []
@@ -376,16 +381,17 @@ def test_long_copy_chain_folds_in_linear_time():
             equations.append((f"x{i}", BAdd(ref, offset) if offset else ref))
         return BoundSystem(tuple(equations) + (("x0", first),))
 
-    def seconds(system: BoundSystem, last) -> float:
+    def seconds(solve, system: BoundSystem, last) -> float:
         start = time.process_time()
-        assert solve_policy_iteration(system)["x59999"] == last
+        assert solve(system)["x59999"] == last
         return time.process_time() - start
 
-    seconds(chain(0, BConst(7)), 7)  # warm-up
-    offsets = min(seconds(chain(1, BConst(7)), 7 + 59_999) for _ in range(2))
-    for first, last in ((BConst(7), 7), (BRef("x59999"), NEG_INF)):
-        copies = min(seconds(chain(0, first), last) for _ in range(2))
-        assert copies < 2 * offsets + 0.2, (copies, offsets)
+    seconds(solve_policy_iteration, chain(0, BConst(7)), 7)  # warm-up
+    offsets = min(seconds(solve_policy_iteration, chain(1, BConst(7)), 7 + 59_999) for _ in range(2))
+    for solve in (solve_policy_iteration, solve_exhaustive):
+        for first, last in ((BConst(7), 7), (BRef("x59999"), NEG_INF)):
+            copies = min(seconds(solve, chain(0, first), last) for _ in range(2))
+            assert copies < 2 * offsets + 0.2, (solve.__name__, copies, offsets)
 
 
 def test_min_systems_stay_within_cyclic_components(monkeypatch):
@@ -469,6 +475,66 @@ def test_domination_exact_below_widen_narrow(fragment_corpus_small):
                 assert exact[loc].is_empty
             else:
                 assert subset(exact[loc], wenv.get(FRAGMENT_VAR)), loc
+
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+
+# Shapes whose bounds Kleene iteration reaches without climbing: -oo and
+# +oo from the entry, locations after a loop that never exits, and loops
+# that only a constant-false guard reaches.
+KLEENE_SHAPES = (
+    "int v = 3; if (1 > 2) { while (*) { } }",  # folds to a cycle of copies only
+    "int v = 0; if (2 < 1) { while (*) { v = v + 1; } }",  # would climb for ever if reached
+    "int v = 0; if (1 > 2) { while (v < 10) { v = v + 1; } }",
+    "int v = 3; while (*) { }",
+    "int v = 0; while (0 < 1) { v = 5; }",
+    "int v; while (v > 0) { v = v - 1; }",
+    "int v; if (v < 0) { v = 7; } while (*) { if (v > 100) { v = v - 1; } }",
+)
+# The first programs of the intervals-policy benchmark corpus, seeded as
+# perfbench/run.py seeds it, at each of the seeds it is run at.
+CORPUS_SEEDS = (1, 1009)
+CORPUS_PROGRAMS = 16
+# Share of the programs whose climb may pass DELAY_BUDGET (none does).
+MAX_OVER_BUDGET = 1 / 8
+
+
+def test_policy_iteration_equals_widening_free_kleene_iteration(monkeypatch):
+    """Policy iteration's intervals equal those of Kleene iteration without
+    widening, ``analyze(widen_delay=DELAY_BUDGET, narrow_passes=0)``, at
+    every location with zero tolerance.  Wherever the climb stabilises it is
+    an independent exact method: it shares only the parser and the CFG with
+    the policy path.  Every guard must be live at the invariant, since a
+    dead guard on ``v`` can only make the solved bound larger (see
+    ``boundsolve``); the benchmark programs have none.
+
+    Loops that climb for ever, like ``while (*) { v = v + 1; }`` when it is
+    reached, cannot be checked this way: the climb never stabilises and
+    ends in ``DelayBudgetError``.  Their +oo stays checked by
+    ``solve_exhaustive`` on small systems only.  Those errors are counted,
+    and more than ``MAX_OVER_BUDGET`` of the programs ending so fails."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    texts = list(KLEENE_SHAPES)
+    for seed in CORPUS_SEEDS:
+        rng = random.Random(f"intervals-policy:{seed}")
+        texts += [gen.fragment_program(rng, climb=400)["text"] for _ in range(CORPUS_PROGRAMS)]
+    over_budget = 0
+    for text in texts:
+        program = parse_program(text)
+        cfg = build_cfg(program)
+        entry = entry_environment(program)
+        try:
+            envs = analyze(cfg, entry, widen_delay=DELAY_BUDGET, narrow_passes=0).envs
+        except DelayBudgetError:
+            over_budget += 1
+            continue
+        for decl in program.decls:
+            exact = solve_intervals_exact(cfg, decl.name, entry.get(decl.name))
+            climbed = {loc: EMPTY if env.bottom else env.get(decl.name) for loc, env in envs.items()}
+            differing = {loc: (exact[loc], climbed[loc]) for loc in cfg.locations if exact[loc] != climbed[loc]}
+            assert not differing, (text, differing)
+    assert over_budget <= MAX_OVER_BUDGET * len(texts), over_budget
 
 
 def test_bounded_oracle_ring():

@@ -146,7 +146,9 @@ def test_back_edge_targets_acyclic():
 def test_one_depth_first_search_per_graph(monkeypatch):
     """Widening points and the interned index read one cached search, and
     every caller of ``back_edge_targets`` gets a set of its own."""
-    from absint import analyze, analyze_combined, entry_environment, parse_program
+    from absint.intervals import analyze, entry_environment
+    from absint.lang import parse_program
+    from absint.rewrite import analyze_combined
 
     calls = []
     search = cfg_module._depth_first

@@ -16,8 +16,7 @@ import pytest
 import absint
 from absint import boundsolve, lru
 from absint.cli import _json_text, main
-from absint.lang import pretty
-from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens, random_cache_cfg, random_program
+from helpers import FUZZ_EXTRA, FUZZ_TOKEN, mutate_tokens, pretty, random_cache_cfg, random_program
 
 PY = [sys.executable, "-m", "absint.cli"]
 

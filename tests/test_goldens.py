@@ -69,15 +69,16 @@ import random
 import unicodedata
 
 import helpers
-from absint import analyze, analyze_combined, build_cfg, entry_environment, parse_program
 from absint.antichain import Orientation
 from absint.boundsolve import bounded_concrete_oracle, extract_upper_bounds, solve_exhaustive
+from absint.cfg import build_cfg
 from absint.cli import main
 from absint.focused import analyze_block
-from absint.intervals import NEG_INF, POS_INF, Interval
-from absint.lang import ParseError, _tokenize, pretty
+from absint.intervals import NEG_INF, POS_INF, Interval, analyze, entry_environment
+from absint.lang import ParseError, _tokenize, parse_program
 from absint.lru import InitPolicy, OracleBudgetError, collect_states
-from helpers import dump_system
+from absint.rewrite import analyze_combined
+from helpers import dump_system, pretty
 
 # (run name, extra CLI arguments); each runs in text and in json.
 RUNS = (

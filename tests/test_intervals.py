@@ -200,7 +200,7 @@ def _reference_pointwise(a, b, op):
         return b
     if b.bottom:
         return a
-    x, y = a.as_dict(), b.as_dict()
+    x, y = dict(a.intervals), dict(b.intervals)
     return AbstractEnv.of({v: op(x.get(v, TOP), y.get(v, TOP)) for v in set(x) | set(y)})
 
 
@@ -301,7 +301,7 @@ def _reference_set(env, var, iv):
         return env
     if iv.is_empty:
         return BOTTOM_ENV
-    d = env.as_dict()
+    d = dict(env.intervals)
     d[var] = iv
     return AbstractEnv.of(d)
 
@@ -318,8 +318,8 @@ def test_env_set_matches_dict_and_sort_reference():
         elif roll < 0.3 and not env.bottom and env.intervals:
             iv = rng.choice(env.intervals)[1]  # possibly the current object of `var`
         else:
-            iv = _random_env(rng, ("x",)).as_dict().get("x", TOP)  # top where bottom came out
-        if not env.bottom and not iv.is_empty and var not in env.as_dict():
+            iv = dict(_random_env(rng, ("x",)).intervals).get("x", TOP)  # top where bottom came out
+        if not env.bottom and not iv.is_empty and var not in dict(env.intervals):
             with pytest.raises(KeyError):
                 env.set(var, iv)
             with pytest.raises(KeyError):
@@ -327,7 +327,7 @@ def test_env_set_matches_dict_and_sort_reference():
             continue
         got, want = env.set(var, iv), _reference_set(env, var, iv)
         assert got == want and repr(got) == repr(want)
-        if not env.bottom and var in env.as_dict() and env.get(var) is iv:
+        if not env.bottom and var in dict(env.intervals) and env.get(var) is iv:
             assert got is env
     assert BOTTOM_ENV.set("a", Interval.const(1)) is BOTTOM_ENV
     assert env_of(a=Interval.const(1)).set("b", EMPTY) is BOTTOM_ENV
@@ -496,8 +496,8 @@ def test_env_public_face_is_pinned():
 
     assert env.intervals == (("a", TOP), ("b", shared), ("c", shared))
     assert all(iv is shared for _, iv in env.intervals[1:])
-    assert env.as_dict() == {"a": TOP, "b": shared, "c": shared} and list(env.as_dict()) == ["a", "b", "c"]
-    assert BOTTOM_ENV.intervals == () and BOTTOM_ENV.as_dict() == {} and BOTTOM_ENV.bottom
+    assert dict(env.intervals) == {"a": TOP, "b": shared, "c": shared} and list(dict(env.intervals)) == ["a", "b", "c"]
+    assert BOTTOM_ENV.intervals == () and dict(BOTTOM_ENV.intervals) == {} and BOTTOM_ENV.bottom
     assert not env.bottom and env.get("b") is shared
 
     zero = Interval.const(0)
@@ -542,6 +542,6 @@ def test_every_returned_value_has_its_own_class(demo_dir):
             for value in result.envs.values():
                 assert type(value) is AbstractEnv
                 assert all(type(iv) is Interval for _, iv in value.intervals)
-                assert all(type(iv) is Interval for iv in value.as_dict().values())
+                assert all(type(iv) is Interval for iv in dict(value.intervals).values())
             checked += 1
     assert checked == 21  # the solvers and the oracle take ring_index only

@@ -18,9 +18,8 @@ from absint.lang import (
     While,
     negate_cond,
     parse_program,
-    pretty,
 )
-from helpers import random_program
+from helpers import pretty, random_program
 
 RING = """
 int i = 0;
